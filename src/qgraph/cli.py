@@ -17,7 +17,7 @@ from .constraint import assemble
 from .dtn import verify_det_identity, verify_derivative_identity
 from .errors import ComputationError
 from .graph import GraphFormatError, classify_weyl, load_graph, validate
-from .rootfind import count_in_disc, find_roots
+from .rootfind import count_in_disc, find_roots, thread_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,16 +94,13 @@ def _cmd_classify(parser, args):
     return 0
 
 
-def _cmd_det(parser, args):
-    graph = _checked_graph(parser, args)
-    poly = assemble(graph).determinant()
-    _emit(args, [poly.dump()])
-    return 0
-
-
 def _det_poly(parser, args):
-    graph = _checked_graph(parser, args)
-    return assemble(graph).determinant()
+    return assemble(_checked_graph(parser, args)).determinant()
+
+
+def _cmd_det(parser, args):
+    _emit(args, [_det_poly(parser, args).dump()])
+    return 0
 
 
 def _cmd_roots(parser, args):
@@ -247,6 +244,10 @@ def main(argv=None):
     p.set_defaults(func=_cmd_circle_verify, sub=p)
 
     args = parser.parse_args(argv)
+    try:
+        thread_count()
+    except ValueError as exc:  # a bad environment is a usage error
+        parser.exit(1, "error: %s\n" % exc)
     try:
         return args.func(args.sub, args)
     except ComputationError as exc:

@@ -181,15 +181,3 @@ class ExpPolynomial:
     def __repr__(self):
         return "ExpPolynomial(lengths=%r, terms=%r)" % (self.lengths, self.terms)
 
-
-# thin functional aliases, convenient in code that passes operations around
-def add(p, q):
-    return p + q
-
-
-def negate(p):
-    return -p
-
-
-def mul(p, q):
-    return p * q

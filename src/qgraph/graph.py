@@ -32,10 +32,6 @@ class MetricGraph:
         self.vertex_names = tuple(vertex_names)
 
     @property
-    def internal_edges(self):
-        return self.edges
-
-    @property
     def lengths(self):
         """Edge lengths in edge-id order, the frequency table for determinants."""
         return tuple(e.length for e in self.edges)

@@ -29,13 +29,14 @@ _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
 
 
-def _threads():
+def thread_count():
+    """Root-finding threads from QGRAPH_THREADS: 1 when unset, 0 = per CPU."""
     raw = os.environ.get("QGRAPH_THREADS", "").strip()
     if not raw:
         return 1
+    if not raw.isdecimal():
+        raise ValueError("QGRAPH_THREADS must be an integer >= 0, got %r" % raw)
     n = int(raw)
-    if n < 0:
-        raise ValueError("QGRAPH_THREADS must be >= 0")
     if n == 0:
         return os.cpu_count() or 1
     return n
@@ -200,7 +201,7 @@ def find_roots(p, region, tol=1e-8):
         return []
     found = []
     frontier = [(outer, w)]
-    nthreads = _threads()
+    nthreads = thread_count()
     pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
     try:
         while frontier:
@@ -301,7 +302,8 @@ def count_in_disc(p, radius, tol=1e-8):
     origin is excluded from the count and flagged.
     """
     radius = float(radius)
-    assert radius > 0
+    if not radius > 0:
+        raise ValueError("radius must be positive, got %r" % radius)
     K = strip_bound(p)
     rect = (-radius - 0.5, radius + 0.5, -K - 0.5, K + 0.5)
     roots = find_roots(p, rect, tol=tol)
@@ -332,7 +334,8 @@ def weyl_coefficient(p, radii=None):
         lo, hi = p.sigma_range()
         return (hi - lo) / 2.0
     radii = [float(R) for R in radii]
-    assert len(radii) >= 2
+    if len(radii) < 2:
+        raise ValueError("the empirical rate needs at least two radii")
     counts = [count_in_disc(p, R).count for R in radii]
     slope = np.polyfit(radii, counts, 1)[0]
     return float(slope) * np.pi / 2.0

@@ -171,6 +171,33 @@ def test_capacity_error_exit_two(tmp_path, capsys):
     assert err == "error: matrix size 36 exceeds capacity 32\n"
 
 
+def test_edge_capacity_error_exit_two(tmp_path, capsys):
+    # 11 parallel edges: a 24 x 24 matrix, inside the size bound, but more
+    # edges than the interpolation grid takes
+    payload = {"vertices": ["a", "b"],
+               "edges": [{"u": "a", "v": "b", "length": 1.0 + 0.01 * j}
+                         for j in range(11)],
+               "leads": []}
+    path = write_graph(tmp_path, payload)
+    rc, out, err = run_main(["det", "--graph", path], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: more than 10 edges vary in the minor\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-2"])
+def test_bad_thread_variable_exit_one(value, monkeypatch, capsys):
+    monkeypatch.setenv("QGRAPH_THREADS", value)
+    err = usage_error(["count", "--circle", "0", "--radius", "5"], capsys)
+    assert err == "error: QGRAPH_THREADS must be an integer >= 0, got %r\n" % value
+    done = subprocess.run([sys.executable, "-m", "qgraph", "count", "--circle",
+                           "0", "--radius", "5"], capture_output=True, text=True,
+                          env=dict(os.environ))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == err
+
+
 def usage_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)

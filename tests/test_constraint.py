@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from dp_oracle import dp_determinant, dp_submatrix_determinant
+from qgraph import constraint
 from qgraph.circle import build_graph
 from qgraph.constraint import CAPACITY, ConstraintMatrix, assemble, \
     leading_block_determinant
 from qgraph.errors import CapacityError
 from qgraph.exppoly import ExpPolynomial
-from qgraph.graph import MetricGraph, classify_weyl
+from qgraph.graph import MetricGraph, classify_weyl, validate
 
 
 def two_arc_fixture():
@@ -181,3 +185,113 @@ def test_leading_block_circle():
     g = build_graph(0.0)
     blk = leading_block_determinant(g, 0)
     assert blk.terms == {(1, 1): -1}      # one lead, two incident edges
+
+
+# -- interpolation kernel against the bitmask-DP oracle ------------------------
+
+def assert_same_expansion(p, q):
+    assert p == q
+    assert p.dump() == q.dump()
+
+
+@pytest.mark.parametrize("flips", [(), (0,)])
+def test_interpolation_matches_dp(graph_family, flips):
+    for g in graph_family:
+        m = assemble(g, flip_edges=flips)
+        assert_same_expansion(m.determinant(), dp_determinant(m))
+
+
+def test_interpolation_matches_dp_on_minors(graph_family):
+    m = assemble(two_arc_fixture())
+    assert_same_expansion(m.determinant(), dp_determinant(m))
+    for rows, cols in (([0, 3], [2, 4]), ([], []), ([5, 6, 3], [2, 5, 1])):
+        assert_same_expansion(m.submatrix_determinant(rows, cols),
+                              dp_submatrix_determinant(m, rows, cols))
+    assert m.submatrix_determinant([], []).terms == {(0, 0): 1}
+    # one cofactor (drop a row and a column) per family graph
+    rng = np.random.default_rng(5)
+    for g in graph_family:
+        m = assemble(g)
+        drop_r, drop_c = (int(x) for x in rng.integers(0, m.n, size=2))
+        rows = [r for r in range(m.n) if r != drop_r]
+        cols = [c for c in range(m.n) if c != drop_c]
+        assert_same_expansion(m.submatrix_determinant(rows, cols),
+                              dp_submatrix_determinant(m, rows, cols))
+
+
+@st.composite
+def small_graphs(draw):
+    nv = draw(st.integers(2, 4))
+    edges = []
+    for _ in range(draw(st.integers(0, 5))):
+        u = draw(st.integers(0, nv - 2))
+        v = draw(st.integers(u + 1, nv - 1))
+        edges.append((u, v, draw(st.floats(0.5, 2.0))))
+    leads = draw(st.lists(st.integers(0, nv - 1), max_size=3))
+    g = MetricGraph(nv, edges, leads=leads)
+    assume(validate(g).ok)
+    flips = [e for e in range(len(edges)) if draw(st.booleans())]
+    return g, flips
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_graphs(), st.complex_numbers(max_magnitude=4.0))
+def test_interpolation_matches_dp_and_lu_random(case, k):
+    g, flips = case
+    m = assemble(g, flip_edges=flips)
+    p = m.determinant()
+    assert_same_expansion(p, dp_determinant(m))
+    k = complex(k.real, max(-1.5, min(1.5, k.imag)))
+    scale = sum(abs(a * np.exp(1j * p.sigma_of(v) * k)) for v, a in p.terms.items())
+    assert abs(p.eval(k) - np.linalg.det(m.eval_matrix(k))) <= 1e-10 * max(scale, 1e-300)
+
+
+def test_graph_without_edges():
+    m = assemble(MetricGraph(1, [], leads=[0, 0]))
+    assert m.determinant() == dp_determinant(m)
+    assert m.determinant().terms == {(): 2}
+
+
+# -- capacity and rounding certificate ----------------------------------------
+
+def refuse_grid(monkeypatch):
+    def det(*args, **kwargs):
+        raise AssertionError("the interpolation grid was evaluated")
+    monkeypatch.setattr(np.linalg, "det", det)
+
+
+def test_edge_capacity_refused_before_grid(monkeypatch):
+    g = MetricGraph(2, [(0, 1, 1.0 + 0.01 * i)
+                        for i in range(constraint.EDGE_CAPACITY + 1)])
+    m = assemble(g)
+    assert m.n <= CAPACITY
+    refuse_grid(monkeypatch)
+    with pytest.raises(CapacityError, match="edges vary"):
+        m.determinant()
+
+
+def test_certificate_a_priori_bound_refused(monkeypatch):
+    m = assemble(two_arc_fixture())
+    monkeypatch.setattr(constraint, "CERT_SLACK", 1e15)
+    refuse_grid(monkeypatch)
+    with pytest.raises(CapacityError, match="rounding bound"):
+        m.determinant()
+
+
+def test_certificate_observed_error_refused(monkeypatch):
+    # a zero tolerance leaves no room for the rounding error every real
+    # evaluation carries, so the kernel must refuse, not round
+    m = assemble(two_arc_fixture())
+    monkeypatch.setattr(constraint, "CERT_SLACK", 0.0)
+    with pytest.raises(CapacityError, match="rounding error"):
+        m.determinant()
+
+
+def test_submatrix_argument_errors():
+    m = assemble(two_arc_fixture())
+    with pytest.raises(ValueError, match="square"):
+        m.submatrix_determinant([0, 1], [0])
+    half = ConstraintMatrix(1, (1.0,), [[(0, 0.5, None)]], [("r", 0)], [("c", 0)])
+    with pytest.raises(ValueError, match="integers"):
+        half.determinant()

@@ -177,3 +177,13 @@ def test_root_symmetry_under_reflection():
         ks = sorted((round(r.k.real, 7), round(r.k.imag, 7)) for r in roots)
         mirrored = sorted((round(-r.k.real, 7), round(r.k.imag, 7)) for r in roots)
         assert ks == mirrored
+
+
+def test_argument_checks_raise_value_error():
+    # real exceptions, not asserts, so they hold under python -O too
+    p = det_poly(0.0)
+    for radius in (-3.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            count_in_disc(p, radius)
+    with pytest.raises(ValueError, match="two radii"):
+        weyl_coefficient(p, radii=[10.0])
