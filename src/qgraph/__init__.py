@@ -17,17 +17,18 @@ from .errors import (BoundaryZeroSuspected, CapacityError, ComputationError,
 from .exppoly import ExpPolynomial
 from .graph import (GraphFormatError, MetricGraph, classify_weyl, dump_graph,
                     load_graph, parse_graph, validate, vertex_profile)
-from .rootfind import (CountReport, Resonance, count_in_disc, find_roots,
-                       strip_bound, weyl_coefficient, winding_number)
+from .rootfind import (CountReport, Resonance, RootStats, count_in_disc,
+                       find_roots, strip_bound, weyl_coefficient, winding_number,
+                       winding_numbers)
 
 __all__ = [
     "BoundaryZeroSuspected", "CapacityError", "ComputationError",
     "ConstraintMatrix", "CountReport", "ExpPolynomial", "GraphFormatError",
-    "MetricGraph", "NonConvergenceError", "PoleError", "Resonance",
+    "MetricGraph", "NonConvergenceError", "PoleError", "Resonance", "RootStats",
     "assemble", "build_circle_graph", "classify_weyl", "count_in_disc",
     "delta", "dump_graph", "find_roots", "lambda_matrix",
     "leading_block_determinant", "load_graph", "parse_graph", "sigma_matrix",
     "strip_bound", "validate", "verify_derivative_identity",
     "verify_det_identity", "vertex_profile", "weyl_coefficient",
-    "winding_number",
+    "winding_number", "winding_numbers",
 ]

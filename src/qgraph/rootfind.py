@@ -8,11 +8,22 @@ reported as a single zero of that multiplicity.  Winding numbers of the four
 children must add up to the parent's; when they do not (a zero sits on a cut
 line) the cut is re-placed with a small deterministic offset and the split is
 retried, so results are reproducible run to run.
+
+The subdivision runs level by level, and each level is evaluated in batches:
+the child boundaries of up to _LEVEL_CHUNK cells are refined together by one
+winding_numbers call on their concatenated polylines, with one
+value-and-derivative pass (ExpPolynomial.eval_pair) per refinement round, and
+the Newton iterations and noise-floor probes of a level share one pass per
+step.  Every decision is still taken per boundary and per cell with the
+arithmetic of a one-at-a-time search, so the zeros found do not depend on the
+batching.  QGRAPH_THREADS splits a level's chunks across threads.
 """
 
 import os
+import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +38,47 @@ _JITTER = np.random.default_rng(1729).uniform(-1.0, 1.0, size=(16, 2))
 _MAX_SPLIT_ATTEMPTS = 10
 _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
+# cells of one level whose children are refined in one batch: whole levels
+# measured no faster beyond the noise, and they double the batch arrays' peak
+_LEVEL_CHUNK = 16
+
+
+@dataclass
+class RootStats:
+    """Work counters of one or more find_roots / count_in_disc calls, filled
+    in when passed as ``stats=``.
+
+    boundaries: rectangle boundaries whose winding number was evaluated.
+    points: boundary samples evaluated, initial and inserted.
+    rounds: refinement rounds that inserted midpoints, summed over boundaries.
+    split_attempts: entry a counts the cells whose quadrisection ran attempt
+        a; entry 0 is every split, entries a >= 1 are retries.
+    outer_growths: times the outer search rectangle was grown off a
+        suspected boundary zero.
+    newton_iterations, newton_failures: Newton steps over all winding-one
+        cells, and the cells where Newton gave up.
+    noise_clusters: cells reported as clusters because |p| at their probe
+        points stayed at the evaluation noise floor.
+    """
+    boundaries: int = 0
+    points: int = 0
+    rounds: int = 0
+    split_attempts: list = field(default_factory=lambda: [0] * _MAX_SPLIT_ATTEMPTS)
+    outer_growths: int = 0
+    newton_iterations: int = 0
+    newton_failures: int = 0
+    noise_clusters: int = 0
+    _lock: object = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def add(self, **counts):
+        """Add to the counters named by the keywords; safe across threads."""
+        with self._lock:
+            for name, n in counts.items():
+                setattr(self, name, getattr(self, name) + n)
+
+    def add_split_attempt(self, attempt, cells):
+        with self._lock:
+            self.split_attempts[attempt] += cells
 
 
 def thread_count():
@@ -42,70 +94,134 @@ def thread_count():
     return n
 
 
-def _rect_points(rect, spacing):
-    """Closed counterclockwise boundary polyline with corners included."""
-    x0, x1, y0, y1 = rect
-    pts = []
-    for (ax, ay), (bx, by) in (((x0, y0), (x1, y0)), ((x1, y0), (x1, y1)),
-                               ((x1, y1), (x0, y1)), ((x0, y1), (x0, y0))):
-        side = np.hypot(bx - ax, by - ay)
-        nseg = max(4, int(np.ceil(side / spacing)))
-        t = np.arange(nseg) / nseg
-        pts.append((ax + (bx - ax) * t) + 1j * (ay + (by - ay) * t))
-    return np.concatenate(pts)
+def _rect_points(rects, spacing):
+    """Closed counterclockwise boundary polylines with corners included, of
+    every rectangle in turn, concatenated; returns (points, points per
+    rectangle)."""
+    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
+    # sides bottom, right, top, left as (a -> b), one row per rectangle
+    ax = np.stack([x0, x1, x1, x0], axis=1).ravel()
+    ay = np.stack([y0, y0, y1, y1], axis=1).ravel()
+    dx = np.stack([x1, x1, x0, x0], axis=1).ravel() - ax
+    dy = np.stack([y0, y1, y1, y0], axis=1).ravel() - ay
+    nseg = np.maximum(4, np.ceil(np.hypot(dx, dy) / spacing).astype(np.intp))
+    side = np.repeat(np.arange(nseg.size), nseg)
+    t = (np.arange(side.size) - (np.cumsum(nseg) - nseg)[side]) / nseg[side]
+    pts = (ax[side] + dx[side] * t) + 1j * (ay[side] + dy[side] * t)
+    return pts, nseg.reshape(-1, 4).sum(axis=1)
 
 
-def winding_number(p, rect, max_rounds=48, max_points=400000):
-    """Winding of p around the rectangle (re_min, re_max, im_min, im_max).
+def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
+    """Winding of p around each rectangle (re_min, re_max, im_min, im_max) of
+    rects, all boundaries refined together.
+
+    Returns one entry per rectangle: the winding number, or a
+    BoundaryZeroSuspected instance (not raised) when that boundary could not
+    be trusted.  The boundaries are concatenated polylines; each carries its
+    own scale, round count and point budget, and every test below is applied
+    to it alone, so an entry does not depend on the other rectangles.
 
     The boundary phase is tracked on an adaptively refined polyline.  A
     midpoint is inserted wherever two neighboring samples differ by at least
     pi/2 in phase, and also wherever seglen * |p'/p| at an endpoint reaches
     pi/2: the second test is what catches a segment that passes so close to a
     multiple zero that the phase swings by nearly 2 pi and comes back between
-    the two samples, which endpoint phases alone cannot see.  Raises
-    BoundaryZeroSuspected when a sample lands (numerically) on a zero or the
-    refinement will not settle, which callers resolve by nudging the
-    rectangle.
+    the two samples, which endpoint phases alone cannot see.  A boundary is
+    suspected when a sample lands (numerically) on a zero, when its phase sum
+    is far from a multiple of 2 pi, or when the refinement will not settle
+    within max_rounds rounds or max_points points.
     """
-    x0, x1, y0, y1 = rect
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("empty rectangle %r" % (rect,))
+    for rect in rects:
+        x0, x1, y0, y1 = rect
+        if not (x1 > x0 and y1 > y0):
+            raise ValueError("empty rectangle %r" % (rect,))
+    out = [None] * len(rects)
+    if not rects:
+        return out
     lo, hi = p.sigma_range()
     rate = max(1.0, abs(lo), abs(hi))
-    pts = _rect_points(rect, spacing=0.7 / rate)
-    vals = p.eval(pts)
-    dvals = p.eval_derivative(pts)
-    scale = float(np.max(np.abs(vals)))
+    pts, counts = _rect_points(rects, spacing=0.7 / rate)
+    vals, dvals = p.eval_pair(pts)
+    ids = np.arange(len(rects))             # rectangle of each live boundary
+    starts = np.cumsum(counts) - counts
+    scale = np.maximum.reduceat(np.abs(vals), starts)
+    n_points = pts.size
+    n_rounds = 0
     for _ in range(max_rounds):
-        if scale == 0.0 or np.min(np.abs(vals)) < 1e-14 * scale:
-            raise BoundaryZeroSuspected("|p| ~ 0 on the boundary of %r" % (rect,))
+        absv = np.abs(vals)
+        zero = (scale == 0.0) | (np.minimum.reduceat(absv, starts) < 1e-14 * scale)
+        # wrap-around successor of every sample within its own polyline
+        nxt = np.arange(1, pts.size + 1)
+        nxt[starts + counts - 1] = starts
         ph = np.angle(vals)
-        d = np.diff(np.concatenate([ph, ph[:1]]))
+        d = ph[nxt] - ph
         d = (d + np.pi) % (2 * np.pi) - np.pi
-        seglen = np.abs(np.concatenate([pts[1:], pts[:1]]) - pts)
-        ratio = np.abs(dvals) / np.abs(vals)
-        swing = seglen * np.maximum(ratio, np.concatenate([ratio[1:], ratio[:1]]))
-        bad = np.nonzero((np.abs(d) >= np.pi / 2) | (swing >= np.pi / 2))[0]
-        if bad.size == 0:
-            total = float(np.sum(d))
-            w = int(round(total / (2 * np.pi)))
-            if abs(total - 2 * np.pi * w) > 1.0:
-                raise BoundaryZeroSuspected("phase sum far from a multiple of 2pi")
-            return w
-        if pts.size + bad.size > max_points:
-            raise BoundaryZeroSuspected("refinement exploded on %r" % (rect,))
-        nxt = (bad + 1) % pts.size
-        mids = 0.5 * (pts[bad] + pts[nxt])
-        mvals = p.eval(mids)
-        mdvals = p.eval_derivative(mids)
-        scale = max(scale, float(np.max(np.abs(mvals))))
-        order = np.concatenate([np.arange(pts.size), bad + 0.5])
-        perm = np.argsort(order)
-        pts = np.concatenate([pts, mids])[perm]
-        vals = np.concatenate([vals, mvals])[perm]
-        dvals = np.concatenate([dvals, mdvals])[perm]
-    raise BoundaryZeroSuspected("phase did not settle on %r" % (rect,))
+        seglen = np.abs(pts[nxt] - pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a boundary with a zero sample is dropped below, whatever this reads
+            ratio = np.abs(dvals) / absv
+            swing = seglen * np.maximum(ratio, ratio[nxt])
+            bad = (np.abs(d) >= np.pi / 2) | (swing >= np.pi / 2)
+        nbad = np.add.reduceat(bad.astype(np.intp), starts)
+        refine = ~zero & (nbad > 0) & (counts + nbad <= max_points)
+        done = np.flatnonzero(~refine)
+        for i, z, nb, a, n in zip(ids[done].tolist(), zero[done].tolist(), nbad[done].tolist(),
+                                  starts[done].tolist(), counts[done].tolist()):
+            if z:
+                out[i] = BoundaryZeroSuspected("|p| ~ 0 on the boundary of %r" % (rects[i],))
+            elif nb:
+                out[i] = BoundaryZeroSuspected("refinement exploded on %r" % (rects[i],))
+            else:
+                total = float(d[a:a + n].sum())
+                w = int(round(total / (2 * np.pi)))
+                if abs(total - 2 * np.pi * w) > 1.0:
+                    out[i] = BoundaryZeroSuspected("phase sum far from a multiple of 2pi")
+                else:
+                    out[i] = w
+        if not refine.any():
+            break
+        # keep the boundaries being refined; a midpoint follows each bad sample
+        live = np.repeat(refine, counts)
+        bad &= live
+        at = np.flatnonzero(bad)
+        mids = 0.5 * (pts[at] + pts[nxt[at]])
+        mvals, mdvals = p.eval_pair(mids)
+        nbad = nbad[refine]
+        mmax = np.maximum.reduceat(np.abs(mvals), np.cumsum(nbad) - nbad)
+        scale = scale[refine]
+        scale = np.where(mmax > scale, mmax, scale)
+        kept = np.flatnonzero(live)
+        slots = 1 + bad[kept]
+        pos = np.cumsum(slots) - slots
+        take = np.empty(kept.size + at.size, dtype=np.intp)
+        take[pos] = kept
+        take[pos[bad[kept]] + 1] = pts.size + np.arange(at.size)
+        pts = np.concatenate([pts, mids])[take]
+        vals = np.concatenate([vals, mvals])[take]
+        dvals = np.concatenate([dvals, mdvals])[take]
+        ids = ids[refine]
+        counts = counts[refine] + nbad
+        starts = np.cumsum(counts) - counts
+        n_points += mids.size
+        n_rounds += ids.size
+    else:
+        for i in ids.tolist():
+            out[i] = BoundaryZeroSuspected("phase did not settle on %r" % (rects[i],))
+    if stats is not None:
+        stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds)
+    return out
+
+
+def winding_number(p, rect, max_rounds=48, max_points=400000):
+    """Winding of p around the rectangle (re_min, re_max, im_min, im_max):
+    winding_numbers for one rectangle.  Raises BoundaryZeroSuspected when the
+    boundary cannot be trusted, which callers resolve by nudging the
+    rectangle.
+    """
+    w = winding_numbers(p, [rect], max_rounds, max_points)[0]
+    if isinstance(w, BoundaryZeroSuspected):
+        raise w
+    return w
 
 
 def _grown(rect, delta):
@@ -113,72 +229,152 @@ def _grown(rect, delta):
     return (x0 - delta, x1 + delta, y0 - delta, y1 + delta)
 
 
-def _outer_winding(p, rect):
+def _outer_winding(p, rect, stats):
     """Winding of the search rectangle, growing it by up to 1e-3 when a zero
     sits on the boundary.  Returns (rect_used, winding)."""
     for attempt in range(_MAX_OUTER_ATTEMPTS):
         delta = 0.0 if attempt == 0 else (0.4 + 0.6 * abs(_JITTER[attempt][0])) * 1e-3
         grown = _grown(rect, delta)
-        try:
-            return grown, winding_number(p, grown)
-        except BoundaryZeroSuspected:
-            continue
+        if stats is not None and attempt:
+            stats.add(outer_growths=1)
+        w = winding_numbers(p, [grown], stats=stats)[0]
+        if not isinstance(w, BoundaryZeroSuspected):
+            return grown, w
     raise NonConvergenceError("could not find a zero-free boundary near %r" % (rect,))
 
 
-def _newton(p, k0, cell):
-    x0, x1, y0, y1 = cell
-    diam = np.hypot(x1 - x0, y1 - y0)
-    k = complex(k0)
+def _newton(p, cells, stats):
+    """Newton from the centre of every cell, all cells stepped together.
+
+    Each iterate is k - p(k)/p'(k) in Python complex arithmetic; only the
+    evaluation is shared.  Returns, per cell, the zero it converged to inside
+    the cell, or None.
+    """
+    k0s = [complex(0.5 * (x0 + x1) + 1j * (0.5 * (y0 + y1))) for x0, x1, y0, y1 in cells]
+    ks = list(k0s)
+    roots = [None] * len(cells)
+    live = list(range(len(cells)))
+    iterations = 0
     for _ in range(_NEWTON_ITERS):
-        dp = p.eval_derivative(k)
-        if dp == 0:
-            return None
-        step = p.eval(k) / dp
-        k = k - step
-        if abs(k - k0) > 4 * diam:
-            return None
-        if abs(step) <= 1e-13 * max(1.0, abs(k)):
-            if x0 < k.real < x1 and y0 < k.imag < y1:
-                return k
-            return None
-    return None
+        if not live:
+            break
+        iterations += len(live)
+        vals, ders = p.eval_pair(np.array([ks[i] for i in live]))
+        still = []
+        for i, v, dp in zip(live, vals.tolist(), ders.tolist()):
+            if dp == 0:
+                continue
+            step = v / dp
+            k = ks[i] = ks[i] - step
+            x0, x1, y0, y1 = cells[i]
+            if abs(k - k0s[i]) > 4 * np.hypot(x1 - x0, y1 - y0):
+                continue
+            if abs(step) <= 1e-13 * max(1.0, abs(k)):
+                if x0 < k.real < x1 and y0 < k.imag < y1:
+                    roots[i] = k
+                continue
+            still.append(i)
+        live = still
+    if stats is not None:
+        stats.add(newton_iterations=iterations,
+                  newton_failures=sum(k is None for k in roots))
+    return roots
 
 
-def _split(p, cell, w):
-    """Quadrisect a cell, retrying the cut position until child windings are
-    defined and conserve the parent's."""
-    x0, x1, y0, y1 = cell
+def _split(p, cells, stats):
+    """Quadrisect every (cell, winding) pair of cells, retrying the cut
+    position of each cell until its child windings are defined and conserve
+    the parent's.  Returns the children with positive winding, cell by cell.
+    """
+    packs = [None] * len(cells)
+    pending = list(range(len(cells)))
     for attempt in range(_MAX_SPLIT_ATTEMPTS):
+        if not pending:
+            break
         ux, uy = _JITTER[attempt % len(_JITTER)]
         if attempt == 0:
             ux = uy = 0.0
-        xc = 0.5 * (x0 + x1) + ux * min(1e-3, 0.2 * (x1 - x0))
-        yc = 0.5 * (y0 + y1) + uy * min(1e-3, 0.2 * (y1 - y0))
-        kids = ((x0, xc, y0, yc), (xc, x1, y0, yc),
-                (x0, xc, yc, y1), (xc, x1, yc, y1))
-        try:
-            ws = [winding_number(p, kid) for kid in kids]
-        except BoundaryZeroSuspected:
-            continue
-        if sum(ws) == w and all(wi >= 0 for wi in ws):
-            return [(kid, wi) for kid, wi in zip(kids, ws) if wi > 0]
-    raise NonConvergenceError("zero count not conserved when splitting %r" % (cell,))
+        quads = []
+        for i in pending:
+            x0, x1, y0, y1 = cells[i][0]
+            xc = 0.5 * (x0 + x1) + ux * min(1e-3, 0.2 * (x1 - x0))
+            yc = 0.5 * (y0 + y1) + uy * min(1e-3, 0.2 * (y1 - y0))
+            quads.append(((x0, xc, y0, yc), (xc, x1, y0, yc),
+                          (x0, xc, yc, y1), (xc, x1, yc, y1)))
+        ws = winding_numbers(p, [kid for kids in quads for kid in kids], stats=stats)
+        if stats is not None:
+            stats.add_split_attempt(attempt, len(pending))
+        retry = []
+        for j, (i, kids) in enumerate(zip(pending, quads)):
+            wk = ws[4 * j:4 * j + 4]
+            if (all(isinstance(wi, int) and wi >= 0 for wi in wk)
+                    and sum(wk) == cells[i][1]):
+                packs[i] = [(kid, wi) for kid, wi in zip(kids, wk) if wi > 0]
+            else:
+                retry.append(i)
+        pending = retry
+    if pending:
+        raise NonConvergenceError("zero count not conserved when splitting %r"
+                                  % (cells[pending[0]][0],))
+    return [kid for pack in packs for kid in pack]
 
 
-def _noise_floor(p, cell):
-    """Magnitude below which evaluations of p on the cell are dominated by
+def _noise_floor(p, cells):
+    """Magnitude below which evaluations of p on each cell are dominated by
     floating-point error: eps times the sum of the individual term sizes.
     """
-    x0, x1, y0, y1 = cell
-    m = 0.0
+    y0 = np.array([cell[2] for cell in cells], dtype=float)
+    y1 = np.array([cell[3] for cell in cells], dtype=float)
+    m = np.zeros(len(cells))
     for vec, a in p.terms.items():
         s = p.sigma_of(vec)
-        m += abs(a) * max(np.exp(-s * y0), np.exp(-s * y1))
+        m += abs(a) * np.maximum(np.exp(-s * y0), np.exp(-s * y1))
     return 2.2e-16 * m
 
 
-def find_roots(p, region, tol=1e-8):
+def _probe_max(p, cells):
+    """Largest |p| over the corners and edge midpoints of each cell."""
+    x0, x1, y0, y1 = np.array(cells, dtype=float).reshape(-1, 4).T
+    cx = 0.5 * (x0 + x1)
+    cy = 0.5 * (y0 + y1)
+    re = np.stack([x0, x1, x1, x0, cx, cx, x0, x1], axis=1)
+    im = np.stack([y0, y0, y1, y1, y0, y1, cy, cy], axis=1)
+    return np.max(np.abs(p.eval(re + 1j * im)), axis=1)
+
+
+def _settle(p, frontier, tol, stats):
+    """One subdivision level: resolve what can be resolved now.
+
+    Returns (found, to_split): the resonances settled on this level, in
+    frontier order, and the (cell, winding) pairs left to quadrisect.
+    """
+    ones = [i for i, (_, cw) in enumerate(frontier) if cw == 1]
+    roots = dict(zip(ones, _newton(p, [frontier[i][0] for i in ones], stats)))
+    probed = [i for i, (cell, _) in enumerate(frontier)
+              if roots.get(i) is None
+              and np.hypot(cell[1] - cell[0], cell[3] - cell[2]) > tol]
+    cells = [frontier[i][0] for i in probed]
+    loud = dict(zip(probed, (_probe_max(p, cells) > 32 * _noise_floor(p, cells)).tolist()))
+    if stats is not None:
+        stats.add(noise_clusters=sum(not v for v in loud.values()))
+    settled = []
+    to_split = []
+    for i, (cell, cw) in enumerate(frontier):
+        if roots.get(i) is not None:
+            settled.append((roots[i], 1, cell, True))
+        elif loud.get(i):
+            to_split.append((cell, cw))
+        else:
+            cx = 0.5 * (cell[0] + cell[1])
+            cy = 0.5 * (cell[2] + cell[3])
+            settled.append((cx + 1j * cy, cw, cell, False))
+    vals = p.eval(np.array([k for k, _, _, _ in settled], dtype=complex))
+    found = [Resonance(k=k, multiplicity=m, residual=abs(v), cell=cell, refined=refined)
+             for (k, m, cell, refined), v in zip(settled, vals.tolist())]
+    return found, to_split
+
+
+def find_roots(p, region, tol=1e-8, stats=None):
     """All zeros of p in the rectangle region = (re_min, re_max, im_min,
     im_max), each as a Resonance.
 
@@ -189,14 +385,15 @@ def find_roots(p, region, tol=1e-8):
     of multiplicity m that happens at diameter ~ eps^(1/m), which is the best
     resolution double precision admits, so splitting further would only chase
     rounding error.  Output is sorted by (Re k, Im k) and is deterministic
-    for a given polynomial and region.
+    for a given polynomial and region.  Pass a RootStats as stats to have the
+    work counted.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     x0, x1, y0, y1 = (float(v) for v in region)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("empty search region %r" % (region,))
-    outer, w = _outer_winding(p, (x0, x1, y0, y1))
+    outer, w = _outer_winding(p, (x0, x1, y0, y1), stats)
     if w == 0:
         return []
     found = []
@@ -205,36 +402,14 @@ def find_roots(p, region, tol=1e-8):
     pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
     try:
         while frontier:
-            to_split = []
-            for cell, cw in frontier:
-                cx = 0.5 * (cell[0] + cell[1])
-                cy = 0.5 * (cell[2] + cell[3])
-                diam = np.hypot(cell[1] - cell[0], cell[3] - cell[2])
-                if cw == 1:
-                    k = _newton(p, cx + 1j * cy, cell)
-                    if k is not None:
-                        found.append(Resonance(k=k, multiplicity=1,
-                                               residual=abs(p.eval(k)),
-                                               cell=cell, refined=True))
-                        continue
-                if diam > tol:
-                    probe = np.array([cell[0] + 1j * cell[2],
-                                      cell[1] + 1j * cell[2],
-                                      cell[1] + 1j * cell[3],
-                                      cell[0] + 1j * cell[3],
-                                      cx + 1j * cell[2], cx + 1j * cell[3],
-                                      cell[0] + 1j * cy, cell[1] + 1j * cy])
-                    if np.max(np.abs(p.eval(probe))) > 32 * _noise_floor(p, cell):
-                        to_split.append((cell, cw))
-                        continue
-                k = cx + 1j * cy
-                found.append(Resonance(k=k, multiplicity=cw,
-                                       residual=abs(p.eval(k)),
-                                       cell=cell, refined=False))
+            settled, to_split = _settle(p, frontier, tol, stats)
+            found.extend(settled)
+            chunks = [to_split[i:i + _LEVEL_CHUNK]
+                      for i in range(0, len(to_split), _LEVEL_CHUNK)]
             if pool is not None:
-                packs = list(pool.map(lambda item: _split(p, *item), to_split))
+                packs = list(pool.map(lambda chunk: _split(p, chunk, stats), chunks))
             else:
-                packs = [_split(p, cell, cw) for cell, cw in to_split]
+                packs = [_split(p, chunk, stats) for chunk in chunks]
             frontier = [kid for pack in packs for kid in pack]
     finally:
         if pool is not None:
@@ -293,20 +468,21 @@ def strip_bound(p):
     return max(changeover(below), changeover(above))
 
 
-def count_in_disc(p, radius, tol=1e-8):
+def count_in_disc(p, radius, tol=1e-8, stats=None):
     """Zeros of p with 0 < |k| <= radius, counted with multiplicity.
 
     Searches the rectangle [-R-1/2, R+1/2] x [-K-1/2, K+1/2] where K is the
     certified strip height, then keeps |k| <= R (with a 1e-9 margin so zeros
     sitting on the circle up to rounding are not dropped).  A zero at the
-    origin is excluded from the count and flagged.
+    origin is excluded from the count and flagged.  stats is passed on to
+    find_roots.
     """
     radius = float(radius)
     if not radius > 0:
         raise ValueError("radius must be positive, got %r" % radius)
     K = strip_bound(p)
     rect = (-radius - 0.5, radius + 0.5, -K - 0.5, K + 0.5)
-    roots = find_roots(p, rect, tol=tol)
+    roots = find_roots(p, rect, tol=tol, stats=stats)
     kept = []
     origin = False
     for r in roots:

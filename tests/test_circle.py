@@ -39,9 +39,9 @@ def test_build_at_one_is_balanced():
 
 
 def test_params_rejects_outside_range():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.params(-0.1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.params(1.1)
 
 
@@ -92,7 +92,7 @@ def test_factorization_report():
         assert rep.max_residual <= 1e-9
         assert rep.sign in (-1, 1)
         assert rep.samples == 50 and rep.seed == 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.verify_factorization(1.0)
 
 
@@ -133,9 +133,9 @@ def test_crossing_values_are_roots():
 
 
 def test_crossing_values_rejects_bad_args():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.crossing_values("both", 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.crossing_values("odd", 0)
 
 
@@ -190,13 +190,13 @@ def test_trace_even_touch_detection_on_coarse_grid():
 
 
 def test_trace_rejects_mismatched_parity():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.trace_curve("even", 7, [0.0, 0.5])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.trace_curve("odd", 4, [0.0, 0.5])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.trace_curve("odd", 3, [0.5, 0.25])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         circle.trace_curve("odd", 3, [0.5, 1.0])
 
 

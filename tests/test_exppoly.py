@@ -66,10 +66,12 @@ def test_scalar_multiplication():
 def test_table_mismatch_rejected():
     p = ExpPolynomial((1.0,), {(1,): 1})
     q = ExpPolynomial((2.0,), {(1,): 1})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         p + q
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         p * q
+    with pytest.raises(ValueError, match="does not match"):
+        ExpPolynomial((1.0,), {(1, 2): 1})
 
 
 def test_eval_vectorized_matches_scalar():
@@ -85,6 +87,39 @@ def test_eval_vectorized_matches_scalar():
         assert abs(vec[i] - s) <= 1e-13 * max(1.0, abs(s))
         ds = p.eval_derivative(complex(k))
         assert abs(dvec[i] - ds) <= 1e-13 * max(1.0, abs(ds))
+
+
+def _derivative_reference(p, k):
+    """dp/dk as a separate compensated sum with its own exp per term."""
+    karr = np.asarray(k, dtype=complex)
+    total = np.zeros(karr.shape, dtype=complex)
+    comp = np.zeros(karr.shape, dtype=complex)
+    for vec in sorted(p.terms):
+        sigma = p.sigma_of(vec)
+        term = p.terms[vec] * (1j * sigma) * np.exp(1j * sigma * karr)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return complex(total) if karr.shape == () else total
+
+
+def test_eval_pair_bit_equal_to_eval_and_derivative():
+    """One shared exp per term gives exactly the separate sums, for integer
+    and complex coefficients, on arrays and on scalars."""
+    rng = np.random.default_rng(10)
+    polys = [_random_poly(rng, (0.9, 1.7), max_terms=8) for _ in range(5)]
+    polys.append(ExpPolynomial((1.0, 2.0), {(1, 1): 2, (-1, 0): -3, (0, 0): 7}))
+    ks = rng.uniform(-30, 30, 400) + 1j * rng.uniform(-2, 2, 400)
+    for p in polys:
+        v, d = p.eval_pair(ks)
+        assert np.array_equal(v, p.eval(ks))
+        assert np.array_equal(d, _derivative_reference(p, ks))
+        assert np.array_equal(d, p.eval_derivative(ks))
+        for k in ks[:20].tolist():
+            assert p.eval_pair(k) == (p.eval(k), _derivative_reference(p, k))
+            assert type(p.eval_pair(k)[1]) is complex
+    assert ExpPolynomial.zero((1.0,)).eval_pair(2.0) == (0j, 0j)
 
 
 def test_eval_order_independent_and_accurate():
@@ -152,7 +187,7 @@ def test_sigma_range():
     p = ExpPolynomial((1.0, 2.0), {(1, 1): 1, (-1, 0): 2, (0, 0): 3})
     lo, hi = p.sigma_range()
     assert lo == -1.0 and hi == 3.0
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExpPolynomial.zero((1.0,)).sigma_range()
 
 

@@ -1,14 +1,19 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgraph.circle import det_poly, f_even_poly, f_odd_poly
+import rootfind_oracle as oracle
+from qgraph.circle import crossing_values, det_poly, f_even_poly, f_odd_poly
 from qgraph.constraint import assemble
-from qgraph.errors import BoundaryZeroSuspected
+from qgraph.errors import BoundaryZeroSuspected, NonConvergenceError
 from qgraph.exppoly import ExpPolynomial
-from qgraph.rootfind import (count_in_disc, find_roots, strip_bound,
-                             weyl_coefficient, winding_number)
+from qgraph.rootfind import (RootStats, count_in_disc, find_roots, strip_bound,
+                             weyl_coefficient, winding_number, winding_numbers)
 
 LOG3_OVER_PI = math.log(3.0) / math.pi
 
@@ -187,3 +192,164 @@ def test_argument_checks_raise_value_error():
             count_in_disc(p, radius)
     with pytest.raises(ValueError, match="two radii"):
         weyl_coefficient(p, radii=[10.0])
+
+
+# -- the batched root finder against the per-cell oracle ----------------------
+
+def _same_resonances(p, region):
+    """find_roots and the per-cell oracle agree bit for bit: the reprs carry
+    every float exactly and the type of every field, and a failure must be
+    the same NonConvergenceError.  Returns the resonances, or None on a
+    failure."""
+    try:
+        want = oracle.find_roots(p, region)
+    except NonConvergenceError as exc:
+        with pytest.raises(NonConvergenceError) as got:
+            find_roots(p, region)
+        assert str(got.value) == str(exc)
+        return None
+    got = find_roots(p, region)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+ORACLE_FIXTURES = [
+    (sin_pi_poly(), (-2.5, 2.5, -1.0, 1.0)),
+    (sin_pi_poly() * sin_pi_poly(), (-2.5, 2.5, -1.0, 1.0)),
+    (f_odd_poly(0.0), (0.5, 1.5, -1.0, -0.05)),
+    (f_odd_poly(0.0), (0.2, 0.8, -0.2, -0.05)),
+    (f_odd_poly(1.0 / 7.0), (6.5, 7.5, -1.0, 0.3)),
+    (f_even_poly(0.9), (-5.5, 5.5, -strip_bound(f_even_poly(0.9)) - 0.5, 0.3)),
+    (det_poly(0.0), (-2.5, 2.5, -1.0, 0.1)),
+    (det_poly(1 / 3), (-4.6, 4.6, -1.0, 0.1)),
+]
+
+
+@pytest.mark.parametrize("p, region", ORACLE_FIXTURES)
+def test_find_roots_matches_oracle_on_fixtures(p, region):
+    _same_resonances(p, region)
+
+
+@pytest.mark.parametrize("c", [0.0, 1 / 3, 0.5, 1.0, "crossing"])
+def test_find_roots_matches_oracle_on_circle(c):
+    if c == "crossing":
+        # zeros on the real axis, which is the first horizontal cut
+        c = float(crossing_values("odd", 5)[-2].c)      # 3/5
+    p = det_poly(c)
+    K = strip_bound(p)
+    assert _same_resonances(p, (-10.5, 10.5, -K - 0.5, K + 0.5))
+
+
+def test_find_roots_matches_oracle_on_graph_family(graph_family):
+    # a window clear of k = 0 for every graph, and the multiple zeros at
+    # k = 0 (deep subdivision down to the noise floor) for the first few
+    found = 0
+    for i, g in enumerate(graph_family):
+        p = assemble(g).determinant()
+        K = strip_bound(p)
+        found += len(_same_resonances(p, (0.25, 2.25, -K - 0.5, 0.5)) or ())
+        if i < 4:
+            found += len(_same_resonances(p, (-1.0, 1.0, -1.0, 0.5)) or ())
+    assert found > 50
+
+
+def _rectangles():
+    # sides drawn from a coarse grid hit the integer zeros of sin(pi k) and
+    # the real axis now and then; finer values keep clear of them
+    coord = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-3.0, 3.0, allow_nan=False).map(lambda x: round(x, 3)))
+
+    def ordered(pair):
+        lo, hi = sorted(pair)
+        return (lo, hi + 0.25) if hi - lo < 0.25 else (lo, hi)
+
+    sides = st.tuples(coord, coord).map(ordered)
+    return st.tuples(sides, sides).map(lambda xy: (xy[0][0], xy[0][1], xy[1][0], xy[1][1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["sin", "sin2", "det"]), st.lists(_rectangles(), min_size=1, max_size=6))
+def test_batched_winding_matches_per_rectangle(name, rects):
+    p = {"sin": sin_pi_poly(), "sin2": sin_pi_poly() * sin_pi_poly(),
+         "det": det_poly(0.3)}[name]
+    batched = winding_numbers(p, rects)
+    assert len(batched) == len(rects)
+    for rect, w in zip(rects, batched):
+        for single in (winding_number, oracle.winding_number):
+            try:
+                want = single(p, rect)
+            except BoundaryZeroSuspected as exc:
+                assert isinstance(w, BoundaryZeroSuspected)
+                assert str(w) == str(exc)
+            else:
+                assert w == want and type(w) is int
+
+
+def test_batched_winding_flags_boundary_zeros():
+    # sin(pi k) vanishes at 0 and 1, both on the bottom side of the first
+    # rectangle and at a corner of the second; the third is clear of zeros
+    ws = winding_numbers(sin_pi_poly(), [(-0.5, 1.5, 0.0, 0.5), (1.0, 1.5, -0.5, 0.5),
+                                         (0.5, 1.5, -0.5, 0.5)])
+    assert isinstance(ws[0], BoundaryZeroSuspected)
+    assert isinstance(ws[1], BoundaryZeroSuspected)
+    assert ws[2] == 1
+    assert winding_numbers(sin_pi_poly(), []) == []
+    with pytest.raises(ValueError, match="empty rectangle"):
+        winding_numbers(sin_pi_poly(), [(0.5, 1.5, -0.5, 0.5), (1.0, 1.0, 0.0, 1.0)])
+
+
+# -- work counters ------------------------------------------------------------
+
+def test_root_stats_deterministic_and_inert(monkeypatch):
+    p = det_poly(1 / 3)
+    plain = count_in_disc(p, 10.0)
+    runs = []
+    for threads in ("1", "1", "4"):
+        monkeypatch.setenv("QGRAPH_THREADS", threads)
+        stats = RootStats()
+        assert count_in_disc(p, 10.0, stats=stats) == plain
+        runs.append(stats)
+    assert runs[0] == runs[1] == runs[2]
+    s = runs[0]
+    assert s.boundaries == 1 + 4 * sum(s.split_attempts)
+    assert s.points >= 16 * s.boundaries and s.rounds > 0
+    assert s.split_attempts[0] > 0 and s.outer_growths == 0
+    assert s.newton_iterations > 0 and s.noise_clusters == 0
+
+
+def test_root_stats_add_loses_no_update_across_threads():
+    # more threads than cores and frequent switches, as when QGRAPH_THREADS
+    # workers count into one RootStats
+    stats = RootStats()
+
+    def work():
+        for _ in range(20000):
+            stats.add(points=1, rounds=2)
+            stats.add_split_attempt(1, 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert (stats.points, stats.rounds, stats.split_attempts[1]) == (160000, 320000, 160000)
+
+
+def test_root_stats_count_retries_growth_and_clusters():
+    # the real-axis zeros of sin(pi k) sit on the outer boundary and on the
+    # first horizontal cut of the double-root search; the double roots end
+    # as noise-floor clusters after Newton gives up on their cells
+    s = RootStats()
+    find_roots(sin_pi_poly(), (-2.0, 2.0, 0.0, 1.0), stats=s)
+    assert s.outer_growths >= 1
+    s = RootStats()
+    roots = find_roots(sin_pi_poly() * sin_pi_poly(), (-2.5, 2.5, -1.0, 1.0), stats=s)
+    assert s.noise_clusters == len(roots) == 5
+    assert sum(s.split_attempts[1:]) >= 1
