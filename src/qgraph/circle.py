@@ -43,7 +43,6 @@ DIVERGENCE_HEIGHT = 10.0
 STEP_UNDERFLOW = 1e-13     # continuation step is gone at this gap to c = 1
 TOUCH_SCAN_HEIGHT = 1e-3   # a sample this close to the axis may be a touch
 TOUCH_IM_TOL = 1e-8
-TOUCH_SNAP_TOL = 1e-6
 MIN_REFINE_STEP = 1e-5
 
 
@@ -202,9 +201,10 @@ def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
     it by secant prediction plus Newton correction over the increasing grid
     (all values in [0, 1)); segments where the corrector fails are bisected
     down to steps of 1e-5 before giving up.  Samples with Im k near zero are
-    refined to detect tangential touches of the real axis; confirmed touches
-    (|Im k| <= 1e-8) are snapped to the rational from crossing_values within
-    1e-6 and recorded as crossings.
+    checked for tangential touches of the real axis against the closed-form
+    candidates of crossing_values in the grid interval around them: a
+    candidate at which the corrector lands within 1e-8 of the real axis is
+    recorded as a crossing at its exact rational c (see _detect_touches).
 
     Even-parity curves sink for good once the short arc gets small: after the
     grid is exhausted the tracer keeps halving the distance to c = 1 and sets
@@ -286,11 +286,20 @@ def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
 
 
 def _detect_touches(f, df, samples, parity):
-    # imported here, not with the module: only curve tracing needs it, and
-    # importing scipy.optimize took about 0.6 s and 48 MiB on a 2-core x86
-    # host, most of what "import qgraph" cost
-    from scipy.optimize import minimize_scalar
+    """Touches of the real axis along the traced samples, as Crossings.
 
+    A sample is a scan hit when it lies within TOUCH_SCAN_HEIGHT of the real
+    axis at a local minimum of the depth -Im k, and at least 1e-4 in c away
+    from the last touch.  No search in c is needed to confirm a hit: for real
+    k the 2 sin(k pi) part of the parity component is real and the
+    i (cos(k c pi) +- cos(k pi)) part is imaginary, so both vanish at a touch.
+    The first forces an integer k, and the second then puts c on an entry of
+    crossing_values.  So the candidates at a hit are the closed-form
+    crossings (k_int, c) with k_int the integer nearest the sample and c in
+    the grid interval around it; the first candidate at which the corrector,
+    started from the sample, converges within TOUCH_IM_TOL of the real axis
+    near k_int is the touch.
+    """
     cs = [c for c, _ in samples]
     ys = [-k.imag for _, k in samples]
     touches = []
@@ -299,29 +308,16 @@ def _detect_touches(f, df, samples, parity):
             continue
         if not (ys[j] <= ys[j - 1] and ys[j] <= ys[j + 1]):
             continue
-        if touches and abs(cs[j] - float(touches[-1].c)) < 1e-4:
+        if touches and abs(cs[j] - touches[-1].c) < 1e-4:
             continue
-
         k_seed = samples[j][1]
-
-        def depth(c):
-            k = _corrector(f, df, k_seed, c)
-            return -k.imag if k is not None else 1.0
-
-        res = minimize_scalar(depth, bounds=(cs[j - 1], cs[j + 1]),
-                              method="bounded", options={"xatol": 1e-10})
-        c_star = float(res.x)
-        k_star = _corrector(f, df, k_seed, c_star)
-        if k_star is None or abs(k_star.imag) > TOUCH_IM_TOL:
-            continue
-        k_int = round(k_star.real)
-        snapped = None
+        k_int = round(k_seed.real)
         for cand in crossing_values(parity, max(k_int, 1)):
-            if cand.k == k_int and abs(float(cand.c) - c_star) <= TOUCH_SNAP_TOL:
-                snapped = cand
+            if cand.k != k_int or not cs[j - 1] <= cand.c <= cs[j + 1]:
+                continue
+            k_star = _corrector(f, df, k_seed, float(cand.c))
+            if (k_star is not None and abs(k_star.imag) <= TOUCH_IM_TOL
+                    and round(k_star.real) == k_int):
+                touches.append(Crossing(c=float(cand.c), k=float(k_int)))
                 break
-        if snapped is not None:
-            touches.append(Crossing(c=float(snapped.c), k=float(k_int)))
-        else:
-            touches.append(Crossing(c=c_star, k=k_star.real))
     return touches

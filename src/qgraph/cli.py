@@ -4,11 +4,14 @@ Subcommands: validate, classify, det, roots, count, dtn-check, circle-curve,
 circle-verify.  Exit codes: 0 success, 1 usage error (including bad input
 files), 2 computation failure.  CSV output always carries a header row and
 prints floats with 17 significant digits, so identical invocations are
-byte-identical.
+byte-identical.  roots and count take --stats, which adds one JSON line of
+root-finder counters on stderr and leaves stdout as it is.
 """
 
 import argparse
+import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from .constraint import assemble
 from .dtn import verify_det_identity, verify_derivative_identity
 from .errors import ComputationError
 from .graph import GraphFormatError, classify_weyl, load_graph, validate
-from .rootfind import count_in_disc, find_roots, thread_count
+from .rootfind import RootStats, count_in_disc, find_roots, thread_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,12 +44,26 @@ def _emit(args, lines):
         sys.stdout.write(text)
 
 
+def _print_stats(stats):
+    """One JSON line of the RootStats counters on stderr, when asked for."""
+    if stats is not None:
+        counters = {f.name: getattr(stats, f.name) for f in fields(stats)
+                    if not f.name.startswith("_")}
+        print(json.dumps(counters), file=sys.stderr)
+
+
 def _add_graph_source(sub):
     sub.add_argument("--graph", metavar="FILE",
                      help="graph description file (JSON)")
     sub.add_argument("--circle", metavar="C", type=float,
                      help="two-lead circle at surgery parameter C in [0,1] "
                           "instead of a file")
+
+
+def _add_stats_flag(sub):
+    sub.add_argument("--stats", action="store_true",
+                     help="write the root finder's work counters to stderr "
+                          "as one JSON line")
 
 
 def _resolve_graph(parser, args):
@@ -108,11 +125,13 @@ def _cmd_roots(parser, args):
     if not (args.re_min < args.re_max and args.im_min < args.im_max):
         parser.error("empty search region %r" % (region,))
     poly = _det_poly(parser, args)
+    stats = RootStats() if args.stats else None
     lines = ["re_k,im_k,multiplicity,residual"]
-    for r in find_roots(poly, region, tol=args.tol):
+    for r in find_roots(poly, region, tol=args.tol, stats=stats):
         lines.append("%s,%s,%d,%s" % (_g(r.k.real), _g(r.k.imag),
                                       r.multiplicity, _g(r.residual)))
     _emit(args, lines)
+    _print_stats(stats)
     return 0
 
 
@@ -120,8 +139,10 @@ def _cmd_count(parser, args):
     if (args.radius is None) == (args.radii is None):
         parser.error("exactly one of --radius and --radii is required")
     poly = _det_poly(parser, args)
+    stats = RootStats() if args.stats else None
     if args.radius is not None:
-        print(count_in_disc(poly, args.radius).count)
+        print(count_in_disc(poly, args.radius, stats=stats).count)
+        _print_stats(stats)
         return 0
     try:
         radii = [float(s) for s in args.radii.split(",") if s.strip()]
@@ -131,8 +152,9 @@ def _cmd_count(parser, args):
         parser.error("--radii is empty")
     lines = ["R,count"]
     for R in radii:
-        lines.append("%s,%d" % (_g(R), count_in_disc(poly, R).count))
+        lines.append("%s,%d" % (_g(R), count_in_disc(poly, R, stats=stats).count))
     _emit(args, lines)
+    _print_stats(stats)
     return 0
 
 
@@ -208,6 +230,7 @@ def main(argv=None):
         p.add_argument(flag, type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--output", "-o", metavar="FILE")
+    _add_stats_flag(p)
     p.set_defaults(func=_cmd_roots, sub=p)
 
     p = sub.add_parser("count", help="resonance count in a disc")
@@ -216,6 +239,7 @@ def main(argv=None):
     p.add_argument("--radii", metavar="R1,R2,...",
                    help="several radii at once, CSV output")
     p.add_argument("--output", "-o", metavar="FILE")
+    _add_stats_flag(p)
     p.set_defaults(func=_cmd_count, sub=p)
 
     p = sub.add_parser("dtn-check",

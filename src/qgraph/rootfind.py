@@ -22,7 +22,6 @@ batching.  QGRAPH_THREADS splits a level's chunks across threads.
 import os
 import threading
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +31,28 @@ from .errors import BoundaryZeroSuspected, NonConvergenceError
 Resonance = namedtuple("Resonance", "k multiplicity residual cell refined")
 CountReport = namedtuple("CountReport", "R count roots strip_bound origin_zero")
 
-# fixed offset table for re-placing cut lines / growing the outer rectangle;
-# seeded once so that every run walks the same retry sequence
-_JITTER = np.random.default_rng(1729).uniform(-1.0, 1.0, size=(16, 2))
+# fixed offset table for re-placing cut lines / growing the outer rectangle,
+# so that every run walks the same retry sequence; the values are
+# numpy.random.default_rng(1729).uniform(-1.0, 1.0, size=(16, 2)), written
+# out so that no qgraph process has to import numpy.random
+_JITTER = np.array([
+    [-0.9385159407896639, -0.6630850404701072],
+    [-0.4120991059094672, 0.15250381970361726],
+    [0.6247437528893673, 0.9527126292133392],
+    [-0.06999705078287288, -0.7118615780141235],
+    [0.8317834302553215, -0.2799135365268828],
+    [-0.8935374509944636, -0.6769974289473557],
+    [-0.4729177861638503, 0.3725182242692584],
+    [0.020016654102197107, 0.8939276245932366],
+    [-0.7284196091816064, -0.2675189371311004],
+    [-0.3511401789897395, -0.5500077994568566],
+    [0.3914694769770577, 0.30499922254050005],
+    [0.8878891602094368, -0.5547568236050311],
+    [0.82662472659159, -0.8787524390833232],
+    [0.060264246096984, -0.2743350369340716],
+    [-0.23096355358834564, 0.3130710448841667],
+    [-0.33154116772521003, -0.6001045979072097],
+])
 _MAX_SPLIT_ATTEMPTS = 10
 _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
@@ -399,7 +417,11 @@ def find_roots(p, region, tol=1e-8, stats=None):
     found = []
     frontier = [(outer, w)]
     nthreads = thread_count()
-    pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
+    pool = None
+    if nthreads > 1:
+        # imported here: a single-threaded process never needs it
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=nthreads)
     try:
         while frontier:
             settled, to_split = _settle(p, frontier, tol, stats)

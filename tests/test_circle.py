@@ -189,6 +189,23 @@ def test_trace_even_touch_detection_on_coarse_grid():
     assert [cr.c for cr in curve.crossings] == [0.25, 0.75]
 
 
+@pytest.mark.parametrize("steps", [50, 97, 200, 400, 1000])
+def test_touches_match_minimisation_oracle(steps, monkeypatch):
+    """The closed-form touch candidates give exactly the curves that bounded
+    minimisation of the depth gave, on every curve of index up to 20/21."""
+    pytest.importorskip("scipy.optimize")
+    from touch_oracle import _detect_touches as oracle_touches
+
+    grid = [j / steps for j in range(steps)]
+    curves = ([("even", n) for n in range(2, 21, 2)]
+              + [("odd", n) for n in range(1, 22, 2)])
+    got = [circle.trace_curve(parity, n, grid) for parity, n in curves]
+    monkeypatch.setattr(circle, "_detect_touches", oracle_touches)
+    want = [circle.trace_curve(parity, n, grid) for parity, n in curves]
+    assert got == want
+    assert sum(len(curve.crossings) for curve in got) > 0
+
+
 def test_trace_rejects_mismatched_parity():
     with pytest.raises(ValueError):
         circle.trace_curve("even", 7, [0.0, 0.5])

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import qgraph
+from qgraph.circle import det_poly
 from qgraph.cli import main
+from qgraph.rootfind import RootStats, count_in_disc
 
 TWO_ARC = {"vertices": ["v1", "v2"],
            "edges": [{"u": "v1", "v": "v2", "length": 1.0},
@@ -119,6 +121,37 @@ def test_count_radii_csv(capsys):
     rc, out, _ = run_main(["count", "--circle", "0", "--radii", "5.5"], capsys)
     assert rc == 0
     assert out == "R,count\n5.5,21\n"
+
+
+STATS_FIELDS = {"boundaries", "points", "rounds", "split_attempts",
+                "outer_growths", "newton_iterations", "newton_failures",
+                "noise_clusters"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--circle", "0", "--re-min", "-2.5", "--re-max", "2.5",
+     "--im-min", "-1.0", "--im-max", "0.1"],
+    ["count", "--circle", "1", "--radius", "20"],
+    ["count", "--circle", "0", "--radii", "5.5,10"],
+])
+def test_stats_json_line_leaves_stdout_alone(argv, capsys):
+    rc, plain, err = run_main(argv, capsys)
+    assert rc == 0 and err == ""
+    rc, out, err = run_main(argv + ["--stats"], capsys)
+    assert rc == 0
+    assert out == plain
+    assert err.endswith("\n") and err.count("\n") == 1
+    stats = json.loads(err)
+    assert set(stats) == STATS_FIELDS
+    assert stats["boundaries"] > 0
+
+
+def test_stats_line_carries_the_library_counters(capsys):
+    _, _, err = run_main(["count", "--circle", "1", "--radius", "20", "--stats"],
+                         capsys)
+    want = RootStats()
+    count_in_disc(det_poly(1.0), 20.0, stats=want)
+    assert json.loads(err) == {name: getattr(want, name) for name in STATS_FIELDS}
 
 
 def test_dtn_check_output(capsys):
@@ -247,11 +280,17 @@ def console_script():
     module, _, attr = target.partition(":")
     code = "import sys; from %s import %s; sys.exit(%s())" % (
         module, attr, attr)
+    return [sys.executable, "-c", code], package_env()
+
+
+def package_env():
+    """Environment whose PYTHONPATH leads with the directory holding the
+    ``qgraph`` package this suite imported."""
     root = str(Path(qgraph.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [root, env.get("PYTHONPATH")]))
-    return [sys.executable, "-c", code], env
+    return env
 
 
 def test_console_script_roundtrip(tmp_path):
@@ -263,6 +302,46 @@ def test_console_script_roundtrip(tmp_path):
     bad = subprocess.run(cmd + ["count", "--circle", "0"],
                          capture_output=True, text=True, env=env)
     assert bad.returncode == 1
+
+
+HEAVY_MODULES = ("scipy", "numpy.random", "concurrent.futures")
+
+# Imports qgraph and runs one command in a fresh interpreter, then reports on
+# stderr which modules were loaded after numpy, after qgraph and after the
+# command.  With "no-scipy" first, any import of scipy fails.
+START_UP = """
+import json, sys
+if sys.argv[1] == "no-scipy":
+    sys.modules["scipy"] = None
+import numpy
+loaded = {"numpy": sorted(sys.modules)}
+import qgraph
+loaded["import"] = sorted(sys.modules)
+import qgraph.cli
+qgraph.cli.main(sys.argv[2:])
+loaded["main"] = sorted(sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_start_up_loads_only_numpy_and_the_standard_library(capsys):
+    argv = ["circle-curve", "--parity", "even", "--n", "4"]
+
+    def run(mode):
+        done = subprocess.run([sys.executable, "-c", START_UP, mode] + argv,
+                              capture_output=True, text=True, env=package_env())
+        assert done.returncode == 0, done.stderr
+        return done.stdout, json.loads(done.stderr)
+
+    out, loaded = run("plain")
+    # a module that numpy loads by itself is not qgraph's doing
+    heavy = [name for name in HEAVY_MODULES if name not in loaded["numpy"]]
+    for step in ("import", "main"):
+        assert [name for name in heavy if name in loaded[step]] == [], step
+    out_without_scipy, _ = run("no-scipy")
+    assert out_without_scipy == out
+    rc, in_process, _ = run_main(argv, capsys)
+    assert rc == 0 and in_process == out
 
 
 def test_module_invocation_exit_codes(tmp_path):

@@ -80,6 +80,33 @@ def test_derivative_identity_on_family(graph_family):
             assert verify_derivative_identity(g, k) <= 1e-6
 
 
+def _log_derivative_gap(graph, poly, k):
+    """Relative gap between p'/p of the expanded determinant and the
+    logarithmic derivative of det A = C k^-(E+V) prod_e k sin(k rho_e) det L(k),
+    whose last factor contributes tr(L^-1 L') with L' = 2k sigma_matrix."""
+    p, dp = poly.eval_pair(k)
+    lhs = dp / p
+    n_edges, n_vertices = len(graph.edges), graph.n_vertices
+    dL = 2.0 * k * sigma_matrix(graph, k)
+    rhs = (-(n_edges + n_vertices) / k
+           + sum(1.0 / k + e.length / np.tan(k * e.length) for e in graph.edges)
+           + np.trace(np.linalg.solve(lambda_matrix(graph, k), dL)))
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+def test_log_derivative_identity(graph_family):
+    """p'/p from the exact expansion against the DtN route, on the family and
+    on the circle at c = 0.3 and at the balanced c = 1."""
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for g in graph_family + [build_graph(0.3), build_graph(1.0)]:
+        poly = assemble(g).determinant()
+        for _ in range(4):
+            k = complex(rng.uniform(-5, 5), rng.uniform(0.3, 2.0))
+            worst = max(worst, _log_derivative_gap(g, poly, k))
+    assert worst <= 1e-10
+
+
 def test_sigma_matches_lambda_derivative():
     g = MetricGraph(3, [(0, 1, 0.8), (1, 2, 1.3)], leads=[0, 2])
     h = 1e-5

@@ -12,6 +12,7 @@ from qgraph.circle import crossing_values, det_poly, f_even_poly, f_odd_poly
 from qgraph.constraint import assemble
 from qgraph.errors import BoundaryZeroSuspected, NonConvergenceError
 from qgraph.exppoly import ExpPolynomial
+from qgraph import rootfind
 from qgraph.rootfind import (RootStats, count_in_disc, find_roots, strip_bound,
                              weyl_coefficient, winding_number, winding_numbers)
 
@@ -353,3 +354,11 @@ def test_root_stats_count_retries_growth_and_clusters():
     roots = find_roots(sin_pi_poly() * sin_pi_poly(), (-2.5, 2.5, -1.0, 1.0), stats=s)
     assert s.noise_clusters == len(roots) == 5
     assert sum(s.split_attempts[1:]) >= 1
+
+
+def test_jitter_table_is_the_seeded_draw():
+    """The written-out retry offsets are the seed-1729 draw they replace, so
+    every retry sequence, and every root, is what it was."""
+    want = np.random.default_rng(1729).uniform(-1.0, 1.0, size=(16, 2))
+    assert rootfind._JITTER.dtype == want.dtype
+    assert np.array_equal(rootfind._JITTER, want)
