@@ -10,6 +10,7 @@ root-finder counters on stderr and leaves stdout as it is.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -122,8 +123,12 @@ def _cmd_det(parser, args):
 
 def _cmd_roots(parser, args):
     region = (args.re_min, args.re_max, args.im_min, args.im_max)
+    if not all(math.isfinite(v) for v in region):
+        parser.error("search region %r is not finite" % (region,))
     if not (args.re_min < args.re_max and args.im_min < args.im_max):
         parser.error("empty search region %r" % (region,))
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("--tol must be positive and finite")
     poly = _det_poly(parser, args)
     stats = RootStats() if args.stats else None
     lines = ["re_k,im_k,multiplicity,residual"]
@@ -138,27 +143,34 @@ def _cmd_roots(parser, args):
 def _cmd_count(parser, args):
     if (args.radius is None) == (args.radii is None):
         parser.error("exactly one of --radius and --radii is required")
+    if args.radius is not None:
+        radii = [args.radius]
+    else:
+        try:
+            radii = [float(s) for s in args.radii.split(",") if s.strip()]
+        except ValueError:
+            parser.error("--radii wants a comma-separated list of numbers")
+        if not radii:
+            parser.error("--radii is empty")
+    for R in radii:
+        if not (math.isfinite(R) and R > 0):
+            parser.error("radius %r is not positive and finite" % R)
     poly = _det_poly(parser, args)
     stats = RootStats() if args.stats else None
     if args.radius is not None:
         print(count_in_disc(poly, args.radius, stats=stats).count)
-        _print_stats(stats)
-        return 0
-    try:
-        radii = [float(s) for s in args.radii.split(",") if s.strip()]
-    except ValueError:
-        parser.error("--radii wants a comma-separated list of numbers")
-    if not radii:
-        parser.error("--radii is empty")
-    lines = ["R,count"]
-    for R in radii:
-        lines.append("%s,%d" % (_g(R), count_in_disc(poly, R, stats=stats).count))
-    _emit(args, lines)
+    else:
+        lines = ["R,count"]
+        for R in radii:
+            lines.append("%s,%d" % (_g(R), count_in_disc(poly, R, stats=stats).count))
+        _emit(args, lines)
     _print_stats(stats)
     return 0
 
 
 def _cmd_dtn_check(parser, args):
+    if args.samples < 1:
+        parser.error("--samples must be positive")
     graph = _checked_graph(parser, args)
     poly = assemble(graph).determinant()
     rng = np.random.default_rng(args.seed)

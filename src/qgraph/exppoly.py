@@ -14,19 +14,26 @@ expansion of a constraint matrix is integer in the half-length variables) and
 become complex as soon as any operand does.
 """
 
+import functools
+
 import numpy as np
 
 # relative threshold below which a complex coefficient is treated as a
 # cancellation artifact and dropped
 PRUNE_REL = 1e-14
 
+# term x point entries in one block of the array kernel: bounds its transient
+# arrays (about 1.5 MiB for value and derivative) whatever the point count
+_BLOCK_ENTRIES = 1 << 15
+
 
 class ExpPolynomial:
     """Sum of terms a * exp(i*k*(n . lengths)) keyed by integer vector n.
 
-    A polynomial is a value: ``terms`` is frozen after ``__init__``, which
-    caches the (coefficient, frequency) table in dump order that every
-    evaluation walks.  Build a new polynomial instead of editing ``terms``.
+    A polynomial is a value: ``terms`` is frozen after ``__init__``.  The
+    first evaluation caches the term table in dump order and the kernel's
+    arrays, so building a polynomial does not pay for them.  Build a new
+    polynomial instead of editing ``terms``.
     """
 
     def __init__(self, lengths, terms=None):
@@ -42,8 +49,6 @@ class ExpPolynomial:
                 if a != 0:
                     self.terms[vec] = self.terms.get(vec, 0) + a
         self._prune()
-        self._table = tuple((self.terms[vec], self.sigma_of(vec))
-                            for vec in sorted(self.terms))
 
     # -- construction helpers -------------------------------------------------
 
@@ -117,24 +122,86 @@ class ExpPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def eval(self, k):
-        """Evaluate at a complex point or ndarray of points.
+    @functools.cached_property
+    def _table(self):
+        """(coefficient, frequency) of every term, in dump order."""
+        return tuple((self.terms[vec], self.sigma_of(vec)) for vec in sorted(self.terms))
 
-        Terms are accumulated in the fixed dump order with Neumaier
-        compensation so the result is independent of dict insertion history.
-        """
-        karr = np.asarray(k, dtype=complex)
-        total = np.zeros(karr.shape, dtype=complex)
-        comp = np.zeros(karr.shape, dtype=complex)
+    @functools.cached_property
+    def _stack(self):
+        """The array kernel's operands, in dump order: the factors i*sigma,
+        shape (terms,), and the coefficients [a, a * (i sigma)] of the value
+        and derivative terms, shape (terms, 2, 1)."""
+        isig = [1j * s for _, s in self._table]
+        coef = np.array([[a, a * w] for (a, _), w in zip(self._table, isig)], dtype=complex)
+        return np.array(isig, dtype=complex), coef.reshape(-1, 2, 1)
+
+    @functools.cached_property
+    def size_table(self):
+        """(sigma_r, |a_r|) as float arrays in ``terms`` order, so that
+        a sum over them runs in the order of a loop over ``terms``; the size
+        of term r at k is |a_r| e^{-sigma_r Im k}."""
+        sigmas = [self.sigma_of(vec) for vec in self.terms]
+        return (np.array(sigmas, dtype=float),
+                np.array([abs(a) for a in self.terms.values()], dtype=float))
+
+    def _scalar_pair(self, karr):
+        """(p, p') at a 0-d point by a loop over the terms."""
+        total = comp = dtotal = dcomp = np.zeros((), dtype=complex)
         for a, s in self._table:
-            term = a * np.exp(1j * s * karr)
-            y = term - comp
+            e = np.exp(1j * s * karr)
+            y = a * e - comp
             t = total + y
             comp = (t - total) - y
             total = t
+            y = (a * (1j * s)) * e - dcomp
+            t = dtotal + y
+            dcomp = (t - dtotal) - y
+            dtotal = t
+        return complex(total), complex(dtotal)
+
+    def _array_sums(self, karr, rows):
+        """The first `rows` of [p, p'] at every point of karr, as a (rows,
+        points) array, by the term-stacked kernel.
+
+        Points go in blocks of at most _BLOCK_ENTRIES // terms.  A block
+        takes one exp over its (terms, points) phases and one product with
+        the coefficients; then the term rows are added in dump order with
+        Kahan compensation, value and derivative together in one (rows,
+        points) accumulator.
+        """
+        flat = karr.ravel()
+        isig, coef = self._stack
+        coef = coef[:, :rows]
+        step = max(1, _BLOCK_ENTRIES // max(1, isig.size))
+        blocks = []
+        for lo in range(0, max(1, flat.size), step):
+            kb = flat[lo:lo + step]
+            terms = coef * np.exp(np.multiply.outer(isig, kb))[:, None, :]
+            shape = (rows, kb.size)
+            total = np.zeros(shape, dtype=complex)
+            comp = np.zeros(shape, dtype=complex)
+            y = np.empty(shape, dtype=complex)
+            t = np.empty(shape, dtype=complex)
+            for term in terms:
+                np.subtract(term, comp, out=y)
+                np.add(total, y, out=t)
+                np.subtract(t, total, out=comp)
+                np.subtract(comp, y, out=comp)
+                total, t = t, total
+            blocks.append(total)
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+    def eval(self, k):
+        """Evaluate at a complex point or ndarray of points.
+
+        Terms are accumulated in the fixed dump order with Kahan compensation
+        so the result is independent of dict insertion history.
+        """
+        karr = np.asarray(k, dtype=complex)
         if karr.shape == ():
-            return complex(total)
-        return total
+            return self._scalar_pair(karr)[0]
+        return self._array_sums(karr, 1)[0].reshape(karr.shape)
 
     def eval_derivative(self, k):
         """Evaluate dp/dk; each term picks up a factor i*sigma."""
@@ -148,23 +215,10 @@ class ExpPolynomial:
         the derivative terms a * (i sigma) * exp(i sigma k).
         """
         karr = np.asarray(k, dtype=complex)
-        total = np.zeros(karr.shape, dtype=complex)
-        comp = np.zeros(karr.shape, dtype=complex)
-        dtotal = np.zeros(karr.shape, dtype=complex)
-        dcomp = np.zeros(karr.shape, dtype=complex)
-        for a, s in self._table:
-            e = np.exp(1j * s * karr)
-            y = a * e - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            y = (a * (1j * s)) * e - dcomp
-            t = dtotal + y
-            dcomp = (t - dtotal) - y
-            dtotal = t
         if karr.shape == ():
-            return complex(total), complex(dtotal)
-        return total, dtotal
+            return self._scalar_pair(karr)
+        vals = self._array_sums(karr, 2)
+        return vals[0].reshape(karr.shape), vals[1].reshape(karr.shape)
 
     def sigma_range(self):
         """(smallest, largest) frequency present in the sum."""

@@ -19,6 +19,7 @@ arithmetic of a one-at-a-time search, so the zeros found do not depend on the
 batching.  QGRAPH_THREADS splits a level's chunks across threads.
 """
 
+import math
 import os
 import threading
 from collections import namedtuple
@@ -77,6 +78,8 @@ class RootStats:
         cells, and the cells where Newton gave up.
     noise_clusters: cells reported as clusters because |p| at their probe
         points stayed at the evaluation noise floor.
+    evaluations: evaluation passes (calls of ExpPolynomial.eval_pair or
+        eval on an array of points), each one run of the term-stacked kernel.
     """
     boundaries: int = 0
     points: int = 0
@@ -86,6 +89,7 @@ class RootStats:
     newton_iterations: int = 0
     newton_failures: int = 0
     noise_clusters: int = 0
+    evaluations: int = 0
     _lock: object = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def add(self, **counts):
@@ -165,6 +169,7 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
     scale = np.maximum.reduceat(np.abs(vals), starts)
     n_points = pts.size
     n_rounds = 0
+    n_evals = 1
     for _ in range(max_rounds):
         absv = np.abs(vals)
         zero = (scale == 0.0) | (np.minimum.reduceat(absv, starts) < 1e-14 * scale)
@@ -204,6 +209,7 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
         at = np.flatnonzero(bad)
         mids = 0.5 * (pts[at] + pts[nxt[at]])
         mvals, mdvals = p.eval_pair(mids)
+        n_evals += 1
         nbad = nbad[refine]
         mmax = np.maximum.reduceat(np.abs(mvals), np.cumsum(nbad) - nbad)
         scale = scale[refine]
@@ -226,7 +232,8 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
         for i in ids.tolist():
             out[i] = BoundaryZeroSuspected("phase did not settle on %r" % (rects[i],))
     if stats is not None:
-        stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds)
+        stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds,
+                  evaluations=n_evals)
     return out
 
 
@@ -272,11 +279,12 @@ def _newton(p, cells, stats):
     ks = list(k0s)
     roots = [None] * len(cells)
     live = list(range(len(cells)))
-    iterations = 0
+    iterations = passes = 0
     for _ in range(_NEWTON_ITERS):
         if not live:
             break
         iterations += len(live)
+        passes += 1
         vals, ders = p.eval_pair(np.array([ks[i] for i in live]))
         still = []
         for i, v, dp in zip(live, vals.tolist(), ders.tolist()):
@@ -294,7 +302,7 @@ def _newton(p, cells, stats):
             still.append(i)
         live = still
     if stats is not None:
-        stats.add(newton_iterations=iterations,
+        stats.add(newton_iterations=iterations, evaluations=passes,
                   newton_failures=sum(k is None for k in roots))
     return roots
 
@@ -340,14 +348,17 @@ def _split(p, cells, stats):
 def _noise_floor(p, cells):
     """Magnitude below which evaluations of p on each cell are dominated by
     floating-point error: eps times the sum of the individual term sizes.
+
+    Each term's size is taken at the cell's lower or upper edge, whichever
+    is larger, from one exp over every (term, edge) pair; the sizes are added
+    in ``terms`` order, one term after another.
     """
-    y0 = np.array([cell[2] for cell in cells], dtype=float)
-    y1 = np.array([cell[3] for cell in cells], dtype=float)
-    m = np.zeros(len(cells))
-    for vec, a in p.terms.items():
-        s = p.sigma_of(vec)
-        m += abs(a) * np.maximum(np.exp(-s * y0), np.exp(-s * y1))
-    return 2.2e-16 * m
+    sigmas, sizes = p.size_table
+    ys = np.array([(cell[2], cell[3]) for cell in cells], dtype=float).T.ravel()
+    e = np.exp(np.multiply.outer(-sigmas, ys))
+    n = len(cells)
+    m = np.add.accumulate(sizes[:, None] * np.maximum(e[:, :n], e[:, n:]), axis=0)
+    return 2.2e-16 * m[-1]
 
 
 def _probe_max(p, cells):
@@ -371,10 +382,10 @@ def _settle(p, frontier, tol, stats):
     probed = [i for i, (cell, _) in enumerate(frontier)
               if roots.get(i) is None
               and np.hypot(cell[1] - cell[0], cell[3] - cell[2]) > tol]
-    cells = [frontier[i][0] for i in probed]
-    loud = dict(zip(probed, (_probe_max(p, cells) > 32 * _noise_floor(p, cells)).tolist()))
-    if stats is not None:
-        stats.add(noise_clusters=sum(not v for v in loud.values()))
+    loud = {}
+    if probed:
+        cells = [frontier[i][0] for i in probed]
+        loud = dict(zip(probed, (_probe_max(p, cells) > 32 * _noise_floor(p, cells)).tolist()))
     settled = []
     to_split = []
     for i, (cell, cw) in enumerate(frontier):
@@ -386,9 +397,14 @@ def _settle(p, frontier, tol, stats):
             cx = 0.5 * (cell[0] + cell[1])
             cy = 0.5 * (cell[2] + cell[3])
             settled.append((cx + 1j * cy, cw, cell, False))
-    vals = p.eval(np.array([k for k, _, _, _ in settled], dtype=complex))
-    found = [Resonance(k=k, multiplicity=m, residual=abs(v), cell=cell, refined=refined)
-             for (k, m, cell, refined), v in zip(settled, vals.tolist())]
+    found = []
+    if settled:
+        vals = p.eval(np.array([k for k, _, _, _ in settled], dtype=complex))
+        found = [Resonance(k=k, multiplicity=m, residual=abs(v), cell=cell, refined=refined)
+                 for (k, m, cell, refined), v in zip(settled, vals.tolist())]
+    if stats is not None:
+        stats.add(noise_clusters=sum(not v for v in loud.values()),
+                  evaluations=bool(probed) + bool(settled))
     return found, to_split
 
 
@@ -409,8 +425,12 @@ def find_roots(p, region, tol=1e-8, stats=None):
     if p.is_zero():
         raise ValueError("zero polynomial")
     x0, x1, y0, y1 = (float(v) for v in region)
+    if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
+        raise ValueError("search region %r is not finite" % (region,))
     if not (x1 > x0 and y1 > y0):
         raise ValueError("empty search region %r" % (region,))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     outer, w = _outer_winding(p, (x0, x1, y0, y1), stats)
     if w == 0:
         return []
@@ -498,10 +518,16 @@ def count_in_disc(p, radius, tol=1e-8, stats=None):
     sitting on the circle up to rounding are not dropped).  A zero at the
     origin is excluded from the count and flagged.  stats is passed on to
     find_roots.
+
+    Only roots reported within 1e-9 of the origin are taken for it.  A zero
+    of order >= 2 at k = 0 can come back as noise-floor clusters or Newton
+    roots at |k| ~ 1e-8, and those are still counted: until the origin's
+    order is found exactly, such a count can be too high by part of that
+    order.
     """
     radius = float(radius)
-    if not radius > 0:
-        raise ValueError("radius must be positive, got %r" % radius)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be positive and finite, got %r" % radius)
     K = strip_bound(p)
     rect = (-radius - 0.5, radius + 0.5, -K - 0.5, K + 0.5)
     roots = find_roots(p, rect, tol=tol, stats=stats)

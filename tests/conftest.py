@@ -1,7 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qgraph.graph import MetricGraph, validate
+from qgraph.circle import det_poly
+from qgraph.constraint import assemble
+from qgraph.graph import MetricGraph, parse_graph, validate
+
+BENCH_POOL = Path(__file__).resolve().parents[1] / "bench" / "graphs" / "family.json"
 
 
 def _random_graph(rng):
@@ -38,3 +45,15 @@ def graph_family():
         if validate(g).ok:
             family.append(g)
     return family
+
+
+@pytest.fixture(scope="session")
+def bench_polys():
+    """The determinants of the benchmark's graph pool and known failures
+    (5 to 7 edges, 11 to 113 terms), and of the two-lead circle at c = 0,
+    0.37 and 1."""
+    doc = json.loads(BENCH_POOL.read_text())
+    graphs = [parse_graph(item["graph"]) for key in ("pool", "known_failures")
+              for item in doc[key]]
+    return ([assemble(g).determinant() for g in graphs]
+            + [det_poly(c) for c in (0.0, 0.37, 1.0)])

@@ -125,7 +125,7 @@ def test_count_radii_csv(capsys):
 
 STATS_FIELDS = {"boundaries", "points", "rounds", "split_attempts",
                 "outer_growths", "newton_iterations", "newton_failures",
-                "noise_clusters"}
+                "noise_clusters", "evaluations"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,6 +260,33 @@ def test_usage_errors(capsys, tmp_path):
         ["circle-curve", "--parity", "even", "--n", "3"], capsys)
     assert "--c must lie in [0, 1)" in usage_error(
         ["circle-verify", "--c", "1.0"], capsys)
+
+
+ROOTS_BOX = ["roots", "--circle", "0", "--re-min", "-1", "--re-max", "1",
+             "--im-min", "-1", "--im-max", "0.1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--circle", "0", "--radius", "-1"], "radius -1.0 is not positive and finite"),
+    (["count", "--circle", "0", "--radius", "nan"], "radius nan is not positive and finite"),
+    (["count", "--circle", "0", "--radius", "inf"], "radius inf is not positive and finite"),
+    (["count", "--circle", "0", "--radii", "5,-1"], "radius -1.0 is not positive and finite"),
+    (ROOTS_BOX + ["--tol", "nan"], "--tol must be positive and finite"),
+    (ROOTS_BOX + ["--tol", "0"], "--tol must be positive and finite"),
+    (ROOTS_BOX[:6] + ["inf"] + ROOTS_BOX[7:],
+     "search region (-1.0, inf, -1.0, 0.1) is not finite"),
+    (["dtn-check", "--circle", "0", "--samples", "-3"], "--samples must be positive"),
+])
+def test_bad_numbers_are_usage_errors(argv, message, capsys):
+    """A bad number gives one error line after the usage and exit code 1,
+    in process and from python -m qgraph, never a traceback or a result."""
+    err = usage_error(argv, capsys)
+    assert err.splitlines()[-1] == "qgraph %s: error: %s" % (argv[0], message)
+    done = subprocess.run([sys.executable, "-m", "qgraph", *argv], capture_output=True,
+                          text=True, env=package_env())
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == err
 
 
 def console_script():

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eval_oracle as oracle
+from qgraph import exppoly
 from qgraph.exppoly import ExpPolynomial
 
 LOG3_OVER_PI = math.log(3.0) / math.pi
@@ -222,3 +226,94 @@ def test_equality_and_hash():
     assert p == q and hash(p) == hash(q)
     assert p != ExpPolynomial((2.0,), {(1,): 2})
     assert p != ExpPolynomial((1.0,), {(1,): 3})
+
+
+# -- the term-stacked kernel against the per-term loop ------------------------
+
+def _same_bits(got, want):
+    got = np.asarray(got, dtype=complex)
+    want = np.asarray(want, dtype=complex)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Below this many points the per-term eval loop computed a * exp(...) as
+# written.  From 256 KiB of complex values up, numpy evaluates the product
+# in place on the exp temporary, as exp(...) * a, and its complex multiply
+# is not bitwise commutative, so there the old eval differed in the last
+# bit from the old eval_pair.  The kernel always computes a * exp(...).
+ELIDED_POINTS = (256 * 1024) // 16
+
+
+def _assert_matches_oracle(p, ks):
+    """eval, eval_pair and eval_derivative equal the per-term loop bit for
+    bit, on the points' own shape."""
+    v, d = p.eval_pair(ks)
+    want_v, want_d = oracle.eval_pair(p, ks)
+    assert _same_bits(v, want_v)
+    assert _same_bits(d, want_d)
+    assert _same_bits(p.eval(ks), want_v)
+    if np.size(ks) < ELIDED_POINTS:
+        assert _same_bits(p.eval(ks), oracle.eval(p, ks))
+    assert _same_bits(p.eval_derivative(ks), want_d)
+
+
+def _points(rng, n, re=45.0, im=3.0):
+    return rng.uniform(-re, re, n) + 1j * rng.uniform(-im, im, n)
+
+
+def test_kernel_matches_oracle_on_bench_polynomials(bench_polys):
+    rng = np.random.default_rng(11)
+    for p in bench_polys:
+        block = max(1, exppoly._BLOCK_ENTRIES // len(p.terms))
+        for n in (0, 1, 2, 16, block - 1, block, block + 1, 2 * block + 3):
+            _assert_matches_oracle(p, _points(rng, n))
+        _assert_matches_oracle(p, _points(rng, 2 * block + 2).reshape(2, -1))
+        _assert_matches_oracle(p, _points(rng, 12).reshape(3, 4))
+        for k in _points(rng, 5).tolist():
+            assert _same_bits(p.eval_pair(k), oracle.eval_pair(p, k))
+            assert _same_bits(p.eval(k), oracle.eval(p, k))
+            assert type(p.eval(k)) is complex
+
+
+def _coefficients():
+    big = st.integers(2**53 + 1, 2**70)
+    return st.one_of(st.integers(-40, 40), big, big.map(lambda n: -n),
+                     st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                        allow_infinity=False))
+
+
+@st.composite
+def _polys(draw):
+    m = draw(st.integers(1, 3))
+    reach = {1: 45, 2: 6, 3: 3}[m]
+    lengths = draw(st.lists(st.floats(0.3, 2.0), min_size=m, max_size=m))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * m),
+                         min_size=1, max_size=90, unique=True))
+    coefs = draw(st.lists(_coefficients(), min_size=len(vecs), max_size=len(vecs)))
+    return ExpPolynomial(lengths, dict(zip(vecs, coefs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_kernel_matches_oracle_on_drawn_polynomials(p, seed, n):
+    """Integer coefficients, integers above 2^53 (rounded on conversion) and
+    complex ones, 1 to 90 terms, in any insertion order."""
+    rng = np.random.default_rng(seed)
+    ks = _points(rng, n, re=20.0, im=2.0)
+    _assert_matches_oracle(p, ks)
+    _assert_matches_oracle(p, np.concatenate([ks, ks]).reshape(2, n))
+    for k in ks[:3].tolist():
+        assert _same_bits(p.eval_pair(k), oracle.eval_pair(p, k))
+    if p.terms:
+        block = max(1, exppoly._BLOCK_ENTRIES // len(p.terms))
+        _assert_matches_oracle(p, _points(rng, block + 1, re=20.0, im=2.0))
+
+
+def test_kernel_arrays_are_built_on_first_evaluation():
+    q = ExpPolynomial((1.0, 2.0), {(1, 1): 2, (-1, 0): -3})
+    p = q * ExpPolynomial((1.0, 2.0), {(0, 1): 1j})
+    assert not {"_table", "_stack", "size_table"} & set(vars(p))
+    p.eval_pair(np.array([0.5, 1.5j]))
+    assert {"_table", "_stack"} <= set(vars(p))
+    assert ExpPolynomial.zero((1.0,)).eval(np.ones((2, 3))).shape == (2, 3)
+    assert ExpPolynomial.zero((1.0,)).eval_pair(np.ones(0))[1].shape == (0,)

@@ -21,6 +21,7 @@ ARGUMENT_CHECKS = (
     "test_rootfind.py::test_winding_rejects_empty_rect",
     "test_rootfind.py::test_find_roots_rejects_zero_poly",
     "test_rootfind.py::test_argument_checks_raise_value_error",
+    "test_rootfind.py::test_find_roots_rejects_bad_region_and_tol",
     "test_rootfind.py::test_batched_winding_flags_boundary_zeros",
     "test_constraint.py::test_capacity_refused",
     "test_constraint.py::test_assemble_rejects_invalid",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eval_oracle
 import rootfind_oracle as oracle
 from qgraph.circle import crossing_values, det_poly, f_even_poly, f_odd_poly
 from qgraph.constraint import assemble
@@ -188,11 +189,25 @@ def test_root_symmetry_under_reflection():
 def test_argument_checks_raise_value_error():
     # real exceptions, not asserts, so they hold under python -O too
     p = det_poly(0.0)
-    for radius in (-3.0, 0.0, float("nan")):
-        with pytest.raises(ValueError, match="radius must be positive"):
+    for radius in (-3.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
             count_in_disc(p, radius)
     with pytest.raises(ValueError, match="two radii"):
         weyl_coefficient(p, radii=[10.0])
+
+
+def test_find_roots_rejects_bad_region_and_tol():
+    p = det_poly(0.0)
+    inf, nan = float("inf"), float("nan")
+    for region in ((-1.0, inf, -1.0, 0.1), (-inf, 1.0, -1.0, 0.1),
+                   (-1.0, 1.0, nan, 0.1), (-1.0, 1.0, -1.0, inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            find_roots(p, region)
+    for tol in (0.0, -1e-8, nan, inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            find_roots(p, (-1.0, 1.0, -1.0, 0.1), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            count_in_disc(p, 5.0, tol=tol)
 
 
 # -- the batched root finder against the per-cell oracle ----------------------
@@ -362,3 +377,47 @@ def test_jitter_table_is_the_seeded_draw():
     want = np.random.default_rng(1729).uniform(-1.0, 1.0, size=(16, 2))
     assert rootfind._JITTER.dtype == want.dtype
     assert np.array_equal(rootfind._JITTER, want)
+
+
+def test_root_stats_count_every_evaluation_pass(monkeypatch):
+    """evaluations is the number of array evaluations the search runs, none
+    of them on zero points."""
+    calls = []
+    for name in ("eval", "eval_pair"):
+        method = getattr(ExpPolynomial, name)
+
+        def counted(self, k, _method=method):
+            calls.append(np.size(k))
+            return _method(self, k)
+        monkeypatch.setattr(ExpPolynomial, name, counted)
+    for p, radius in ((det_poly(1 / 3), 10.0), (sin_pi_poly() * sin_pi_poly(), 2.5)):
+        del calls[:]
+        stats = RootStats()
+        count_in_disc(p, radius, stats=stats)
+        assert stats.evaluations == len(calls) > 0
+        assert min(calls) > 0
+
+
+def _cells(rng, n):
+    x0 = rng.uniform(-8.0, 8.0, n)
+    y0 = rng.uniform(-3.0, 3.0, n)
+    w = 10.0 ** rng.uniform(-9.0, 0.5, (2, n))
+    return list(zip(x0.tolist(), (x0 + w[0]).tolist(), y0.tolist(), (y0 + w[1]).tolist()))
+
+
+def test_noise_floor_matches_the_per_term_loop(bench_polys):
+    """One exponential pass, summed in terms order, gives the per-term
+    loop's floor bit for bit, also when terms is not in dump order."""
+    rng = np.random.default_rng(12)
+    polys = list(bench_polys)
+    for _ in range(4):
+        vecs = {tuple(int(n) for n in rng.integers(-3, 4, 3)) for _ in range(40)}
+        terms = {v: complex(*rng.normal(size=2)) if rng.random() < 0.5
+                 else int(rng.integers(1, 2**62)) * 2**10 for v in vecs}
+        polys.append(ExpPolynomial((0.6, 1.1, 1.7), terms))
+    for p in polys:
+        for n in (1, 7, 64):
+            cells = _cells(rng, n)
+            got = rootfind._noise_floor(p, cells)
+            want = eval_oracle.noise_floor(p, cells)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
