@@ -32,9 +32,10 @@ import numpy as np
 from .constraint import assemble
 from .errors import NonConvergenceError
 from .exppoly import ExpPolynomial
-from .graph import MetricGraph
+# the family's graph is built in graph, which loads without numpy
+from .graph import CircleParams, circle_params as params  # noqa: F401
+from .graph import build_circle_graph as build_graph
 
-CircleParams = namedtuple("CircleParams", "c rho1 rho2")
 CrossingValue = namedtuple("CrossingValue", "k c")
 Crossing = namedtuple("Crossing", "c k")
 ResonanceCurve = namedtuple("ResonanceCurve", "parity n samples crossings diverged last_c")
@@ -44,29 +45,6 @@ STEP_UNDERFLOW = 1e-13     # continuation step is gone at this gap to c = 1
 TOUCH_SCAN_HEIGHT = 1e-3   # a sample this close to the axis may be a touch
 TOUCH_IM_TOL = 1e-8
 MIN_REFINE_STEP = 1e-5
-
-
-def params(c):
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("surgery parameter must lie in [0, 1], got %r" % c)
-    return CircleParams(c=c, rho1=(1.0 - c) * math.pi, rho2=(1.0 + c) * math.pi)
-
-
-def build_graph(c):
-    """Two-lead circle at parameter c (accepts a float or CircleParams).
-
-    Vertices are named v1, v2 with one lead each; both arcs run from v2 to
-    v1.  At c = 1 the short arc has contracted and v2 carries both leads
-    (balanced: two edges, two leads); v1 survives as the spare degree-2
-    vertex splitting the 2*pi loop into the two pi-edges.
-    """
-    p = c if isinstance(c, CircleParams) else params(c)
-    if p.c == 1.0:
-        return MetricGraph(2, [(0, 1, math.pi), (0, 1, math.pi)],
-                           leads=[1, 1], vertex_names=["v1", "v2"])
-    return MetricGraph(2, [(1, 0, p.rho1), (1, 0, p.rho2)],
-                       leads=[0, 1], vertex_names=["v1", "v2"])
 
 
 def det_poly(c):

@@ -6,22 +6,20 @@ files), 2 computation failure.  CSV output always carries a header row and
 prints floats with 17 significant digits, so identical invocations are
 byte-identical.  roots and count take --stats, which adds one JSON line of
 root-finder counters on stderr and leaves stdout as it is.
+
+Each subcommand imports the modules it runs when it runs, so validate and
+classify never load numpy.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 
-import numpy as np
-
-from . import circle
-from .constraint import assemble
-from .dtn import verify_det_identity, verify_derivative_identity
 from .errors import ComputationError
-from .graph import GraphFormatError, classify_weyl, load_graph, validate
-from .rootfind import RootStats, count_in_disc, find_roots, thread_count
+from .graph import (GraphFormatError, build_circle_graph, classify_weyl,
+                    load_graph, validate)
+from .threads import thread_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,8 +37,11 @@ def _g(x):
 def _emit(args, lines):
     text = "\n".join(lines) + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            args.sub.error("cannot write %s: %s" % (args.output, exc.strerror))
     else:
         sys.stdout.write(text)
 
@@ -48,6 +49,7 @@ def _emit(args, lines):
 def _print_stats(stats):
     """One JSON line of the RootStats counters on stderr, when asked for."""
     if stats is not None:
+        from dataclasses import fields
         counters = {f.name: getattr(stats, f.name) for f in fields(stats)
                     if not f.name.startswith("_")}
         print(json.dumps(counters), file=sys.stderr)
@@ -73,11 +75,13 @@ def _resolve_graph(parser, args):
     if args.circle is not None:
         if not 0.0 <= args.circle <= 1.0:
             parser.error("--circle must lie in [0, 1]")
-        return circle.build_graph(args.circle)
+        return build_circle_graph(args.circle)
     try:
         return load_graph(args.graph)
     except FileNotFoundError:
         parser.error("no such file: %s" % args.graph)
+    except OSError as exc:  # a directory, or a file we may not read
+        parser.error("cannot read %s: %s" % (args.graph, exc.strerror))
     except GraphFormatError as exc:
         parser.error("%s: %s" % (args.graph, exc))
 
@@ -113,6 +117,7 @@ def _cmd_classify(parser, args):
 
 
 def _det_poly(parser, args):
+    from .constraint import assemble
     return assemble(_checked_graph(parser, args)).determinant()
 
 
@@ -129,6 +134,7 @@ def _cmd_roots(parser, args):
         parser.error("empty search region %r" % (region,))
     if not (math.isfinite(args.tol) and args.tol > 0):
         parser.error("--tol must be positive and finite")
+    from .rootfind import RootStats, find_roots
     poly = _det_poly(parser, args)
     stats = RootStats() if args.stats else None
     lines = ["re_k,im_k,multiplicity,residual"]
@@ -155,15 +161,16 @@ def _cmd_count(parser, args):
     for R in radii:
         if not (math.isfinite(R) and R > 0):
             parser.error("radius %r is not positive and finite" % R)
+    from .rootfind import RootStats, count_in_disc
     poly = _det_poly(parser, args)
     stats = RootStats() if args.stats else None
     if args.radius is not None:
-        print(count_in_disc(poly, args.radius, stats=stats).count)
+        lines = ["%d" % count_in_disc(poly, args.radius, stats=stats).count]
     else:
         lines = ["R,count"]
         for R in radii:
             lines.append("%s,%d" % (_g(R), count_in_disc(poly, R, stats=stats).count))
-        _emit(args, lines)
+    _emit(args, lines)
     _print_stats(stats)
     return 0
 
@@ -171,7 +178,12 @@ def _cmd_count(parser, args):
 def _cmd_dtn_check(parser, args):
     if args.samples < 1:
         parser.error("--samples must be positive")
+    if args.seed < 0:
+        parser.error("--seed must not be negative")
     graph = _checked_graph(parser, args)
+    import numpy as np
+    from .constraint import assemble
+    from .dtn import verify_det_identity, verify_derivative_identity
     poly = assemble(graph).determinant()
     rng = np.random.default_rng(args.seed)
     worst_det = worst_deriv = 0.0
@@ -189,6 +201,7 @@ def _cmd_circle_curve(parser, args):
         parser.error("--n must be a positive integer of %s parity" % args.parity)
     if args.c_steps < 1:
         parser.error("--c-steps must be positive")
+    from . import circle
     grid = [j / args.c_steps for j in range(args.c_steps)]
     curve = circle.trace_curve(args.parity, args.n, grid)
     cs = [c for c, _ in curve.samples]
@@ -208,6 +221,9 @@ def _cmd_circle_verify(parser, args):
         parser.error("--c must lie in [0, 1)")
     if args.samples < 1:
         parser.error("--samples must be positive")
+    if args.seed < 0:
+        parser.error("--seed must not be negative")
+    from . import circle
     rep = circle.verify_factorization(args.c, n_samples=args.samples,
                                       seed=args.seed)
     print("factorization at c = %s: sign %+d, samples %d, seed %d, "

@@ -6,9 +6,13 @@ constructed and is preserved exactly, because downstream matrix assembly is
 orientation-sensitive term by term (flipping an edge negates the determinant
 without moving its zeros).  Leads are listed one entry per half-line, attached
 at a vertex; their list order is the lead id.
+
+The two-lead circle of the circle module is built here as well, so that a
+command that only looks at its graph does not load the numerics.
 """
 
 import json
+import math
 from collections import namedtuple
 
 Edge = namedtuple("Edge", "tail head length")
@@ -16,6 +20,7 @@ Lead = namedtuple("Lead", "vertex")
 VertexProfile = namedtuple("VertexProfile", "p q d")
 ValidationReport = namedtuple("ValidationReport", "ok violations")
 WeylClassification = namedtuple("WeylClassification", "is_weyl volume balanced_vertices")
+CircleParams = namedtuple("CircleParams", "c rho1 rho2")
 
 
 class GraphFormatError(ValueError):
@@ -100,6 +105,32 @@ def classify_weyl(graph):
                               balanced_vertices=tuple(balanced))
 
 
+# -- the two-lead circle ------------------------------------------------------
+
+def circle_params(c):
+    """Arc lengths (1 - c) pi and (1 + c) pi of the two-lead circle at c."""
+    c = float(c)
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("surgery parameter must lie in [0, 1], got %r" % c)
+    return CircleParams(c=c, rho1=(1.0 - c) * math.pi, rho2=(1.0 + c) * math.pi)
+
+
+def build_circle_graph(c):
+    """Two-lead circle at parameter c (accepts a float or CircleParams).
+
+    Vertices are named v1, v2 with one lead each; both arcs run from v2 to
+    v1.  At c = 1 the short arc has contracted and v2 carries both leads
+    (balanced: two edges, two leads); v1 survives as the spare degree-2
+    vertex splitting the 2*pi loop into the two pi-edges.
+    """
+    p = c if isinstance(c, CircleParams) else circle_params(c)
+    if p.c == 1.0:
+        return MetricGraph(2, [(0, 1, math.pi), (0, 1, math.pi)],
+                           leads=[1, 1], vertex_names=["v1", "v2"])
+    return MetricGraph(2, [(1, 0, p.rho1), (1, 0, p.rho2)],
+                       leads=[0, 1], vertex_names=["v1", "v2"])
+
+
 # -- JSON interchange ---------------------------------------------------------
 #
 # {"vertices": ["a", "b"],
@@ -152,7 +183,7 @@ def load_graph(path):
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GraphFormatError("not valid JSON: %s" % exc)
     return parse_graph(obj)
 

@@ -20,7 +20,6 @@ batching.  QGRAPH_THREADS splits a level's chunks across threads.
 """
 
 import math
-import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryZeroSuspected, NonConvergenceError
+from .threads import thread_count
 
 Resonance = namedtuple("Resonance", "k multiplicity residual cell refined")
 CountReport = namedtuple("CountReport", "R count roots strip_bound origin_zero")
@@ -101,19 +101,6 @@ class RootStats:
     def add_split_attempt(self, attempt, cells):
         with self._lock:
             self.split_attempts[attempt] += cells
-
-
-def thread_count():
-    """Root-finding threads from QGRAPH_THREADS: 1 when unset, 0 = per CPU."""
-    raw = os.environ.get("QGRAPH_THREADS", "").strip()
-    if not raw:
-        return 1
-    if not raw.isdecimal():
-        raise ValueError("QGRAPH_THREADS must be an integer >= 0, got %r" % raw)
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
 
 
 def _rect_points(rects, spacing):

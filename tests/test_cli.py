@@ -83,6 +83,18 @@ def test_det_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["count", "--circle", "1", "--radius", "20"], "40\n"),
+    (["count", "--circle", "0", "--radii", "5.5"], "R,count\n5.5,21\n"),
+])
+def test_count_output_file_matches_stdout(argv, text, tmp_path, capsys):
+    target = tmp_path / "count.txt"
+    rc, out, _ = run_main(argv + ["-o", str(target)], capsys)
+    assert rc == 0
+    assert out == ""
+    assert target.read_text() == text
+
+
 def test_roots_csv_real_pair(capsys):
     rc, out, _ = run_main(["roots", "--circle", "1", "--re-min", "0.5",
                            "--re-max", "2.5", "--im-min", "-0.5",
@@ -251,6 +263,10 @@ def test_usage_errors(capsys, tmp_path):
         ["classify", "--circle", "1.5"], capsys)
     assert "no such file" in usage_error(
         ["validate", "--graph", str(tmp_path / "missing.json")], capsys)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert "binary.json: not valid JSON" in usage_error(
+        ["classify", "--graph", str(binary)], capsys)
     assert "empty search region" in usage_error(
         ["roots", "--circle", "0", "--re-min", "2", "--re-max", "1",
          "--im-min", "-1", "--im-max", "0"], capsys)
@@ -276,10 +292,46 @@ ROOTS_BOX = ["roots", "--circle", "0", "--re-min", "-1", "--re-max", "1",
     (ROOTS_BOX[:6] + ["inf"] + ROOTS_BOX[7:],
      "search region (-1.0, inf, -1.0, 0.1) is not finite"),
     (["dtn-check", "--circle", "0", "--samples", "-3"], "--samples must be positive"),
+    (["dtn-check", "--circle", "0", "--seed", "-1"], "--seed must not be negative"),
+    (["circle-verify", "--c", "0.5", "--seed", "-1"], "--seed must not be negative"),
 ])
 def test_bad_numbers_are_usage_errors(argv, message, capsys):
     """A bad number gives one error line after the usage and exit code 1,
     in process and from python -m qgraph, never a traceback or a result."""
+    check_usage_error_everywhere(argv, message, capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--graph", "{dir}"], "cannot read {dir}: Is a directory"),
+    (["det", "--circle", "0", "-o", "{dir}/missing/det.txt"],
+     "cannot write {dir}/missing/det.txt: No such file or directory"),
+    (["count", "--circle", "0", "--radius", "5", "-o", "{dir}/missing/n.txt"],
+     "cannot write {dir}/missing/n.txt: No such file or directory"),
+])
+def test_bad_paths_are_usage_errors(argv, message, tmp_path, capsys):
+    """A --graph that cannot be read or an -o that cannot be written is a
+    usage error, never a traceback."""
+    argv = [a.format(dir=tmp_path) for a in argv]
+    check_usage_error_everywhere(argv, message.format(dir=tmp_path), capsys)
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_unreadable_graph_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = write_graph(tmp_path, TWO_ARC)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    # a file mode cannot make a file unreadable to root, so open fails here
+    monkeypatch.setattr(qgraph.graph, "open", refuse, raising=False)
+    err = usage_error(["validate", "--graph", path], capsys)
+    assert err.splitlines()[-1] == (
+        "qgraph validate: error: cannot read %s: Permission denied" % path)
+
+
+def check_usage_error_everywhere(argv, message, capsys):
+    """One error line after the usage and exit code 1, in process and from
+    python -m qgraph alike."""
     err = usage_error(argv, capsys)
     assert err.splitlines()[-1] == "qgraph %s: error: %s" % (argv[0], message)
     done = subprocess.run([sys.executable, "-m", "qgraph", *argv], capture_output=True,
@@ -369,6 +421,92 @@ def test_start_up_loads_only_numpy_and_the_standard_library(capsys):
     assert out_without_scipy == out
     rc, in_process, _ = run_main(argv, capsys)
     assert rc == 0 and in_process == out
+
+
+# Prefix of the child programs below: at exit, the names in sys.modules go to
+# stderr as the last line.
+REPORT_MODULES = ("import atexit, json, sys\n"
+                  "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), "
+                  "file=sys.stderr))\n")
+
+
+def loaded_modules(argv, env):
+    """Run ``python -m qgraph ARGV`` in a fresh interpreter, or only ``import
+    qgraph`` when argv is None; (exit code, modules loaded at exit)."""
+    if argv is None:
+        cmd = [sys.executable, "-c", REPORT_MODULES + "import qgraph"]
+    else:
+        cmd = [sys.executable, "-c", REPORT_MODULES + "import runpy\n"
+               "runpy.run_module('qgraph', run_name='__main__', alter_sys=True)", *argv]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return done.returncode, json.loads(done.stderr.splitlines()[-1])
+
+
+SUBMODULES = sorted("qgraph." + path.stem
+                    for path in Path(qgraph.__file__).parent.glob("*.py")
+                    if path.stem != "__init__")
+NOT_FOR_DET = ["qgraph.dtn", "qgraph.circle"]
+
+
+@pytest.mark.parametrize("argv, threads, code, banned", [
+    (None, "", 0, ["numpy"] + SUBMODULES),
+    (["validate", "--graph", "GRAPH"], "", 0, ["numpy"]),
+    (["classify", "--circle", "1"], "", 0, ["numpy"]),
+    (["validate", "--graph", "GRAPH"], "abc", 1, ["numpy"]),
+    (["det", "--graph", "GRAPH"], "", 0, NOT_FOR_DET),
+    (ROOTS_BOX, "", 0, NOT_FOR_DET),
+    (["count", "--circle", "0", "--radius", "5"], "", 0, NOT_FOR_DET),
+])
+def test_each_command_loads_only_what_it_runs(argv, threads, code, banned, tmp_path):
+    """import qgraph loads no submodule; validate and classify look only at
+    the graph and start without numpy; the determinant commands leave the
+    DtN and circle modules alone; a bad QGRAPH_THREADS is still refused."""
+    graph = write_graph(tmp_path, TWO_ARC)
+    env = package_env()
+    env["QGRAPH_THREADS"] = threads
+    if argv is not None:
+        argv = [graph if a == "GRAPH" else a for a in argv]
+    rc, names = loaded_modules(argv, env)
+    assert rc == code
+    assert "qgraph" in names
+    assert [m for m in names
+            if any(m == b or m.startswith(b + ".") for b in banned)] == []
+
+
+# Run in a fresh interpreter, so that every export is resolved by the package
+# itself rather than found among modules an earlier test loaded.
+EXPORTS = """
+import json, sys
+import qgraph
+report = {"dir": dir(qgraph), "all": qgraph.__all__, "homes": {}}
+star = {}
+exec("from qgraph import *", star)
+report["star"] = sorted(k for k in star if not k.startswith("__"))
+for name in qgraph.__all__:
+    obj = getattr(qgraph, name)
+    home = sys.modules[obj.__module__]
+    report["homes"][name] = [obj.__module__, getattr(home, obj.__name__) is obj]
+report["circle"] = qgraph.circle.build_graph is qgraph.build_circle_graph
+report["threads"] = qgraph.rootfind.thread_count is qgraph.threads.thread_count
+try:
+    qgraph.no_such_name
+except AttributeError as exc:
+    report["missing"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    done = subprocess.run([sys.executable, "-c", EXPORTS], capture_output=True,
+                          text=True, env=package_env())
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert set(report["all"]) <= set(report["dir"])
+    assert set(report["all"]) <= set(report["star"])
+    for name, (module, same) in report["homes"].items():
+        assert module in SUBMODULES and same, name
+    assert report["circle"] and report["threads"]
+    assert report["missing"] == "module 'qgraph' has no attribute 'no_such_name'"
 
 
 def test_module_invocation_exit_codes(tmp_path):
