@@ -5,7 +5,8 @@ circle-verify.  Exit codes: 0 success, 1 usage error (including bad input
 files), 2 computation failure.  CSV output always carries a header row and
 prints floats with 17 significant digits, so identical invocations are
 byte-identical.  roots and count take --stats, which adds one JSON line of
-root-finder counters on stderr and leaves stdout as it is.
+root-finder counters on stderr and leaves stdout as it is.  An -o file that
+cannot be written is refused before any work is done.
 
 Each subcommand imports the modules it runs when it runs, so validate and
 classify never load numpy.
@@ -14,6 +15,7 @@ classify never load numpy.
 import argparse
 import json
 import math
+import os
 import sys
 
 from .errors import ComputationError
@@ -44,6 +46,25 @@ def _emit(args, lines):
             args.sub.error("cannot write %s: %s" % (args.output, exc.strerror))
     else:
         sys.stdout.write(text)
+
+
+def _check_output(args):
+    """Refuse an -o file that cannot be written before any work is done.
+
+    The probe opens the file for appending, which truncates nothing, and
+    removes it again if the probe created it; _emit writes it at the end.
+    """
+    path = getattr(args, "output", None)
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        args.sub.error("cannot write %s: %s" % (path, exc.strerror))
+    if not existed:
+        os.remove(path)
 
 
 def _print_stats(stats):
@@ -300,6 +321,7 @@ def main(argv=None):
         thread_count()
     except ValueError as exc:  # a bad environment is a usage error
         parser.exit(1, "error: %s\n" % exc)
+    _check_output(args)
     try:
         return args.func(args.sub, args)
     except ComputationError as exc:

@@ -17,6 +17,12 @@ the Newton iterations and noise-floor probes of a level share one pass per
 step.  Every decision is still taken per boundary and per cell with the
 arithmetic of a one-at-a-time search, so the zeros found do not depend on the
 batching.  QGRAPH_THREADS splits a level's chunks across threads.
+
+Boundary refinement works on a worklist of bad segments (see
+winding_numbers): each round bisects, evaluates and tests only the segments
+that failed the round before, so every sample is evaluated and tested once.
+The phase total is summed in worklist order, which is not part of the
+contract.
 """
 
 import math
@@ -120,6 +126,24 @@ def _rect_points(rects, spacing):
     return pts, nseg.reshape(-1, 4).sum(axis=1)
 
 
+def _samples(p, z):
+    """|p|, arg p and |p'/p| at the points z, from one eval_pair pass."""
+    vals, dvals = p.eval_pair(z)
+    absv = np.abs(vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a boundary with a zero sample is dropped, whatever this reads
+        ratio = np.abs(dvals) / absv
+    return absv, np.angle(vals), ratio
+
+
+def _interleave(a, b):
+    """a[0], b[0], a[1], b[1], ... for equal-length arrays a and b."""
+    out = np.empty(2 * a.size, dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
 def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
     """Winding of p around each rectangle (re_min, re_max, im_min, im_max) of
     rects, all boundaries refined together.
@@ -131,14 +155,21 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
     to it alone, so an entry does not depend on the other rectangles.
 
     The boundary phase is tracked on an adaptively refined polyline.  A
-    midpoint is inserted wherever two neighboring samples differ by at least
-    pi/2 in phase, and also wherever seglen * |p'/p| at an endpoint reaches
-    pi/2: the second test is what catches a segment that passes so close to a
-    multiple zero that the phase swings by nearly 2 pi and comes back between
-    the two samples, which endpoint phases alone cannot see.  A boundary is
-    suspected when a sample lands (numerically) on a zero, when its phase sum
-    is far from a multiple of 2 pi, or when the refinement will not settle
-    within max_rounds rounds or max_points points.
+    segment is bad when its two samples differ by at least pi/2 in phase, or
+    when seglen * |p'/p| at an endpoint reaches pi/2: the second test is what
+    catches a segment that passes so close to a multiple zero that the phase
+    swings by nearly 2 pi and comes back between the two samples, which
+    endpoint phases alone cannot see.  Both tests read only the segment's two
+    endpoints, so a segment that passes once passes for good: its phase step
+    goes into its boundary's phase total and it is never looked at again.
+    Each round bisects the bad segments left, evaluates the midpoints in one
+    pass and tests only the two halves of each.  The phase total is therefore
+    summed in a different order than along the polyline; that order is not
+    part of the result, which reads the total only through round(total / 2pi)
+    and a 1-radian margin.  A boundary is suspected when a sample lands
+    (numerically) on a zero, when its phase total is far from a multiple of
+    2 pi, or when the refinement will not settle within max_rounds rounds or
+    max_points points.
     """
     for rect in rects:
         x0, x1, y0, y1 = rect
@@ -150,69 +181,67 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
     lo, hi = p.sigma_range()
     rate = max(1.0, abs(lo), abs(hi))
     pts, counts = _rect_points(rects, spacing=0.7 / rate)
-    vals, dvals = p.eval_pair(pts)
-    ids = np.arange(len(rects))             # rectangle of each live boundary
+    absv, ph, ratio = _samples(p, pts)
     starts = np.cumsum(counts) - counts
-    scale = np.maximum.reduceat(np.abs(vals), starts)
+    # per live boundary: its rectangle, samples, extreme |p| and phase total
+    ids = np.arange(len(rects))
+    scale = np.maximum.reduceat(absv, starts)
+    least = np.minimum.reduceat(absv, starts)
+    total = np.zeros(len(rects))
+    # the untested segments (a -> b), in polyline order, by boundary: every
+    # sample's segment to its wrap-around successor
+    nxt = np.arange(1, pts.size + 1)
+    nxt[starts + counts - 1] = starts
+    owner = np.repeat(ids, counts)
+    za, zb, pa, pb, ra, rb = pts, pts[nxt], ph, ph[nxt], ratio, ratio[nxt]
     n_points = pts.size
     n_rounds = 0
     n_evals = 1
     for _ in range(max_rounds):
-        absv = np.abs(vals)
-        zero = (scale == 0.0) | (np.minimum.reduceat(absv, starts) < 1e-14 * scale)
-        # wrap-around successor of every sample within its own polyline
-        nxt = np.arange(1, pts.size + 1)
-        nxt[starts + counts - 1] = starts
-        ph = np.angle(vals)
-        d = ph[nxt] - ph
+        d = pb - pa
         d = (d + np.pi) % (2 * np.pi) - np.pi
-        seglen = np.abs(pts[nxt] - pts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a boundary with a zero sample is dropped below, whatever this reads
-            ratio = np.abs(dvals) / absv
-            swing = seglen * np.maximum(ratio, ratio[nxt])
+        with np.errstate(invalid="ignore"):
+            swing = np.abs(zb - za) * np.maximum(ra, rb)
             bad = (np.abs(d) >= np.pi / 2) | (swing >= np.pi / 2)
-        nbad = np.add.reduceat(bad.astype(np.intp), starts)
+        good = ~bad
+        total += np.bincount(owner[good], weights=d[good], minlength=ids.size)
+        nbad = np.bincount(owner[bad], minlength=ids.size)
+        zero = (scale == 0.0) | (least < 1e-14 * scale)
         refine = ~zero & (nbad > 0) & (counts + nbad <= max_points)
         done = np.flatnonzero(~refine)
-        for i, z, nb, a, n in zip(ids[done].tolist(), zero[done].tolist(), nbad[done].tolist(),
-                                  starts[done].tolist(), counts[done].tolist()):
+        for i, z, nb, t in zip(ids[done].tolist(), zero[done].tolist(), nbad[done].tolist(),
+                               total[done].tolist()):
             if z:
                 out[i] = BoundaryZeroSuspected("|p| ~ 0 on the boundary of %r" % (rects[i],))
             elif nb:
                 out[i] = BoundaryZeroSuspected("refinement exploded on %r" % (rects[i],))
             else:
-                total = float(d[a:a + n].sum())
-                w = int(round(total / (2 * np.pi)))
-                if abs(total - 2 * np.pi * w) > 1.0:
+                w = int(round(t / (2 * np.pi)))
+                if abs(t - 2 * np.pi * w) > 1.0:
                     out[i] = BoundaryZeroSuspected("phase sum far from a multiple of 2pi")
                 else:
                     out[i] = w
         if not refine.any():
             break
-        # keep the boundaries being refined; a midpoint follows each bad sample
-        live = np.repeat(refine, counts)
-        bad &= live
-        at = np.flatnonzero(bad)
-        mids = 0.5 * (pts[at] + pts[nxt[at]])
-        mvals, mdvals = p.eval_pair(mids)
+        # bisect the bad segments of the boundaries being refined
+        keep = bad & refine[owner]
+        za, zb, pa, pb, ra, rb = za[keep], zb[keep], pa[keep], pb[keep], ra[keep], rb[keep]
+        owner = (np.cumsum(refine) - 1)[owner[keep]]
+        ids, counts, nbad = ids[refine], counts[refine], nbad[refine]
+        scale, least, total = scale[refine], least[refine], total[refine]
+        mids = 0.5 * (za + zb)
+        mabs, mph, mratio = _samples(p, mids)
         n_evals += 1
-        nbad = nbad[refine]
-        mmax = np.maximum.reduceat(np.abs(mvals), np.cumsum(nbad) - nbad)
-        scale = scale[refine]
+        mstarts = np.cumsum(nbad) - nbad
+        mmax = np.maximum.reduceat(mabs, mstarts)
         scale = np.where(mmax > scale, mmax, scale)
-        kept = np.flatnonzero(live)
-        slots = 1 + bad[kept]
-        pos = np.cumsum(slots) - slots
-        take = np.empty(kept.size + at.size, dtype=np.intp)
-        take[pos] = kept
-        take[pos[bad[kept]] + 1] = pts.size + np.arange(at.size)
-        pts = np.concatenate([pts, mids])[take]
-        vals = np.concatenate([vals, mvals])[take]
-        dvals = np.concatenate([dvals, mdvals])[take]
-        ids = ids[refine]
-        counts = counts[refine] + nbad
-        starts = np.cumsum(counts) - counts
+        least = np.minimum(least, np.minimum.reduceat(mabs, mstarts))
+        # the halves a -> mid and mid -> b of each, side by side
+        za, zb = _interleave(za, mids), _interleave(mids, zb)
+        pa, pb = _interleave(pa, mph), _interleave(mph, pb)
+        ra, rb = _interleave(ra, mratio), _interleave(mratio, rb)
+        owner = np.repeat(owner, 2)
+        counts = counts + nbad
         n_points += mids.size
         n_rounds += ids.size
     else:
@@ -539,14 +568,16 @@ def weyl_coefficient(p, radii=None):
 
     Symbolically W is half the spread of the frequency range.  Passing a
     list of radii switches to the empirical mode: a least-squares slope of
-    count_in_disc over those radii, divided by 2/pi.
+    count_in_disc over those radii, divided by 2/pi; it needs at least two
+    distinct radii.
     """
     if radii is None:
         lo, hi = p.sigma_range()
         return (hi - lo) / 2.0
     radii = [float(R) for R in radii]
-    if len(radii) < 2:
-        raise ValueError("the empirical rate needs at least two radii")
+    if len(set(radii)) < 2:
+        raise ValueError("the empirical rate needs at least two radii that differ, got %r"
+                         % (radii,))
     counts = [count_in_disc(p, R).count for R in radii]
     slope = np.polyfit(radii, counts, 1)[0]
     return float(slope) * np.pi / 2.0

@@ -48,12 +48,17 @@ def graph_family():
 
 
 @pytest.fixture(scope="session")
-def bench_polys():
+def bench_graphs():
+    """The benchmark's graph pool and known failures, by id, in file order."""
+    doc = json.loads(BENCH_POOL.read_text())
+    return {item["id"]: parse_graph(item["graph"]) for key in ("pool", "known_failures")
+            for item in doc[key]}
+
+
+@pytest.fixture(scope="session")
+def bench_polys(bench_graphs):
     """The determinants of the benchmark's graph pool and known failures
     (5 to 7 edges, 11 to 113 terms), and of the two-lead circle at c = 0,
     0.37 and 1."""
-    doc = json.loads(BENCH_POOL.read_text())
-    graphs = [parse_graph(item["graph"]) for key in ("pool", "known_failures")
-              for item in doc[key]]
-    return ([assemble(g).determinant() for g in graphs]
+    return ([assemble(g).determinant() for g in bench_graphs.values()]
             + [det_poly(c) for c in (0.0, 0.37, 1.0)])

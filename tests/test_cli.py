@@ -10,6 +10,7 @@ import pytest
 import qgraph
 from qgraph.circle import det_poly
 from qgraph.cli import main
+from qgraph.errors import NonConvergenceError
 from qgraph.rootfind import RootStats, count_in_disc
 
 TWO_ARC = {"vertices": ["v1", "v2"],
@@ -314,6 +315,45 @@ def test_bad_paths_are_usage_errors(argv, message, tmp_path, capsys):
     argv = [a.format(dir=tmp_path) for a in argv]
     check_usage_error_everywhere(argv, message.format(dir=tmp_path), capsys)
     assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--circle", "0"],
+    ROOTS_BOX,
+    ["count", "--circle", "0", "--radii", "5,10"],
+    ["circle-curve", "--parity", "odd", "--n", "1"],
+])
+def test_unwritable_output_refused_before_computing(argv, tmp_path, monkeypatch, capsys):
+    def called(*args, **kwargs):
+        raise AssertionError("computed before the -o check")
+    for module, name in ((qgraph.constraint, "assemble"), (qgraph.rootfind, "find_roots"),
+                         (qgraph.rootfind, "count_in_disc"), (qgraph.circle, "trace_curve")):
+        monkeypatch.setattr(module, name, called)
+    target = tmp_path / "missing" / "out.txt"
+    err = usage_error(argv + ["-o", str(target)], capsys)
+    assert err.splitlines()[-1] == "qgraph %s: error: cannot write %s: No such file or directory" % (
+        argv[0], target)
+    err = usage_error(argv + ["-o", str(tmp_path)], capsys)
+    assert err.splitlines()[-1] == "qgraph %s: error: cannot write %s: Is a directory" % (
+        argv[0], tmp_path)
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_failed_computation_leaves_output_alone(tmp_path, monkeypatch, capsys):
+    """The -o probe truncates nothing and leaves no file of its own behind
+    when the computation then fails."""
+    def fail(*args, **kwargs):
+        raise NonConvergenceError("no luck")
+    monkeypatch.setattr(qgraph.rootfind, "count_in_disc", fail)
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    fresh = tmp_path / "fresh.txt"
+    for target in (kept, fresh):
+        rc, out, err = run_main(["count", "--circle", "0", "--radius", "5", "-o", str(target)],
+                                capsys)
+        assert (rc, out, err) == (2, "", "error: no luck\n")
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
 
 
 def test_unreadable_graph_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eval_oracle
@@ -192,8 +192,9 @@ def test_argument_checks_raise_value_error():
     for radius in (-3.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             count_in_disc(p, radius)
-    with pytest.raises(ValueError, match="two radii"):
-        weyl_coefficient(p, radii=[10.0])
+    for radii in ([10.0], [5.0, 5.0], [5, 5.0, 5.0]):
+        with pytest.raises(ValueError, match="two radii"):
+            weyl_coefficient(p, radii=radii)
 
 
 def test_find_roots_rejects_bad_region_and_tol():
@@ -302,6 +303,34 @@ def test_batched_winding_matches_per_rectangle(name, rects):
                 assert w == want and type(w) is int
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sin", "sin2", "det"]), st.lists(_rectangles(), min_size=1, max_size=4),
+       st.integers(0, 8), st.integers(16, 400))
+# on the edge of both budgets: sin(pi k)^2 settles on the first rectangle in
+# exactly 7 rounds and 129 points, det_poly(0.3) on (-2, 2, -0.2, 0.02) in
+# exactly 3 rounds and 100 points
+@example("sin2", [(-1.3, 1.7, -0.003, 0.9)], 7, 129)
+@example("sin2", [(-1.3, 1.7, -0.003, 0.9)], 6, 129)
+@example("sin2", [(-1.3, 1.7, -0.003, 0.9)], 7, 128)
+@example("det", [(-1.3, 1.7, -0.003, 0.9), (-2.0, 2.0, -0.2, 0.02)], 3, 100)
+@example("det", [(-1.3, 1.7, -0.003, 0.9), (-2.0, 2.0, -0.2, 0.02)], 6, 99)
+def test_batched_winding_budgets_match_per_rectangle(name, rects, max_rounds, max_points):
+    """Small round and point budgets: every rectangle gets the per-rectangle
+    oracle's verdict and message, "phase did not settle" and "refinement
+    exploded" included."""
+    p = {"sin": sin_pi_poly(), "sin2": sin_pi_poly() * sin_pi_poly(),
+         "det": det_poly(0.3)}[name]
+    batched = winding_numbers(p, rects, max_rounds=max_rounds, max_points=max_points)
+    for rect, w in zip(rects, batched):
+        try:
+            want = oracle.winding_number(p, rect, max_rounds=max_rounds, max_points=max_points)
+        except BoundaryZeroSuspected as exc:
+            assert isinstance(w, BoundaryZeroSuspected)
+            assert str(w) == str(exc)
+        else:
+            assert w == want and type(w) is int
+
+
 def test_batched_winding_flags_boundary_zeros():
     # sin(pi k) vanishes at 0 and 1, both on the bottom side of the first
     # rectangle and at a corner of the second; the third is clear of zeros
@@ -369,6 +398,31 @@ def test_root_stats_count_retries_growth_and_clusters():
     roots = find_roots(sin_pi_poly() * sin_pi_poly(), (-2.5, 2.5, -1.0, 1.0), stats=s)
     assert s.noise_clusters == len(roots) == 5
     assert sum(s.split_attempts[1:]) >= 1
+
+
+@pytest.mark.parametrize("case, want", [
+    ("c=0.3", RootStats(boundaries=541, points=27489, rounds=1540, split_attempts=[134, 1] + [0] * 8,
+                        newton_iterations=1234, newton_failures=66, evaluations=223)),
+    ("c=3/5", RootStats(boundaries=493, points=25568, rounds=1276, split_attempts=[122, 1] + [0] * 8,
+                        newton_iterations=1289, newton_failures=79, evaluations=191)),
+    ("c=1", RootStats(boundaries=189, points=17975, rounds=902, split_attempts=[46, 1] + [0] * 8,
+                      newton_iterations=326, newton_failures=6, evaluations=115)),
+    ("E5V4L2b", RootStats(boundaries=233, points=9927, rounds=730, split_attempts=[55, 3] + [0] * 8,
+                          newton_iterations=413, newton_failures=12, noise_clusters=2,
+                          evaluations=464)),
+])
+def test_root_stats_pinned(case, want, bench_graphs):
+    """The work of count_in_disc is pinned: every boundary, sample, round,
+    split and evaluation pass, on the circle at R = 20 (a crossing c among
+    them) and on a graph of the benchmark pool at R = 8."""
+    if case.startswith("c="):
+        c = {"c=0.3": 0.3, "c=3/5": crossing_values("odd", 5)[-2].c, "c=1": 1.0}[case]
+        p, radius = det_poly(float(c)), 20.0
+    else:
+        p, radius = assemble(bench_graphs[case]).determinant(), 8.0
+    stats = RootStats()
+    count_in_disc(p, radius, stats=stats)
+    assert stats == want
 
 
 def test_jitter_table_is_the_seeded_draw():
