@@ -5,8 +5,8 @@ circle-verify.  Exit codes: 0 success, 1 usage error (including bad input
 files), 2 computation failure.  CSV output always carries a header row and
 prints floats with 17 significant digits, so identical invocations are
 byte-identical.  roots and count take --stats, which adds one JSON line of
-root-finder counters on stderr and leaves stdout as it is.  An -o file that
-cannot be written is refused before any work is done.
+root-finder counters on stderr and leaves stdout as it is.  An empty -o, or
+an -o file that cannot be written, is refused before any work is done.
 
 Each subcommand imports the modules it runs when it runs, so validate and
 classify never load numpy.
@@ -38,7 +38,7 @@ def _g(x):
 
 def _emit(args, lines):
     text = "\n".join(lines) + "\n"
-    if getattr(args, "output", None):
+    if getattr(args, "output", None) is not None:
         try:
             with open(args.output, "w") as fh:
                 fh.write(text)
@@ -55,8 +55,10 @@ def _check_output(args):
     removes it again if the probe created it; _emit writes it at the end.
     """
     path = getattr(args, "output", None)
-    if not path:
+    if path is None:
         return
+    if not path:
+        args.sub.error("-o must name a file")
     existed = os.path.lexists(path)
     try:
         with open(path, "a"):

@@ -27,6 +27,28 @@ PRUNE_REL = 1e-14
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _block_sums(isig, coef, kb):
+    """The (rows, points) Kahan sums of one block of ExpPolynomial._array_sums.
+
+    The transient arrays are freed on return, before the next block's are
+    made.  Each step y = term - comp, t = total + y, comp = (t - total) - y,
+    total = t runs in three accumulators: y is held in comp's buffer and
+    t - total in total's, each after its old value was last read.
+    """
+    terms = coef * np.exp(np.multiply.outer(isig, kb))[:, None, :]
+    shape = (coef.shape[1], kb.size)
+    total = np.zeros(shape, dtype=complex)
+    comp = np.zeros(shape, dtype=complex)
+    t = np.empty(shape, dtype=complex)
+    for term in terms:
+        np.subtract(term, comp, out=comp)
+        np.add(total, comp, out=t)
+        np.subtract(t, total, out=total)
+        np.subtract(total, comp, out=comp)
+        total, t = t, total
+    return total
+
+
 class ExpPolynomial:
     """Sum of terms a * exp(i*k*(n . lengths)) keyed by integer vector n.
 
@@ -174,22 +196,8 @@ class ExpPolynomial:
         isig, coef = self._stack
         coef = coef[:, :rows]
         step = max(1, _BLOCK_ENTRIES // max(1, isig.size))
-        blocks = []
-        for lo in range(0, max(1, flat.size), step):
-            kb = flat[lo:lo + step]
-            terms = coef * np.exp(np.multiply.outer(isig, kb))[:, None, :]
-            shape = (rows, kb.size)
-            total = np.zeros(shape, dtype=complex)
-            comp = np.zeros(shape, dtype=complex)
-            y = np.empty(shape, dtype=complex)
-            t = np.empty(shape, dtype=complex)
-            for term in terms:
-                np.subtract(term, comp, out=y)
-                np.add(total, y, out=t)
-                np.subtract(t, total, out=comp)
-                np.subtract(comp, y, out=comp)
-                total, t = t, total
-            blocks.append(total)
+        blocks = [_block_sums(isig, coef, flat[lo:lo + step])
+                  for lo in range(0, max(1, flat.size), step)]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
     def eval(self, k):

@@ -10,13 +10,15 @@ line) the cut is re-placed with a small deterministic offset and the split is
 retried, so results are reproducible run to run.
 
 The subdivision runs level by level, and each level is evaluated in batches:
-the child boundaries of up to _LEVEL_CHUNK cells are refined together by one
-winding_numbers call on their concatenated polylines, with one
-value-and-derivative pass (ExpPolynomial.eval_pair) per refinement round, and
-the Newton iterations and noise-floor probes of a level share one pass per
-step.  Every decision is still taken per boundary and per cell with the
-arithmetic of a one-at-a-time search, so the zeros found do not depend on the
-batching.  QGRAPH_THREADS splits a level's chunks across threads.
+a level's cells are taken in order into batches whose child boundaries start
+with at most _BATCH_SAMPLES samples together (a cell whose children alone
+start with more is a batch of its own).  The child boundaries of a batch are
+refined together by one winding_numbers call on their concatenated polylines,
+with one value-and-derivative pass (ExpPolynomial.eval_pair) per refinement
+round, and the Newton iterations and noise-floor probes of a level share one
+pass per step.  Every decision is still taken per boundary and per cell with
+the arithmetic of a one-at-a-time search, so the zeros found do not depend on
+the batching.  QGRAPH_THREADS splits a level's batches across threads.
 
 Boundary refinement works on a worklist of bad segments (see
 winding_numbers): each round bisects, evaluates and tests only the segments
@@ -63,9 +65,12 @@ _JITTER = np.array([
 _MAX_SPLIT_ATTEMPTS = 10
 _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
-# cells of one level whose children are refined in one batch: whole levels
-# measured no faster beyond the noise, and they double the batch arrays' peak
-_LEVEL_CHUNK = 16
+# initial child-boundary samples of one batch of a level's cells: one batch
+# pays one sequence of refinement rounds, whose cost is mostly fixed per
+# round, while its arrays grow with the samples; whole levels (up to ~15000
+# samples on the count-disc inputs) were only a little faster and raised the
+# peak memory
+_BATCH_SAMPLES = 1 << 13
 
 
 @dataclass
@@ -109,7 +114,16 @@ class RootStats:
             self.split_attempts[attempt] += cells
 
 
-def _rect_points(rects, spacing):
+def _side_segments(p, lengths):
+    """Initial segments of boundary sides of the given lengths: at least 4,
+    each at most 0.7 / rate long, rate being the largest |frequency| of p
+    (at least 1)."""
+    lo, hi = p.sigma_range()
+    rate = max(1.0, abs(lo), abs(hi))
+    return np.maximum(4, np.ceil(lengths / (0.7 / rate)).astype(np.intp))
+
+
+def _rect_points(p, rects):
     """Closed counterclockwise boundary polylines with corners included, of
     every rectangle in turn, concatenated; returns (points, points per
     rectangle)."""
@@ -119,7 +133,7 @@ def _rect_points(rects, spacing):
     ay = np.stack([y0, y0, y1, y1], axis=1).ravel()
     dx = np.stack([x1, x1, x0, x0], axis=1).ravel() - ax
     dy = np.stack([y0, y1, y1, y0], axis=1).ravel() - ay
-    nseg = np.maximum(4, np.ceil(np.hypot(dx, dy) / spacing).astype(np.intp))
+    nseg = _side_segments(p, np.hypot(dx, dy))
     side = np.repeat(np.arange(nseg.size), nseg)
     t = (np.arange(side.size) - (np.cumsum(nseg) - nseg)[side]) / nseg[side]
     pts = (ax[side] + dx[side] * t) + 1j * (ay[side] + dy[side] * t)
@@ -178,9 +192,7 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
     out = [None] * len(rects)
     if not rects:
         return out
-    lo, hi = p.sigma_range()
-    rate = max(1.0, abs(lo), abs(hi))
-    pts, counts = _rect_points(rects, spacing=0.7 / rate)
+    pts, counts = _rect_points(p, rects)
     absv, ph, ratio = _samples(p, pts)
     starts = np.cumsum(counts) - counts
     # per live boundary: its rectangle, samples, extreme |p| and phase total
@@ -361,6 +373,27 @@ def _split(p, cells, stats):
     return [kid for pack in packs for kid in pack]
 
 
+def _batches(p, cells):
+    """The (cell, winding) pairs of cells in order, cut into batches whose
+    children start with at most _BATCH_SAMPLES boundary samples together, as
+    counted for the midpoint cut of _split's first attempt; a cell whose
+    children alone start with more is a batch of its own."""
+    x0, x1, y0, y1 = np.array([cell for cell, _ in cells], dtype=float).reshape(-1, 4).T
+    xc = 0.5 * (x0 + x1)
+    yc = 0.5 * (y0 + y1)
+    # each of these four lengths is that of four of the sixteen child sides
+    sizes = 4 * _side_segments(p, np.stack([xc - x0, x1 - xc, yc - y0, y1 - yc])).sum(axis=0)
+    batches = []
+    total = 0
+    for pair, n in zip(cells, sizes.tolist()):
+        if not batches or total + n > _BATCH_SAMPLES:
+            batches.append([])
+            total = 0
+        batches[-1].append(pair)
+        total += n
+    return batches
+
+
 def _noise_floor(p, cells):
     """Magnitude below which evaluations of p on each cell are dominated by
     floating-point error: eps times the sum of the individual term sizes.
@@ -462,12 +495,11 @@ def find_roots(p, region, tol=1e-8, stats=None):
         while frontier:
             settled, to_split = _settle(p, frontier, tol, stats)
             found.extend(settled)
-            chunks = [to_split[i:i + _LEVEL_CHUNK]
-                      for i in range(0, len(to_split), _LEVEL_CHUNK)]
+            batches = _batches(p, to_split)
             if pool is not None:
-                packs = list(pool.map(lambda chunk: _split(p, chunk, stats), chunks))
+                packs = list(pool.map(lambda batch: _split(p, batch, stats), batches))
             else:
-                packs = [_split(p, chunk, stats) for chunk in chunks]
+                packs = [_split(p, batch, stats) for batch in batches]
             frontier = [kid for pack in packs for kid in pack]
     finally:
         if pool is not None:

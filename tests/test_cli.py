@@ -308,10 +308,11 @@ def test_bad_numbers_are_usage_errors(argv, message, capsys):
      "cannot write {dir}/missing/det.txt: No such file or directory"),
     (["count", "--circle", "0", "--radius", "5", "-o", "{dir}/missing/n.txt"],
      "cannot write {dir}/missing/n.txt: No such file or directory"),
+    (["det", "--circle", "0", "-o", ""], "-o must name a file"),
 ])
 def test_bad_paths_are_usage_errors(argv, message, tmp_path, capsys):
-    """A --graph that cannot be read or an -o that cannot be written is a
-    usage error, never a traceback."""
+    """A --graph that cannot be read or an -o that is empty or cannot be
+    written is a usage error, never a traceback."""
     argv = [a.format(dir=tmp_path) for a in argv]
     check_usage_error_everywhere(argv, message.format(dir=tmp_path), capsys)
     assert sorted(tmp_path.iterdir()) == []

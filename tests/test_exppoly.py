@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,26 @@ def test_kernel_matches_oracle_on_bench_polynomials(bench_polys):
             assert _same_bits(p.eval_pair(k), oracle.eval_pair(p, k))
             assert _same_bits(p.eval(k), oracle.eval(p, k))
             assert type(p.eval(k)) is complex
+
+
+def test_kernel_peak_does_not_grow_with_blocks(bench_polys):
+    """A block's transient arrays are freed before the next block's are
+    made: past one block, eval_pair's peak grows only by the finished
+    blocks' (value, derivative) sums, 32 bytes a point."""
+    rng = np.random.default_rng(13)
+    for p in (bench_polys[0], bench_polys[-2]):
+        block = max(1, exppoly._BLOCK_ENTRIES // len(p.terms))
+        peaks = []
+        for n in (block, 4 * block):
+            ks = _points(rng, n)
+            p.eval_pair(ks[:1])
+            tracemalloc.start()
+            try:
+                p.eval_pair(ks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * 32 * block + 4096
 
 
 def _coefficients():

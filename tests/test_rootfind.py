@@ -331,6 +331,50 @@ def test_batched_winding_budgets_match_per_rectangle(name, rects, max_rounds, ma
             assert w == want and type(w) is int
 
 
+def test_batched_winding_many_boundaries_match_per_rectangle():
+    """One worklist shared by 120 boundaries of mixed sizes, some through
+    zeros of sin(pi k) and some cut short by max_rounds: every entry gets the
+    per-rectangle oracle's verdict and message."""
+    rng = np.random.default_rng(9)
+    rects = []
+    for i in range(120):
+        w, h = (10.0 ** rng.uniform(-3.0, 0.7, 2)).tolist()
+        x0 = float(rng.uniform(-3.0, 3.0))
+        if i % 4 == 0:
+            # a corner on an integer zero
+            x0, y0 = float(rng.integers(-3, 3)), 0.0
+        elif i % 4 == 1:
+            # the bottom side along the real axis, through a zero when the
+            # rectangle is wide enough
+            y0 = 0.0
+        elif i % 4 == 2:
+            # across the real axis, around the zeros it is wide enough for
+            y0 = -float(rng.uniform(0.0, h))
+        else:
+            y0 = float(rng.uniform(-1.0, 1.0))
+        rects.append((x0, x0 + w, y0, y0 + h))
+    seen = {}
+    for p in (sin_pi_poly(), sin_pi_poly() * sin_pi_poly()):
+        for max_rounds in (1, 3, 48):
+            batched = winding_numbers(p, rects, max_rounds=max_rounds)
+            assert len(batched) == len(rects)
+            kinds = seen.setdefault(max_rounds, set())
+            for rect, w in zip(rects, batched):
+                try:
+                    want = oracle.winding_number(p, rect, max_rounds=max_rounds)
+                except BoundaryZeroSuspected as exc:
+                    assert isinstance(w, BoundaryZeroSuspected)
+                    assert str(w) == str(exc)
+                    kinds.add(str(exc).split(" on ")[0])
+                else:
+                    assert w == want and type(w) is int
+                    kinds.add(w)
+    # every budget mixes settled boundaries with both kinds of suspicion
+    for kinds in seen.values():
+        assert {0, "|p| ~ 0", "phase did not settle"} <= kinds
+    assert {1, 2, 3} <= seen[3] & seen[48]
+
+
 def test_batched_winding_flags_boundary_zeros():
     # sin(pi k) vanishes at 0 and 1, both on the bottom side of the first
     # rectangle and at a corner of the second; the third is clear of zeros
@@ -402,9 +446,9 @@ def test_root_stats_count_retries_growth_and_clusters():
 
 @pytest.mark.parametrize("case, want", [
     ("c=0.3", RootStats(boundaries=541, points=27489, rounds=1540, split_attempts=[134, 1] + [0] * 8,
-                        newton_iterations=1234, newton_failures=66, evaluations=223)),
+                        newton_iterations=1234, newton_failures=66, evaluations=177)),
     ("c=3/5", RootStats(boundaries=493, points=25568, rounds=1276, split_attempts=[122, 1] + [0] * 8,
-                        newton_iterations=1289, newton_failures=79, evaluations=191)),
+                        newton_iterations=1289, newton_failures=79, evaluations=141)),
     ("c=1", RootStats(boundaries=189, points=17975, rounds=902, split_attempts=[46, 1] + [0] * 8,
                       newton_iterations=326, newton_failures=6, evaluations=115)),
     ("E5V4L2b", RootStats(boundaries=233, points=9927, rounds=730, split_attempts=[55, 3] + [0] * 8,
@@ -415,14 +459,53 @@ def test_root_stats_pinned(case, want, bench_graphs):
     """The work of count_in_disc is pinned: every boundary, sample, round,
     split and evaluation pass, on the circle at R = 20 (a crossing c among
     them) and on a graph of the benchmark pool at R = 8."""
+    stats = RootStats()
+    count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
+    assert stats == want
+
+
+def _pinned_case(case, bench_graphs):
+    """(p, radius) of a case of test_root_stats_pinned."""
     if case.startswith("c="):
         c = {"c=0.3": 0.3, "c=3/5": crossing_values("odd", 5)[-2].c, "c=1": 1.0}[case]
-        p, radius = det_poly(float(c)), 20.0
-    else:
-        p, radius = assemble(bench_graphs[case]).determinant(), 8.0
-    stats = RootStats()
-    count_in_disc(p, radius, stats=stats)
-    assert stats == want
+        return det_poly(float(c)), 20.0
+    return assemble(bench_graphs[case]).determinant(), 8.0
+
+
+@pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", "E5V4L2b"])
+def test_batching_does_not_change_the_answer(case, bench_graphs, monkeypatch):
+    """One cell per batch, the default sample budget and whole levels give
+    the same roots and the same work, evaluation passes apart, which can
+    only fall as batches grow."""
+    p, radius = _pinned_case(case, bench_graphs)
+    runs = []
+    for budget in (1, rootfind._BATCH_SAMPLES, 1 << 40):
+        monkeypatch.setattr(rootfind, "_BATCH_SAMPLES", budget)
+        stats = RootStats()
+        runs.append((repr(count_in_disc(p, radius, stats=stats)), stats))
+    (single, s1), (default, s2), (whole, s3) = runs
+    assert single == default == whole
+    assert s1.evaluations >= s2.evaluations >= s3.evaluations
+    for s in (s1, s3):
+        s.evaluations = s2.evaluations
+        assert s == s2
+
+
+def test_batches_keep_to_the_sample_budget(monkeypatch):
+    """No winding call starts with more than _BATCH_SAMPLES samples, except
+    on the four children of a single cell, and the budget is used."""
+    calls = []
+    rect_points = rootfind._rect_points
+
+    def recorded(p, rects):
+        pts, counts = rect_points(p, rects)
+        calls.append((len(rects), pts.size))
+        return pts, counts
+    monkeypatch.setattr(rootfind, "_rect_points", recorded)
+    count_in_disc(det_poly(0.3), 40.0)
+    budget = rootfind._BATCH_SAMPLES
+    assert all(size <= budget or nrects <= 4 for nrects, size in calls)
+    assert max(size for _, size in calls) > budget // 2
 
 
 def test_jitter_table_is_the_seeded_draw():
