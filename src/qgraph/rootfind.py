@@ -9,16 +9,31 @@ children must add up to the parent's; when they do not (a zero sits on a cut
 line) the cut is re-placed with a small deterministic offset and the split is
 retried, so results are reproducible run to run.
 
+A winding number is the sum of the phase steps along the rectangle's four
+sides, each side a polyline of samples (t, arg p, |p'/p|, |p|) refined until
+every segment passes the endpoint tests of winding_numbers.  Every cell of
+the subdivision keeps its four refined sides until it is split or settled.
+A split cuts them at the cut point: each child inherits the two halves of
+its parent's sides that bound it, samples and tested segments as they are,
+and shares each of the four cross half-lines from the cut point with the
+sibling on its other side, which runs it backwards.  New samples come only
+from the cross, from cuts that miss the parent's samples, and from top-ups
+(a half with fewer segments than a fresh side of its length would start
+with gets the difference by bisecting its longest segments); only new
+segments are tested.  Since siblings share every cut line, their windings
+add up to the parent's whenever they are all defined.  winding_numbers
+itself samples every side afresh, on the grid of a fresh side.
+
 The subdivision runs level by level, and each level is evaluated in batches:
-a level's cells are taken in order into batches whose child boundaries start
-with at most _BATCH_SAMPLES samples together (a cell whose children alone
-start with more is a batch of its own).  The child boundaries of a batch are
-refined together by one winding_numbers call on their concatenated polylines,
-with one value-and-derivative pass (ExpPolynomial.eval_pair) per refinement
-round, and the Newton iterations and noise-floor probes of a level share one
-pass per step.  Every decision is still taken per boundary and per cell with
-the arithmetic of a one-at-a-time search, so the zeros found do not depend on
-the batching.  QGRAPH_THREADS splits a level's batches across threads.
+a level's cells are taken in order into batches whose splits evaluate at
+most _BATCH_SAMPLES samples together before refinement (a cell whose split
+alone evaluates more is a batch of its own).  The child boundaries of a
+batch are refined together, with one value-and-derivative pass
+(ExpPolynomial.eval_pair) per refinement round, and the Newton iterations
+and noise-floor probes of a level share one pass per step.  Every decision
+is still taken per boundary and per cell with the arithmetic of a
+one-at-a-time search, so the zeros found do not depend on the batching.
+QGRAPH_THREADS splits a level's batches across threads.
 
 Boundary refinement works on a worklist of bad segments (see
 winding_numbers): each round bisects, evaluates and tests only the segments
@@ -27,6 +42,7 @@ The phase total is summed in worklist order, which is not part of the
 contract.
 """
 
+import functools
 import math
 import threading
 from collections import namedtuple
@@ -65,12 +81,11 @@ _JITTER = np.array([
 _MAX_SPLIT_ATTEMPTS = 10
 _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
-# initial child-boundary samples of one batch of a level's cells: one batch
-# pays one sequence of refinement rounds, whose cost is mostly fixed per
-# round, while its arrays grow with the samples; whole levels (up to ~15000
-# samples on the count-disc inputs) were only a little faster and raised the
-# peak memory
-_BATCH_SAMPLES = 1 << 13
+# samples that the splits of one batch of a level's cells evaluate before
+# refinement: one batch pays one sequence of refinement rounds, whose cost is
+# mostly fixed per round, while its arrays grow with the samples it evaluates
+# and the (about three times as many) samples its cells inherit
+_BATCH_SAMPLES = 1 << 11
 
 
 @dataclass
@@ -78,8 +93,10 @@ class RootStats:
     """Work counters of one or more find_roots / count_in_disc calls, filled
     in when passed as ``stats=``.
 
-    boundaries: rectangle boundaries whose winding number was evaluated.
-    points: boundary samples evaluated, initial and inserted.
+    boundaries: rectangle boundaries whose winding number was asked for.
+    points: boundary samples evaluated: the initial grid of a fresh
+        rectangle; the cross, cut points and top-ups of a split (see
+        _quadrisect); every midpoint that refinement inserts.
     rounds: refinement rounds that inserted midpoints, summed over boundaries.
     split_attempts: entry a counts the cells whose quadrisection ran attempt
         a; entry 0 is every split, entries a >= 1 are retries.
@@ -91,6 +108,9 @@ class RootStats:
         points stayed at the evaluation noise floor.
     evaluations: evaluation passes (calls of ExpPolynomial.eval_pair or
         eval on an array of points), each one run of the term-stacked kernel.
+    reused: samples that child boundaries took from their parent's sides
+        without evaluating them, counted per child (the parent corner
+        between a child's two inherited halves once).
     """
     boundaries: int = 0
     points: int = 0
@@ -101,6 +121,7 @@ class RootStats:
     newton_failures: int = 0
     noise_clusters: int = 0
     evaluations: int = 0
+    reused: int = 0
     _lock: object = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def add(self, **counts):
@@ -117,45 +138,348 @@ class RootStats:
 def _side_segments(p, lengths):
     """Initial segments of boundary sides of the given lengths: at least 4,
     each at most 0.7 / rate long, rate being the largest |frequency| of p
-    (at least 1)."""
+    (at least 1).  Whole numbers in a float array, so that a side too long
+    to sample is counted without overflow."""
     lo, hi = p.sigma_range()
     rate = max(1.0, abs(lo), abs(hi))
-    return np.maximum(4, np.ceil(lengths / (0.7 / rate)).astype(np.intp))
-
-
-def _rect_points(p, rects):
-    """Closed counterclockwise boundary polylines with corners included, of
-    every rectangle in turn, concatenated; returns (points, points per
-    rectangle)."""
-    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
-    # sides bottom, right, top, left as (a -> b), one row per rectangle
-    ax = np.stack([x0, x1, x1, x0], axis=1).ravel()
-    ay = np.stack([y0, y0, y1, y1], axis=1).ravel()
-    dx = np.stack([x1, x1, x0, x0], axis=1).ravel() - ax
-    dy = np.stack([y0, y1, y1, y0], axis=1).ravel() - ay
-    nseg = _side_segments(p, np.hypot(dx, dy))
-    side = np.repeat(np.arange(nseg.size), nseg)
-    t = (np.arange(side.size) - (np.cumsum(nseg) - nseg)[side]) / nseg[side]
-    pts = (ax[side] + dx[side] * t) + 1j * (ay[side] + dy[side] * t)
-    return pts, nseg.reshape(-1, 4).sum(axis=1)
+    return np.maximum(4.0, np.ceil(np.asarray(lengths, dtype=float) / (0.7 / rate)))
 
 
 def _samples(p, z):
-    """|p|, arg p and |p'/p| at the points z, from one eval_pair pass."""
+    """arg p, |p'/p| and |p| at the points z, the rows of one array, from
+    one eval_pair pass."""
     vals, dvals = p.eval_pair(z)
-    absv = np.abs(vals)
+    out = np.empty((3, z.size))
+    np.arctan2(vals.imag, vals.real, out=out[0])
+    np.abs(vals, out=out[2])
     with np.errstate(divide="ignore", invalid="ignore"):
         # a boundary with a zero sample is dropped, whatever this reads
-        ratio = np.abs(dvals) / absv
-    return absv, np.angle(vals), ratio
-
-
-def _interleave(a, b):
-    """a[0], b[0], a[1], b[1], ... for equal-length arrays a and b."""
-    out = np.empty(2 * a.size, dtype=a.dtype)
-    out[0::2] = a
-    out[1::2] = b
+        np.divide(np.abs(dvals), out[2], out=out[1])
     return out
+
+
+def _ranges(starts, stops):
+    """The indices starts[i]:stops[i] for every i, concatenated."""
+    lens = stops - starts
+    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
+# Sides of rectangle boundaries as polylines in flat arrays.  Side s holds
+# samples off[s]:off[s + 1], both its ends included, which are the columns
+# of data: t, arg p, |p'/p| and |p|.  The sample at t is base[s] + t unit[s],
+# unit[s] being the side's direction (1, i, -1 or -i), so t grows along the
+# side.  tested[i] marks a segment i -> i + 1 that passed the refinement
+# tests on an earlier boundary, and phase[s] is the sum of the phase steps
+# of those segments of side s.
+_Lines = namedtuple("_Lines", "off data base unit tested phase")
+
+# the directions of a rectangle's sides bottom, right, top and left,
+# counterclockwise, and the sign that makes t grow along them (t is x, y,
+# -x and -y)
+_UNIT = np.array([1.0, 1j, -1.0, -1j])
+_SGN = np.array([1.0, 1.0, -1.0, -1.0])
+# the sides of a cell's children BL, BR, TL, TR, counterclockwise: the
+# halves 2k and 2k + 1 of the cell's side k, and the crosses 8..11 from the
+# cut point down, right, up and left; a child runs a cross backwards (-1)
+# when the cross runs clockwise around it
+_KID_SIDES = np.array([[0, 8, 11, 7], [1, 2, 9, 8], [11, 10, 5, 6], [9, 3, 4, 10]])
+_KID_SIGNS = np.array([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0],
+                       [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
+
+
+@functools.lru_cache(maxsize=64)
+def _kid_layout(n):
+    """For n cells split together: the directions of their sides and of
+    their crosses, and the sides and signs of their children (see
+    _KID_SIDES), as read-only arrays."""
+    cell = np.arange(n)[:, None, None]
+    bside = np.where(_KID_SIDES < 8, 8 * cell + _KID_SIDES,
+                     4 * cell + 8 * n - 8 + _KID_SIDES).reshape(-1, 4)
+    layout = (np.tile(_UNIT, n), np.tile(_UNIT[[3, 0, 1, 2]], n), bside,
+              np.tile(_KID_SIGNS, (n, 1)))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+def _fresh_lines(p, rects, nseg):
+    """The sides of rects on the initial grid, evaluated: side k (bottom,
+    right, top, left) of rectangle r has nseg[4 r + k] equal segments, each
+    corner being evaluated once.  Returns (lines, samples evaluated)."""
+    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
+    # the counterclockwise start a and end b of every side
+    ax = np.array([x0, x1, x1, x0]).T.ravel()
+    ay = np.array([y0, y0, y1, y1]).T.ravel()
+    bx = np.array([x1, x1, x0, x0]).T.ravel()
+    by = np.array([y0, y1, y1, y0]).T.ravel()
+    vertical = np.tile([False, True, False, True], len(rects))
+    unit = np.tile(_UNIT, len(rects))
+    nseg = nseg.astype(np.intp)
+    off = np.concatenate([[0], np.cumsum(nseg + 1)])
+    side = np.repeat(np.arange(nseg.size), nseg + 1)
+    j = np.arange(off[-1]) - off[side]
+    f = j / nseg[side]
+    x = ax[side] + (bx - ax)[side] * f
+    y = ay[side] + (by - ay)[side] * f
+    end = off[1:] - 1
+    x[end] = bx
+    y[end] = by
+    # every sample but a side's end, which is the next side's start
+    head = j < nseg[side]
+    vals = _samples(p, x[head] + 1j * y[head])
+    first = np.cumsum(nseg) - nseg
+    src = first[side] + j
+    src[end] = first[side[end] - side[end] % 4 + (side[end] + 1) % 4]
+    data = np.empty((4, off[-1]))
+    data[0] = np.tile(_SGN, len(rects))[side] * np.where(vertical[side], y, x)
+    data[1:] = np.take(vals, src, axis=1)
+    base = np.empty(nseg.size, dtype=complex)
+    base.real = np.where(vertical, ax + 0.0, 0.0)
+    base.imag = np.where(vertical, 0.0, ay + 0.0)
+    lines = _Lines(off=off, data=data, base=base, unit=unit,
+                   tested=np.zeros(off[-1], dtype=bool), phase=np.zeros(nseg.size))
+    return lines, vals.shape[1]
+
+
+def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluated,
+          reused=0, keep=False):
+    """Winding numbers of the boundaries whose sides are in lines: boundary b
+    runs along side bside[b, k] forwards if bsign[b, k] > 0, else backwards,
+    k = 0..3.  rects[b] is its rectangle, for the messages.
+
+    Returns (windings, merged): an int or a BoundaryZeroSuspected per
+    boundary, as winding_numbers; with keep, merged is the refined sides as
+    (off, data), midpoints inserted in order, else None.  evaluated and
+    reused are the samples of lines that the caller evaluated and
+    inherited, for stats.
+    """
+    off, data = lines.off, lines.data
+    ns = off.size - 1
+    # per side, the largest |p| and minus the least, as samples come in
+    ext = np.array([np.maximum.reduceat(data[3], off[:-1]),
+                    -np.minimum.reduceat(data[3], off[:-1])])
+    counts = (off[1:] - off[:-1] - 1)[bside].sum(axis=1)
+    # the untested segments a -> b = a + 1, in polyline order, side by
+    # side; the rows of seg are t, arg p and |p'/p| at a and at b
+    untested = ~lines.tested
+    untested[off[1:] - 1] = False
+    a = np.flatnonzero(untested)
+    owner = np.searchsorted(off, a, side="right") - 1
+    seg = np.take(data[:3], np.array([a, a + 1]), axis=1).reshape(6, -1)
+    # the first sample of the untested segment that each one subdivides
+    root = a
+    inserted = []
+    # the phase steps of the segments that passed, by side; a side that two
+    # boundaries share ends refined alike for both, so every total is read
+    # once the rounds are over
+    steps = []
+    # per boundary: 0 while refined, then 1 |p| ~ 0, 2 exploded, 3 settled
+    state = np.where(counts > max_points, 2, 0)
+    ids = np.flatnonzero(state == 0)
+    n_points = evaluated
+    n_rounds = 0
+    n_evals = int(evaluated > 0)
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_rounds):
+            d = seg[3] - seg[2]
+            d += np.pi
+            d %= 2 * np.pi
+            d -= np.pi
+            swing = np.abs(seg[1] - seg[0])
+            swing *= np.maximum(seg[4], seg[5])
+            bad = (np.abs(d) >= np.pi / 2) | (swing >= np.pi / 2)
+            steps.append((owner, np.where(bad, 0.0, d)))
+            sides = bside[ids]
+            nbad = np.bincount(owner[bad], minlength=ns)[sides].sum(axis=1)
+            scale, low = np.take(ext, sides, axis=1).max(axis=2)
+            zero = (scale == 0.0) | (-low < 1e-14 * scale)
+            refine = ~zero & (nbad > 0) & (counts[ids] + nbad <= max_points)
+            state[ids[~refine]] = np.where(zero, 1, 3 - (nbad > 0))[~refine]
+            ids = ids[refine]
+            if not ids.size:
+                break
+            # bisect the bad segments of every side that a boundary being
+            # refined runs along: a side that two boundaries share is
+            # refined while either of them is
+            counts[ids] += nbad[refine]
+            n_rounds += ids.size
+            live = np.zeros(ns, dtype=bool)
+            live[bside[ids]] = True
+            keep_seg = bad & live[owner]
+            seg, owner = np.compress(keep_seg, seg, axis=1), owner[keep_seg]
+            mids = np.empty((4, owner.size))
+            mids[0] = seg[0] + seg[1]
+            mids[0] *= 0.5
+            mids[1:] = _samples(p, lines.base[owner] + mids[0] * lines.unit[owner])
+            n_evals += 1
+            n_points += owner.size
+            np.fmax.at(ext[0], owner, mids[3])
+            np.maximum.at(ext[1], owner, -mids[3])
+            if keep:
+                root = root[keep_seg]
+                inserted.append((root, mids))
+                root = np.repeat(root, 2)
+            # the halves a -> mid and mid -> b of each, side by side
+            halves = np.empty((3, 2, 2 * owner.size))
+            halves[:, 0, 0::2] = seg[0::2]
+            halves[:, 1, 0::2] = halves[:, 0, 1::2] = mids[:3]
+            halves[:, 1, 1::2] = seg[1::2]
+            seg = halves.reshape(6, -1)
+            owner = np.repeat(owner, 2)
+    side_total = lines.phase
+    if steps:
+        owners, ds = zip(*steps)
+        side_total = side_total + np.bincount(np.concatenate(owners), weights=np.concatenate(ds),
+                                              minlength=ns)
+    total = (side_total[bside] * bsign).sum(axis=1)
+    out = []
+    for rect, s, t in zip(rects, state.tolist(), total.tolist()):
+        if s == 0:
+            out.append(BoundaryZeroSuspected("phase did not settle on %r" % (rect,)))
+        elif s == 1:
+            out.append(BoundaryZeroSuspected("|p| ~ 0 on the boundary of %r" % (rect,)))
+        elif s == 2:
+            out.append(BoundaryZeroSuspected("refinement exploded on %r" % (rect,)))
+        else:
+            w = int(round(t / (2 * np.pi)))
+            if abs(t - 2 * np.pi * w) > 1.0:
+                out.append(BoundaryZeroSuspected("phase sum far from a multiple of 2pi"))
+            else:
+                out.append(w)
+    if stats is not None:
+        stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds,
+                  evaluations=n_evals, reused=reused)
+    return out, (_merged(off, data, inserted) if keep else None)
+
+
+def _merged(off, data, inserted):
+    """The sides off, data with the midpoints inserted, in order along each
+    side, as (off, data).  inserted holds (root, mids) per round, mids the
+    columns of the midpoints and root the sample that starts the segment of
+    off, data that each midpoint subdivides."""
+    if not inserted:
+        return off, data
+    root = np.concatenate([r for r, _ in inserted])
+    mids = np.concatenate([m for _, m in inserted], axis=1)
+    order = np.lexsort((mids[0], root))
+    n = data.shape[1]
+    # shift[i]: the midpoints that go before sample i
+    shift = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(root, minlength=n), out=shift[1:])
+    # the columns of data, then of the midpoints in order, in merged order
+    src = np.empty(n + root.size, dtype=np.intp)
+    at = root[order] + 1 + np.arange(root.size)
+    src[at] = np.arange(n, n + root.size)
+    old = np.ones(src.size, dtype=bool)
+    old[at] = False
+    src[old] = np.arange(n)
+    merged = np.take(np.concatenate([data, np.take(mids, order, axis=1)], axis=1), src, axis=1)
+    return off + shift[off], merged
+
+
+class _Sides:
+    """Refined sides of cells, kept for their children to inherit.
+
+    Four sides per cell, bottom, right, top and left, each a polyline that
+    runs counterclockwise from corner to corner, both included; side s
+    holds samples off[s]:off[s + 1], the columns of data.  The rows of data
+    are t, the coordinate along the side signed to grow counterclockwise
+    (x, y, -x, -y on the four sides), arg p, |p'/p| and |p|.
+    """
+    __slots__ = ("off", "data")
+
+    def __init__(self, merged, bside, bsign):
+        """The sides bside, bsign of some boundaries of _wind (see there),
+        from the (off, data) that it returns."""
+        off, data = merged
+        es = bside.ravel()
+        lens = (off[1:] - off[:-1])[es]
+        self.off = np.concatenate([[0], np.cumsum(lens)])
+        # a side that the boundary runs backwards is stored reversed
+        back = bsign.ravel() < 0
+        step = np.where(back, -1, 1)
+        src = np.repeat(np.where(back, off[es + 1] - 1, off[es]) - self.off[:-1] * step, lens)
+        step = np.repeat(step, lens)
+        src += np.arange(src.size) * step
+        self.data = np.take(data, src, axis=1)
+        self.data[0] *= step
+
+
+def _take(off, data, cells):
+    """The sides of the given cells of (off, data) in flat arrays:
+    (side lengths, data)."""
+    bounds = off[4 * np.asarray(cells)[:, None] + np.arange(5)]
+    cols = np.take(data, _ranges(bounds[:, 0], bounds[:, 4]), axis=1)
+    return np.diff(bounds, axis=1).ravel(), cols
+
+
+def _gather(sides):
+    """The sides of cells, one (_Sides, slot) per cell, as one (off, data).
+    data has the rows of _Sides.data and cum, the phase steps summed along
+    each side from its first sample, so that the step of a stretch of side
+    is one subtraction."""
+    lens, cols = [], []
+    start = 0
+    for k in range(1, len(sides) + 1):
+        if k == len(sides) or sides[k][0] is not sides[start][0]:
+            store = sides[start][0]
+            n, d = _take(store.off, store.data, [slot for _, slot in sides[start:k]])
+            lens.append(n)
+            cols.append(d)
+            start = k
+    lens = np.concatenate(lens)
+    off = np.concatenate([[0], np.cumsum(lens)])
+    data = np.empty((5, off[-1]))
+    np.concatenate(cols, axis=1, out=data[:4])
+    d = (np.diff(data[1]) + np.pi) % (2 * np.pi) - np.pi
+    d[off[1:-1] - 1] = 0.0
+    cum = data[4]
+    cum[0] = 0.0
+    np.cumsum(d, out=cum[1:])
+    cum -= np.repeat(cum[off[:-1]], lens)
+    return off, data
+
+
+def _cuts(p, off, t, cut):
+    """Where sides off, t are cut at coordinate cut[s]: per side, the index
+    j of its last sample at or before the cut (counted from the side's
+    first sample) and whether that sample lies on the cut; per half (2 s
+    up to the cut, 2 s + 1 from it), the segments it lacks against a fresh
+    side of its length (negative when it has more)."""
+    j = np.add.reduceat(t <= np.repeat(cut, off[1:] - off[:-1]), off[:-1], dtype=np.intp) - 1
+    exact = t[off[:-1] + j] == cut
+    lengths = np.array([cut - t[off[:-1]], t[off[1:] - 1] - cut]).T.ravel()
+    have = np.array([j + ~exact, off[1:] - off[:-1] - 1 - j]).T.ravel()
+    return j, exact, (_side_segments(p, lengths) - have).astype(np.intp)
+
+
+def _windings(p, rects, max_rounds, max_points, stats, keep=False):
+    """winding_numbers on fresh sides; with keep, also the _Sides of rects
+    (None when no rectangle is sampled)."""
+    out = [None] * len(rects)
+    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
+    nseg = _side_segments(p, np.array([x1 - x0, y1 - y0, x1 - x0, y1 - y0]).T)
+    # counted before anything is allocated: a boundary that needs more
+    # samples than max_points from the start is never sampled
+    fits = nseg.sum(axis=1) <= max_points
+    for i in np.flatnonzero(~fits).tolist():
+        out[i] = BoundaryZeroSuspected("refinement exploded on %r" % (rects[i],))
+    ok = np.flatnonzero(fits)
+    if stats is not None and ok.size < len(rects):
+        stats.add(boundaries=len(rects) - ok.size)
+    sides = None
+    if ok.size:
+        kept = [rects[i] for i in ok.tolist()]
+        lines, evaluated = _fresh_lines(p, kept, nseg[ok].ravel())
+        bside = np.arange(4 * ok.size).reshape(-1, 4)
+        bsign = np.ones(bside.shape)
+        ws, merged = _wind(p, lines, bside, bsign, kept, max_rounds, max_points, stats,
+                           evaluated, keep=keep)
+        for i, w in zip(ok.tolist(), ws):
+            out[i] = w
+        if keep:
+            sides = _Sides(merged, bside, bsign)
+    return out, sides
 
 
 def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
@@ -164,105 +488,41 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
 
     Returns one entry per rectangle: the winding number, or a
     BoundaryZeroSuspected instance (not raised) when that boundary could not
-    be trusted.  The boundaries are concatenated polylines; each carries its
-    own scale, round count and point budget, and every test below is applied
-    to it alone, so an entry does not depend on the other rectangles.
+    be trusted.  Each boundary carries its own scale, round count and point
+    budget, and every test below is applied to it alone, so an entry does
+    not depend on the other rectangles.
 
-    The boundary phase is tracked on an adaptively refined polyline.  A
-    segment is bad when its two samples differ by at least pi/2 in phase, or
-    when seglen * |p'/p| at an endpoint reaches pi/2: the second test is what
-    catches a segment that passes so close to a multiple zero that the phase
-    swings by nearly 2 pi and comes back between the two samples, which
-    endpoint phases alone cannot see.  Both tests read only the segment's two
-    endpoints, so a segment that passes once passes for good: its phase step
-    goes into its boundary's phase total and it is never looked at again.
-    Each round bisects the bad segments left, evaluates the midpoints in one
-    pass and tests only the two halves of each.  The phase total is therefore
-    summed in a different order than along the polyline; that order is not
-    part of the result, which reads the total only through round(total / 2pi)
-    and a 1-radian margin.  A boundary is suspected when a sample lands
+    The winding is the sum of the phase steps along the rectangle's four
+    sides.  Each side is a polyline, sampled first on a uniform grid of at
+    least 4 segments, each at most 0.7 / rate long (rate being the largest
+    |frequency| of p), and then refined.  A segment is bad when its two
+    samples differ by at least pi/2 in phase, or when seglen * |p'/p| at an
+    endpoint reaches pi/2: the second test is what catches a segment that
+    passes so close to a multiple zero that the phase swings by nearly 2 pi
+    and comes back between the two samples, which endpoint phases alone
+    cannot see.  Both tests read only the segment's two endpoints, so a
+    segment that passes once passes for good: its phase step goes into its
+    side's phase total and it is never looked at again.  Each round bisects
+    the bad segments left, evaluates the midpoints in one pass and tests
+    only the two halves of each.  The phase total is therefore summed in a
+    different order than along the polyline; that order is not part of the
+    result, which reads the total only through round(total / 2pi) and a
+    1-radian margin.  A boundary is suspected when a sample lands
     (numerically) on a zero, when its phase total is far from a multiple of
     2 pi, or when the refinement will not settle within max_rounds rounds or
-    max_points points.
+    max_points points; a boundary whose initial grid alone has more than
+    max_points samples is suspected without being sampled.
+
+    find_roots runs the same refinement on the sides of its cells, which it
+    mostly inherits (see _quadrisect); this function samples every side.
     """
     for rect in rects:
         x0, x1, y0, y1 = rect
         if not (x1 > x0 and y1 > y0):
             raise ValueError("empty rectangle %r" % (rect,))
-    out = [None] * len(rects)
     if not rects:
-        return out
-    pts, counts = _rect_points(p, rects)
-    absv, ph, ratio = _samples(p, pts)
-    starts = np.cumsum(counts) - counts
-    # per live boundary: its rectangle, samples, extreme |p| and phase total
-    ids = np.arange(len(rects))
-    scale = np.maximum.reduceat(absv, starts)
-    least = np.minimum.reduceat(absv, starts)
-    total = np.zeros(len(rects))
-    # the untested segments (a -> b), in polyline order, by boundary: every
-    # sample's segment to its wrap-around successor
-    nxt = np.arange(1, pts.size + 1)
-    nxt[starts + counts - 1] = starts
-    owner = np.repeat(ids, counts)
-    za, zb, pa, pb, ra, rb = pts, pts[nxt], ph, ph[nxt], ratio, ratio[nxt]
-    n_points = pts.size
-    n_rounds = 0
-    n_evals = 1
-    for _ in range(max_rounds):
-        d = pb - pa
-        d = (d + np.pi) % (2 * np.pi) - np.pi
-        with np.errstate(invalid="ignore"):
-            swing = np.abs(zb - za) * np.maximum(ra, rb)
-            bad = (np.abs(d) >= np.pi / 2) | (swing >= np.pi / 2)
-        good = ~bad
-        total += np.bincount(owner[good], weights=d[good], minlength=ids.size)
-        nbad = np.bincount(owner[bad], minlength=ids.size)
-        zero = (scale == 0.0) | (least < 1e-14 * scale)
-        refine = ~zero & (nbad > 0) & (counts + nbad <= max_points)
-        done = np.flatnonzero(~refine)
-        for i, z, nb, t in zip(ids[done].tolist(), zero[done].tolist(), nbad[done].tolist(),
-                               total[done].tolist()):
-            if z:
-                out[i] = BoundaryZeroSuspected("|p| ~ 0 on the boundary of %r" % (rects[i],))
-            elif nb:
-                out[i] = BoundaryZeroSuspected("refinement exploded on %r" % (rects[i],))
-            else:
-                w = int(round(t / (2 * np.pi)))
-                if abs(t - 2 * np.pi * w) > 1.0:
-                    out[i] = BoundaryZeroSuspected("phase sum far from a multiple of 2pi")
-                else:
-                    out[i] = w
-        if not refine.any():
-            break
-        # bisect the bad segments of the boundaries being refined
-        keep = bad & refine[owner]
-        za, zb, pa, pb, ra, rb = za[keep], zb[keep], pa[keep], pb[keep], ra[keep], rb[keep]
-        owner = (np.cumsum(refine) - 1)[owner[keep]]
-        ids, counts, nbad = ids[refine], counts[refine], nbad[refine]
-        scale, least, total = scale[refine], least[refine], total[refine]
-        mids = 0.5 * (za + zb)
-        mabs, mph, mratio = _samples(p, mids)
-        n_evals += 1
-        mstarts = np.cumsum(nbad) - nbad
-        mmax = np.maximum.reduceat(mabs, mstarts)
-        scale = np.where(mmax > scale, mmax, scale)
-        least = np.minimum(least, np.minimum.reduceat(mabs, mstarts))
-        # the halves a -> mid and mid -> b of each, side by side
-        za, zb = _interleave(za, mids), _interleave(mids, zb)
-        pa, pb = _interleave(pa, mph), _interleave(mph, pb)
-        ra, rb = _interleave(ra, mratio), _interleave(mratio, rb)
-        owner = np.repeat(owner, 2)
-        counts = counts + nbad
-        n_points += mids.size
-        n_rounds += ids.size
-    else:
-        for i in ids.tolist():
-            out[i] = BoundaryZeroSuspected("phase did not settle on %r" % (rects[i],))
-    if stats is not None:
-        stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds,
-                  evaluations=n_evals)
-    return out
+        return []
+    return _windings(p, rects, max_rounds, max_points, stats)[0]
 
 
 def winding_number(p, rect, max_rounds=48, max_points=400000):
@@ -284,15 +544,15 @@ def _grown(rect, delta):
 
 def _outer_winding(p, rect, stats):
     """Winding of the search rectangle, growing it by up to 1e-3 when a zero
-    sits on the boundary.  Returns (rect_used, winding)."""
+    sits on the boundary.  Returns (rect_used, winding, (its _Sides, 0))."""
     for attempt in range(_MAX_OUTER_ATTEMPTS):
         delta = 0.0 if attempt == 0 else (0.4 + 0.6 * abs(_JITTER[attempt][0])) * 1e-3
         grown = _grown(rect, delta)
         if stats is not None and attempt:
             stats.add(outer_growths=1)
-        w = winding_numbers(p, [grown], stats=stats)[0]
+        (w,), sides = _windings(p, [grown], 48, 400000, stats, keep=True)
         if not isinstance(w, BoundaryZeroSuspected):
-            return grown, w
+            return grown, w, (sides, 0)
     raise NonConvergenceError("could not find a zero-free boundary near %r" % (rect,))
 
 
@@ -335,10 +595,144 @@ def _newton(p, cells, stats):
     return roots
 
 
-def _split(p, cells, stats):
-    """Quadrisect every (cell, winding) pair of cells, retrying the cut
-    position of each cell until its child windings are defined and conserve
-    the parent's.  Returns the children with positive winding, cell by cell.
+def _quadrisect(p, quads, parents, stats):
+    """Winding numbers of the children (BL, BR, TL, TR) = quads[i] of cells
+    whose sides are parents, an (off, data) of _Sides rows.
+
+    A child runs along two halves of its parent's sides, which it inherits
+    with their samples and tested segments, and along two of the four cross
+    half-lines from the centre (xc, yc) to the sides.  Each cross is
+    sampled once, on the initial grid, and shared with the sibling on its
+    other side, who runs it backwards.  The new samples are the centre,
+    the cuts on the sides that are not parent samples, the crosses, and the
+    top-ups: a half with fewer segments than a fresh side of its length
+    gets as many more by bisecting its longest segments (the first of equal
+    ones first).  Only new segments are tested.  Returns (windings, (merged,
+    bside, bsign)), the last for _Sides.
+    """
+    lines, evaluated, reused = _child_lines(p, quads, parents)
+    _, _, bside, bsign = _kid_layout(len(quads))
+    kids = [kid for kids in quads for kid in kids]
+    ws, merged = _wind(p, lines, bside, bsign, kids, 48, 400000, stats, evaluated, reused,
+                       keep=True)
+    return ws, (merged, bside, bsign)
+
+
+def _child_lines(p, quads, parents):
+    """The sides of the children of _quadrisect, evaluated, halves 8 i..8 i + 7
+    and crosses 8 n + 4 i..8 n + 4 i + 3 for cell i of n: (lines, samples
+    evaluated, samples inherited)."""
+    n = len(quads)
+    q = np.array(quads, dtype=float)
+    x0, xc, y0, yc = q[:, 0].T
+    x1, y1 = q[:, 3, 1], q[:, 3, 3]
+    if not ((x0 < xc) & (xc < x1) & (y0 < yc) & (yc < y1)).all():
+        for kid in (kid for kids in quads for kid in kids):
+            if not (kid[1] > kid[0] and kid[3] > kid[2]):
+                raise ValueError("empty rectangle %r" % (kid,))
+    off, data = parents
+    t, cum = data[0], data[4]
+    size = t.size
+    lo, hi = off[:-1], off[1:] - 1
+    # per parent side (bottom, right, top, left of each cell): the cut, and
+    # t at the two ends of the cross from the centre (xc, yc) to that cut
+    cut, c0, c1 = np.array([[xc, yc, -xc, -yc], [-yc, xc, yc, -xc],
+                            [-y0, x1, y1, -x0]]).transpose(0, 2, 1).reshape(3, -1)
+    j, exact, deficit = _cuts(p, off, t, cut)
+    first = lo + j
+    fresh = np.flatnonzero(~exact)
+    # the new samples follow the parents': the centres, the fresh cuts, the
+    # crosses' inner samples and the top-ups
+    cut_src = first.copy()
+    cut_src[fresh] = size + n + np.arange(fresh.size)
+    cseg = _side_segments(p, c1 - c0).astype(np.intp)
+    coff = np.concatenate([[0], np.cumsum(cseg + 1)])
+    cside = np.repeat(np.arange(4 * n), cseg + 1)
+    pos = np.arange(coff[-1]) - coff[cside]
+    ct = c0[cside] + (c1 - c0)[cside] * (pos / cseg[cside])
+    ct[coff[1:] - 1] = c1
+    csrc = np.arange(coff[-1]) - 2 * cside + (size + n + fresh.size - 1)
+    csrc[coff[:-1]] = size + np.arange(4 * n) // 4
+    csrc[coff[1:] - 1] = cut_src
+    inner = (pos > 0) & (pos < cseg[cside])
+    pooled = size + n + fresh.size + ct.size - 8 * n
+    zero = np.zeros(n)
+    base = (np.array([zero, x1, zero, x0]) + 1j * np.array([y0, zero, y1, zero])).T.ravel()
+    cbase = (np.array([xc, zero, xc, zero]) + 1j * np.array([zero, yc, zero, yc])).T.ravel()
+    unit, cunit, _, _ = _kid_layout(n)
+    # halves 2s and 2s + 1 of side s: its samples up to j and the cut, then
+    # the cut and its samples after j (an exact cut is sample j)
+    hlen = np.empty(8 * n, dtype=np.intp)
+    hlen[0::2] = j + 1 + ~exact
+    hlen[1::2] = hi - first + 1
+    hoff = np.concatenate([[0], np.cumsum(hlen)])
+    hside = np.repeat(np.arange(8 * n), hlen)
+    s = hside >> 1
+    src = np.arange(hoff[-1]) - hoff[hside] + lo[s] + (hside & 1) * j[s]
+    src[hoff[1::2] - 1] = src[hoff[1::2]] = cut_src
+    ht = t[np.minimum(src, size - 1)]
+    ht[hoff[1::2] - 1] = ht[hoff[1::2]] = cut
+    phase = np.empty(8 * n)
+    phase[0::2] = cum[first] - cum[lo]
+    phase[1::2] = cum[hi] - cum[first + ~exact]
+    z = [xc + 1j * yc, base[fresh] + cut[fresh] * unit[fresh],
+         (cbase[cside] + ct * cunit[cside])[inner]]
+    while (deficit > 0).any():
+        short = np.flatnonzero(deficit > 0)
+        nseg = hlen[short] - 1
+        rank = np.arange(nseg.sum()) - np.repeat(np.cumsum(nseg) - nseg, nseg)
+        at = np.repeat(hoff[short], nseg) + rank
+        order = np.lexsort((ht[at] - ht[at + 1], np.repeat(short, nseg)))
+        chosen = np.sort(at[order[rank < np.repeat(deficit[short], nseg)]])
+        # an inherited segment that is bisected no longer adds its step
+        inh = chosen[(src[chosen] < size) & (src[chosen + 1] < size)]
+        phase -= np.bincount(hside[inh], weights=cum[src[inh + 1]] - cum[src[inh]],
+                             minlength=8 * n)
+        mids = 0.5 * (ht[chosen] + ht[chosen + 1])
+        z.append(base[s[chosen]] + mids * unit[s[chosen]])
+        new_at = chosen + 1 + np.arange(chosen.size)
+        old = np.ones(ht.size + chosen.size, dtype=bool)
+        old[new_at] = False
+        grown = []
+        for arr, val in ((ht, mids), (src, pooled + np.arange(chosen.size)),
+                         (hside, hside[chosen])):
+            col = np.empty(old.size, dtype=arr.dtype)
+            col[old] = arr
+            col[new_at] = val
+            grown.append(col)
+        ht, src, hside = grown
+        s = hside >> 1
+        pooled += chosen.size
+        hoff = hoff + np.searchsorted(chosen, hoff)
+        added = np.bincount(hside[new_at], minlength=8 * n)
+        hlen += added
+        deficit -= added
+    lsrc = np.concatenate([src, csrc])
+    lt = np.concatenate([ht, ct])
+    # what is not needed goes before the evaluation, whose work arrays are
+    # the largest of a split
+    del src, csrc, ht, ct, hside, s, cside, pos, inner
+    old = lsrc < size
+    tested = np.zeros(lsrc.size, dtype=bool)
+    tested[:-1] = old[:-1] & old[1:]
+    z = np.concatenate(z)
+    new = _samples(p, z)
+    rows = np.empty((4, lsrc.size))
+    rows[0] = lt
+    rows[1:] = np.take(np.concatenate([data[1:4], new], axis=1), lsrc, axis=1)
+    lines = _Lines(off=np.concatenate([hoff, hoff[-1] + coff[1:]]), data=rows,
+                   base=np.concatenate([np.repeat(base, 2), cbase]),
+                   unit=np.concatenate([np.repeat(unit, 2), cunit]), tested=tested,
+                   phase=np.concatenate([phase, np.zeros(4 * n)]))
+    return lines, z.size, size - fresh.size
+
+
+def _split(p, cells, parents, stats):
+    """Quadrisect every (cell, winding) pair of cells, whose sides are
+    parents, retrying the cut position of each cell until its child
+    windings are defined and conserve the parent's.  Returns the children
+    with positive winding, cell by cell, as (cell, winding, sides) triples.
+    A retry cuts the parent's sides again at its new position.
     """
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
@@ -355,18 +749,30 @@ def _split(p, cells, stats):
             yc = 0.5 * (y0 + y1) + uy * min(1e-3, 0.2 * (y1 - y0))
             quads.append(((x0, xc, y0, yc), (xc, x1, y0, yc),
                           (x0, xc, yc, y1), (xc, x1, yc, y1)))
-        ws = winding_numbers(p, [kid for kids in quads for kid in kids], stats=stats)
+        ws, (merged, bside, bsign) = _quadrisect(p, quads, parents, stats)
         if stats is not None:
             stats.add_split_attempt(attempt, len(pending))
         retry = []
+        kept = []
         for j, (i, kids) in enumerate(zip(pending, quads)):
             wk = ws[4 * j:4 * j + 4]
             if (all(isinstance(wi, int) and wi >= 0 for wi in wk)
                     and sum(wk) == cells[i][1]):
-                packs[i] = [(kid, wi) for kid, wi in zip(kids, wk) if wi > 0]
+                packs[i] = []
+                kept.extend((i, kid, wi, 4 * j + m) for m, (kid, wi) in enumerate(zip(kids, wk))
+                            if wi > 0)
             else:
-                retry.append(i)
-        pending = retry
+                retry.append(j)
+        if kept:
+            rows = [b for _, _, _, b in kept]
+            store = _Sides(merged, bside[rows], bsign[rows])
+            for slot, (i, kid, wi, _) in enumerate(kept):
+                packs[i].append((kid, wi, (store, slot)))
+        # the retries' sides, by their place among this attempt's cells
+        pending = [pending[j] for j in retry]
+        if retry and attempt + 1 < _MAX_SPLIT_ATTEMPTS:
+            lens, data = _take(*parents, retry)
+            parents = np.concatenate([[0], np.cumsum(lens)]), data
     if pending:
         raise NonConvergenceError("zero count not conserved when splitting %r"
                                   % (cells[pending[0]][0],))
@@ -374,23 +780,38 @@ def _split(p, cells, stats):
 
 
 def _batches(p, cells):
-    """The (cell, winding) pairs of cells in order, cut into batches whose
-    children start with at most _BATCH_SAMPLES boundary samples together, as
-    counted for the midpoint cut of _split's first attempt; a cell whose
-    children alone start with more is a batch of its own."""
-    x0, x1, y0, y1 = np.array([cell for cell, _ in cells], dtype=float).reshape(-1, 4).T
+    """The (cell, winding, sides) triples of cells in order, cut into
+    batches of (pairs, their sides as one (off, data)).  The splits of a
+    batch evaluate at most _BATCH_SAMPLES samples together before
+    refinement, as counted for the midpoint cuts of _split's first attempt;
+    a cell whose split alone evaluates more is a batch of its own."""
+    if not cells:
+        return []
+    off, data = _gather([sides for _, _, sides in cells])
+    x0, x1, y0, y1 = np.array([cell for cell, _, _ in cells], dtype=float).T
     xc = 0.5 * (x0 + x1)
     yc = 0.5 * (y0 + y1)
-    # each of these four lengths is that of four of the sixteen child sides
-    sizes = 4 * _side_segments(p, np.stack([xc - x0, x1 - xc, yc - y0, y1 - yc])).sum(axis=0)
+    # as _child_lines counts them: the crosses with their centre, the fresh
+    # cuts and the top-ups of the halves, which come to at most 3 cross + 2
+    # (4 fresh cuts, and halves of one segment each)
+    cross = _side_segments(p, np.array([yc - y0, x1 - xc, y1 - yc, xc - x0])).sum(axis=0) - 3
+    if 3 * cross.sum() + 2 * len(cells) <= _BATCH_SAMPLES:
+        return [([(cell, cw) for cell, cw, _ in cells], (off, data))]
+    cut = np.array([xc, yc, -xc, -yc]).T.ravel()
+    _, exact, deficit = _cuts(p, off, data[0], cut)
+    sizes = (cross + (~exact).reshape(-1, 4).sum(axis=1)
+             + np.maximum(deficit, 0).reshape(-1, 8).sum(axis=1)).tolist()
     batches = []
-    total = 0
-    for pair, n in zip(cells, sizes.tolist()):
-        if not batches or total + n > _BATCH_SAMPLES:
-            batches.append([])
-            total = 0
-        batches[-1].append(pair)
-        total += n
+    start = total = 0
+    for k, size in enumerate(sizes + [None]):
+        if k == len(sizes) or (k > start and total + size > _BATCH_SAMPLES):
+            a, b = off[4 * start], off[4 * k]
+            # a copy, so that each batch's sides go once it is split
+            batches.append(([(cell, cw) for cell, cw, _ in cells[start:k]],
+                            (off[4 * start:4 * k + 1] - a, data[:, a:b].copy())))
+            start, total = k, 0
+        if size is not None:
+            total += size
     return batches
 
 
@@ -424,11 +845,12 @@ def _settle(p, frontier, tol, stats):
     """One subdivision level: resolve what can be resolved now.
 
     Returns (found, to_split): the resonances settled on this level, in
-    frontier order, and the (cell, winding) pairs left to quadrisect.
+    frontier order, and the (cell, winding, sides) triples left to
+    quadrisect.
     """
-    ones = [i for i, (_, cw) in enumerate(frontier) if cw == 1]
+    ones = [i for i, (_, cw, _) in enumerate(frontier) if cw == 1]
     roots = dict(zip(ones, _newton(p, [frontier[i][0] for i in ones], stats)))
-    probed = [i for i, (cell, _) in enumerate(frontier)
+    probed = [i for i, (cell, _, _) in enumerate(frontier)
               if roots.get(i) is None
               and np.hypot(cell[1] - cell[0], cell[3] - cell[2]) > tol]
     loud = {}
@@ -437,11 +859,11 @@ def _settle(p, frontier, tol, stats):
         loud = dict(zip(probed, (_probe_max(p, cells) > 32 * _noise_floor(p, cells)).tolist()))
     settled = []
     to_split = []
-    for i, (cell, cw) in enumerate(frontier):
+    for i, (cell, cw, sides) in enumerate(frontier):
         if roots.get(i) is not None:
             settled.append((roots[i], 1, cell, True))
         elif loud.get(i):
-            to_split.append((cell, cw))
+            to_split.append((cell, cw, sides))
         else:
             cx = 0.5 * (cell[0] + cell[1])
             cy = 0.5 * (cell[2] + cell[3])
@@ -480,11 +902,12 @@ def find_roots(p, region, tol=1e-8, stats=None):
         raise ValueError("empty search region %r" % (region,))
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    outer, w = _outer_winding(p, (x0, x1, y0, y1), stats)
+    outer, w, sides = _outer_winding(p, (x0, x1, y0, y1), stats)
     if w == 0:
         return []
     found = []
-    frontier = [(outer, w)]
+    # each cell of a level keeps its sides until it is split or settled
+    frontier = [(outer, w, sides)]
     nthreads = thread_count()
     pool = None
     if nthreads > 1:
@@ -495,11 +918,16 @@ def find_roots(p, region, tol=1e-8, stats=None):
         while frontier:
             settled, to_split = _settle(p, frontier, tol, stats)
             found.extend(settled)
+            # the sides of the cells to split are gathered into their
+            # batches, and the level's own sides are freed
             batches = _batches(p, to_split)
+            frontier = to_split = None
             if pool is not None:
-                packs = list(pool.map(lambda batch: _split(p, batch, stats), batches))
+                packs = list(pool.map(lambda batch: _split(p, *batch, stats), batches))
             else:
-                packs = [_split(p, batch, stats) for batch in batches]
+                packs = []
+                while batches:
+                    packs.append(_split(p, *batches.pop(0), stats))
             frontier = [kid for pack in packs for kid in pack]
     finally:
         if pool is not None:

@@ -39,7 +39,9 @@ def winding_number(p, rect, max_rounds=48, max_points=400000):
     the two samples, which endpoint phases alone cannot see.  Raises
     BoundaryZeroSuspected when a sample lands (numerically) on a zero or the
     refinement will not settle, which callers resolve by nudging the
-    rectangle.
+    rectangle.  A boundary whose initial polyline alone has more than
+    max_points samples is refused before it is evaluated, as qgraph.rootfind
+    refuses it before sampling.
     """
     x0, x1, y0, y1 = rect
     if not (x1 > x0 and y1 > y0):
@@ -47,6 +49,8 @@ def winding_number(p, rect, max_rounds=48, max_points=400000):
     lo, hi = p.sigma_range()
     rate = max(1.0, abs(lo), abs(hi))
     pts = _rect_points(rect, spacing=0.7 / rate)
+    if pts.size > max_points:
+        raise BoundaryZeroSuspected("refinement exploded on %r" % (rect,))
     vals = p.eval(pts)
     dvals = p.eval_derivative(pts)
     scale = float(np.max(np.abs(vals)))

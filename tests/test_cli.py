@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,7 +139,7 @@ def test_count_radii_csv(capsys):
 
 STATS_FIELDS = {"boundaries", "points", "rounds", "split_attempts",
                 "outer_growths", "newton_iterations", "newton_failures",
-                "noise_clusters", "evaluations"}
+                "noise_clusters", "evaluations", "reused"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,6 +356,26 @@ def test_failed_computation_leaves_output_alone(tmp_path, monkeypatch, capsys):
         assert (rc, out, err) == (2, "", "error: no luck\n")
     assert kept.read_text() == "earlier output\n"
     assert not fresh.exists()
+
+
+def test_huge_disc_is_a_computation_error(capsys):
+    """A disc too large to sample fails as a computation, exit code 2 and
+    one error line, in process and from python -m qgraph alike: its outer
+    boundary (some 1e13 samples, hundreds of TiB) is refused unsampled."""
+    argv = ["count", "--circle", "0.3", "--radius", "1e12"]
+    tracemalloc.start()
+    try:
+        rc, out, err = run_main(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: could not find a zero-free boundary near (-1000000000000.5, ")
+    assert err.count("\n") == 1
+    assert peak < 16 << 20
+    done = subprocess.run([sys.executable, "-m", "qgraph", *argv], capture_output=True,
+                          text=True, env=package_env())
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
 
 
 def test_unreadable_graph_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """Argument checks must not be assert statements, which python -O strips.
 
-The tests below raise on bad arguments; they are run again in a python -O
-subprocess, which imports the same qgraph package as this suite.
+The tests below raise on bad arguments, or check the root finder's budgets
+and its inherited samples; they are run again in a python -O subprocess,
+which imports the same qgraph package as this suite.
 """
 
 import os
@@ -23,6 +24,13 @@ ARGUMENT_CHECKS = (
     "test_rootfind.py::test_argument_checks_raise_value_error",
     "test_rootfind.py::test_find_roots_rejects_bad_region_and_tol",
     "test_rootfind.py::test_batched_winding_flags_boundary_zeros",
+    "test_rootfind.py::test_huge_rectangle_is_refused_without_sampling",
+    "test_rootfind.py::test_batches_keep_to_the_sample_budget",
+    "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=0.3]",
+    "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=3/5]",
+    "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=1]",
+    "test_rootfind.py::test_inherited_windings_match_fresh_sampling[E5V4L2b]",
+    "test_cli.py::test_huge_disc_is_a_computation_error",
     "test_constraint.py::test_capacity_refused",
     "test_constraint.py::test_assemble_rejects_invalid",
     "test_constraint.py::test_edge_capacity_refused_before_grid",

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,7 +403,11 @@ def test_root_stats_deterministic_and_inert(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
     s = runs[0]
     assert s.boundaries == 1 + 4 * sum(s.split_attempts)
-    assert s.points >= 16 * s.boundaries and s.rounds > 0
+    # the outer boundary evaluates at least 16 samples and every split at
+    # least the centre and 3 inner samples per cross; the children of a
+    # split inherit at least 4 segments per parent side, corners shared
+    assert s.points >= 16 + 13 * sum(s.split_attempts) and s.rounds > 0
+    assert s.reused >= 16 * sum(s.split_attempts)
     assert s.split_attempts[0] > 0 and s.outer_growths == 0
     assert s.newton_iterations > 0 and s.noise_clusters == 0
 
@@ -445,20 +450,23 @@ def test_root_stats_count_retries_growth_and_clusters():
 
 
 @pytest.mark.parametrize("case, want", [
-    ("c=0.3", RootStats(boundaries=541, points=27489, rounds=1540, split_attempts=[134, 1] + [0] * 8,
-                        newton_iterations=1234, newton_failures=66, evaluations=177)),
-    ("c=3/5", RootStats(boundaries=493, points=25568, rounds=1276, split_attempts=[122, 1] + [0] * 8,
-                        newton_iterations=1289, newton_failures=79, evaluations=141)),
-    ("c=1", RootStats(boundaries=189, points=17975, rounds=902, split_attempts=[46, 1] + [0] * 8,
-                      newton_iterations=326, newton_failures=6, evaluations=115)),
-    ("E5V4L2b", RootStats(boundaries=233, points=9927, rounds=730, split_attempts=[55, 3] + [0] * 8,
+    ("c=0.3", RootStats(boundaries=541, points=8287, rounds=1022, split_attempts=[134, 1] + [0] * 8,
+                        newton_iterations=1234, newton_failures=66, evaluations=142,
+                        reused=12533)),
+    ("c=3/5", RootStats(boundaries=493, points=7640, rounds=782, split_attempts=[122, 1] + [0] * 8,
+                        newton_iterations=1289, newton_failures=79, evaluations=108,
+                        reused=11791)),
+    ("c=1", RootStats(boundaries=189, points=4883, rounds=228, split_attempts=[46, 1] + [0] * 8,
+                      newton_iterations=326, newton_failures=6, evaluations=68, reused=9174)),
+    ("E5V4L2b", RootStats(boundaries=233, points=3117, rounds=431, split_attempts=[55, 3] + [0] * 8,
                           newton_iterations=413, newton_failures=12, noise_clusters=2,
-                          evaluations=464)),
+                          evaluations=386, reused=4379)),
 ])
 def test_root_stats_pinned(case, want, bench_graphs):
-    """The work of count_in_disc is pinned: every boundary, sample, round,
-    split and evaluation pass, on the circle at R = 20 (a crossing c among
-    them) and on a graph of the benchmark pool at R = 8."""
+    """The work of count_in_disc is pinned: every boundary, evaluated and
+    inherited sample, round, split and evaluation pass, on the circle at
+    R = 20 (a crossing c among them) and on a graph of the benchmark pool at
+    R = 8."""
     stats = RootStats()
     count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
     assert stats == want
@@ -492,20 +500,81 @@ def test_batching_does_not_change_the_answer(case, bench_graphs, monkeypatch):
 
 
 def test_batches_keep_to_the_sample_budget(monkeypatch):
-    """No winding call starts with more than _BATCH_SAMPLES samples, except
-    on the four children of a single cell, and the budget is used."""
-    calls = []
-    rect_points = rootfind._rect_points
+    """No split of more than one cell evaluates more than _BATCH_SAMPLES
+    samples before refinement (its first evaluation pass), and the budget
+    is used."""
+    monkeypatch.delenv("QGRAPH_THREADS", raising=False)
+    calls = []      # per split attempt: [cells, samples of its first pass]
+    quadrisect, samples = rootfind._quadrisect, rootfind._samples
 
-    def recorded(p, rects):
-        pts, counts = rect_points(p, rects)
-        calls.append((len(rects), pts.size))
-        return pts, counts
-    monkeypatch.setattr(rootfind, "_rect_points", recorded)
+    def recorded_quadrisect(p, quads, parents, stats):
+        calls.append([len(quads), None])
+        return quadrisect(p, quads, parents, stats)
+
+    def recorded_samples(p, z):
+        if calls and calls[-1][1] is None:
+            calls[-1][1] = z.size
+        return samples(p, z)
+    monkeypatch.setattr(rootfind, "_quadrisect", recorded_quadrisect)
+    monkeypatch.setattr(rootfind, "_samples", recorded_samples)
     count_in_disc(det_poly(0.3), 40.0)
     budget = rootfind._BATCH_SAMPLES
-    assert all(size <= budget or nrects <= 4 for nrects, size in calls)
+    assert all(size <= budget or cells == 1 for cells, size in calls)
     assert max(size for _, size in calls) > budget // 2
+
+
+@pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", "E5V4L2b"])
+def test_inherited_windings_match_fresh_sampling(case, bench_graphs, monkeypatch):
+    """Every child winding that a split computes on sides inherited from
+    its parent and shared with its siblings is the int, or the suspicion,
+    that winding_numbers gives on the same rectangle sampled afresh."""
+    monkeypatch.delenv("QGRAPH_THREADS", raising=False)
+    p, radius = _pinned_case(case, bench_graphs)
+    quadrisect = rootfind._quadrisect
+    compared = []
+
+    def checked(p, quads, parents, stats):
+        ws, children = quadrisect(p, quads, parents, stats)
+        kids = [kid for kids in quads for kid in kids]
+        for kid, w, fresh in zip(kids, ws, winding_numbers(p, kids)):
+            if isinstance(fresh, BoundaryZeroSuspected):
+                assert isinstance(w, BoundaryZeroSuspected), kid
+                assert str(w) == str(fresh)
+            else:
+                assert w == fresh and type(w) is int, kid
+            compared.append(w)
+        return ws, children
+    monkeypatch.setattr(rootfind, "_quadrisect", checked)
+    stats = RootStats()
+    count_in_disc(p, radius, stats=stats)
+    assert len(compared) == stats.boundaries - 1 - stats.outer_growths
+    assert stats.reused > stats.points
+
+
+def test_huge_rectangle_is_refused_without_sampling():
+    """A boundary whose initial grid alone exceeds max_points is suspected
+    before anything is allocated: a side of 1e19 would take some 4e19
+    samples (its segment count used to wrap to a negative number, which
+    left the side with 4 segments)."""
+    stats = RootStats()
+    tracemalloc.start()
+    try:
+        ws = winding_numbers(sin_pi_poly(), [(0.5, 1e19, -1.0, 1.0), (0.6, 1.4, -0.4, 0.4)],
+                             stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ws[0], BoundaryZeroSuspected)
+    assert str(ws[0]) == "refinement exploded on (0.5, 1e+19, -1.0, 1.0)"
+    assert ws[1] == 1
+    assert stats.boundaries == 2 and stats.points < 100
+    assert peak < 1 << 20
+    with pytest.raises(BoundaryZeroSuspected, match="refinement exploded"):
+        winding_number(sin_pi_poly(), (0.5, 1e19, -1.0, 1.0))
+    # 16 initial samples: within a budget of 16, over one of 15
+    assert winding_numbers(sin_pi_poly(), [(0.6, 1.4, -0.4, 0.4)], max_points=16) == [1]
+    ws = winding_numbers(sin_pi_poly(), [(0.6, 1.4, -0.4, 0.4)], max_points=15)
+    assert str(ws[0]) == "refinement exploded on (0.6, 1.4, -0.4, 0.4)"
 
 
 def test_jitter_table_is_the_seeded_draw():
