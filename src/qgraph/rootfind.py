@@ -24,16 +24,29 @@ segments are tested.  Since siblings share every cut line, their windings
 add up to the parent's whenever they are all defined.  winding_numbers
 itself samples every side afresh, on the grid of a fresh side.
 
+A winding-one cell whose Newton from the centre fails is split without
+winding its children when its zero can be located: the argument-principle
+moment of its sides estimates the zero, and Newton from the estimate
+polishes it into a zero strictly inside the cell, the cell's only one.  The
+midpoint child that holds it is the one child a split would keep; it goes
+on without sides, and so do its descendants, each split by the same zero.
+Each of them still runs the centre Newton and noise-floor probe of any
+cell, so the zeros found are those of a search that winds every child.
+When the located zero comes within 1e-6 of a cell's width or height of a
+cut, where a real split could re-place the cut, the chain goes back to its
+last cell with sides, which is split for real, and so is every cell below
+it.
+
 The subdivision runs level by level, and each level is evaluated in batches:
 a level's cells are taken in order into batches whose splits evaluate at
 most _BATCH_SAMPLES samples together before refinement (a cell whose split
 alone evaluates more is a batch of its own).  The child boundaries of a
 batch are refined together, with one value-and-derivative pass
-(ExpPolynomial.eval_pair) per refinement round, and the Newton iterations
-and noise-floor probes of a level share one pass per step.  Every decision
-is still taken per boundary and per cell with the arithmetic of a
-one-at-a-time search, so the zeros found do not depend on the batching.
-QGRAPH_THREADS splits a level's batches across threads.
+(ExpPolynomial.eval_pair) per refinement round, and the Newton iterations,
+the zero polishes and the noise-floor probes of a level share one pass per
+step.  Every decision is still taken per boundary and per cell with the
+arithmetic of a one-at-a-time search, so the zeros found do not depend on
+the batching.
 
 Boundary refinement works on a worklist of bad segments (see
 winding_numbers): each round bisects, evaluates and tests only the segments
@@ -44,14 +57,12 @@ contract.
 
 import functools
 import math
-import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BoundaryZeroSuspected, NonConvergenceError
-from .threads import thread_count
 
 Resonance = namedtuple("Resonance", "k multiplicity residual cell refined")
 CountReport = namedtuple("CountReport", "R count roots strip_bound origin_zero")
@@ -111,6 +122,12 @@ class RootStats:
     reused: samples that child boundaries took from their parent's sides
         without evaluating them, counted per child (the parent corner
         between a child's two inherited halves once).
+    guided: splits decided by a located zero, without winding the
+        children (see find_roots); they are not in split_attempts.
+    guide_steps: Newton steps of the polishes that locate those zeros;
+        they are not in newton_iterations.
+    guide_fallbacks: chains of such splits sent back to their last cell
+        with sides, to be split for real, because the zero lay at a cut.
     """
     boundaries: int = 0
     points: int = 0
@@ -122,17 +139,14 @@ class RootStats:
     noise_clusters: int = 0
     evaluations: int = 0
     reused: int = 0
-    _lock: object = field(default_factory=threading.Lock, repr=False, compare=False)
+    guided: int = 0
+    guide_steps: int = 0
+    guide_fallbacks: int = 0
 
     def add(self, **counts):
-        """Add to the counters named by the keywords; safe across threads."""
-        with self._lock:
-            for name, n in counts.items():
-                setattr(self, name, getattr(self, name) + n)
-
-    def add_split_attempt(self, attempt, cells):
-        with self._lock:
-            self.split_attempts[attempt] += cells
+        """Add to the counters named by the keywords."""
+        for name, n in counts.items():
+            setattr(self, name, getattr(self, name) + n)
 
 
 def _side_segments(p, lengths):
@@ -544,26 +558,29 @@ def _grown(rect, delta):
 
 def _outer_winding(p, rect, stats):
     """Winding of the search rectangle, growing it by up to 1e-3 when a zero
-    sits on the boundary.  Returns (rect_used, winding, (its _Sides, 0))."""
+    sits on the boundary.  Returns (rect_used, winding, (its _Sides, 0)).
+    When every attempt is refused, the error names the last one's cause."""
     for attempt in range(_MAX_OUTER_ATTEMPTS):
         delta = 0.0 if attempt == 0 else (0.4 + 0.6 * abs(_JITTER[attempt][0])) * 1e-3
         grown = _grown(rect, delta)
         if stats is not None and attempt:
             stats.add(outer_growths=1)
-        (w,), sides = _windings(p, [grown], 48, 400000, stats, keep=True)
+        # the cause of a refusal names the rectangle in plain floats
+        (w,), sides = _windings(p, [tuple(map(float, grown))], 48, 400000, stats, keep=True)
         if not isinstance(w, BoundaryZeroSuspected):
             return grown, w, (sides, 0)
-    raise NonConvergenceError("could not find a zero-free boundary near %r" % (rect,))
+    raise NonConvergenceError("could not find a zero-free boundary near %r: %s" % (rect, w))
 
 
-def _newton(p, cells, stats):
-    """Newton from the centre of every cell, all cells stepped together.
+def _newton(p, cells, k0s):
+    """Newton from k0s[i] in every cell cells[i], all cells stepped together.
 
     Each iterate is k - p(k)/p'(k) in Python complex arithmetic; only the
-    evaluation is shared.  Returns, per cell, the zero it converged to inside
-    the cell, or None.
+    evaluation is shared.  A cell gives up when p' vanishes or when its
+    iterate strays more than 4 cell diameters from its start.  Returns
+    (roots, steps, passes): per cell, the zero it converged to inside the
+    cell, or None; the Newton steps over all cells; the evaluation passes.
     """
-    k0s = [complex(0.5 * (x0 + x1) + 1j * (0.5 * (y0 + y1))) for x0, x1, y0, y1 in cells]
     ks = list(k0s)
     roots = [None] * len(cells)
     live = list(range(len(cells)))
@@ -589,10 +606,7 @@ def _newton(p, cells, stats):
                 continue
             still.append(i)
         live = still
-    if stats is not None:
-        stats.add(newton_iterations=iterations, evaluations=passes,
-                  newton_failures=sum(k is None for k in roots))
-    return roots
+    return roots, iterations, passes
 
 
 def _quadrisect(p, quads, parents, stats):
@@ -727,12 +741,30 @@ def _child_lines(p, quads, parents):
     return lines, z.size, size - fresh.size
 
 
+# A cell of the subdivision frontier: its rectangle, its winding w, its
+# sides and its zero.  A cell with sides has sides = (_Sides, slot) and zero
+# None, or False on a chain sent back to a real split, which its children
+# inherit (see _guide).  A cell split off by a located zero has no sides of
+# its own: zero is that zero, and sides is the last _Cell with sides above
+# it, the one its chain goes back to.
+_Cell = namedtuple("_Cell", "rect w sides zero")
+
+
+def _quad(cell, ux, uy):
+    """The children (BL, BR, TL, TR) of cell, cut at its midpoint offset by
+    ux and uy times min(1e-3, a fifth of its width and height)."""
+    x0, x1, y0, y1 = cell
+    xc = 0.5 * (x0 + x1) + ux * min(1e-3, 0.2 * (x1 - x0))
+    yc = 0.5 * (y0 + y1) + uy * min(1e-3, 0.2 * (y1 - y0))
+    return ((x0, xc, y0, yc), (xc, x1, y0, yc), (x0, xc, yc, y1), (xc, x1, yc, y1))
+
+
 def _split(p, cells, parents, stats):
-    """Quadrisect every (cell, winding) pair of cells, whose sides are
-    parents, retrying the cut position of each cell until its child
-    windings are defined and conserve the parent's.  Returns the children
-    with positive winding, cell by cell, as (cell, winding, sides) triples.
-    A retry cuts the parent's sides again at its new position.
+    """Quadrisect every _Cell of cells, whose sides are parents, retrying
+    the cut position of each cell until its child windings are defined and
+    conserve the parent's.  Returns the children with positive winding,
+    cell by cell, as _Cells with their sides and their parent's zero.  A
+    retry cuts the parent's sides again at its new position.
     """
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
@@ -742,22 +774,16 @@ def _split(p, cells, parents, stats):
         ux, uy = _JITTER[attempt % len(_JITTER)]
         if attempt == 0:
             ux = uy = 0.0
-        quads = []
-        for i in pending:
-            x0, x1, y0, y1 = cells[i][0]
-            xc = 0.5 * (x0 + x1) + ux * min(1e-3, 0.2 * (x1 - x0))
-            yc = 0.5 * (y0 + y1) + uy * min(1e-3, 0.2 * (y1 - y0))
-            quads.append(((x0, xc, y0, yc), (xc, x1, y0, yc),
-                          (x0, xc, yc, y1), (xc, x1, yc, y1)))
+        quads = [_quad(cells[i].rect, ux, uy) for i in pending]
         ws, (merged, bside, bsign) = _quadrisect(p, quads, parents, stats)
         if stats is not None:
-            stats.add_split_attempt(attempt, len(pending))
+            stats.split_attempts[attempt] += len(pending)
         retry = []
         kept = []
         for j, (i, kids) in enumerate(zip(pending, quads)):
             wk = ws[4 * j:4 * j + 4]
             if (all(isinstance(wi, int) and wi >= 0 for wi in wk)
-                    and sum(wk) == cells[i][1]):
+                    and sum(wk) == cells[i].w):
                 packs[i] = []
                 kept.extend((i, kid, wi, 4 * j + m) for m, (kid, wi) in enumerate(zip(kids, wk))
                             if wi > 0)
@@ -767,7 +793,7 @@ def _split(p, cells, parents, stats):
             rows = [b for _, _, _, b in kept]
             store = _Sides(merged, bside[rows], bsign[rows])
             for slot, (i, kid, wi, _) in enumerate(kept):
-                packs[i].append((kid, wi, (store, slot)))
+                packs[i].append(_Cell(kid, wi, (store, slot), cells[i].zero))
         # the retries' sides, by their place among this attempt's cells
         pending = [pending[j] for j in retry]
         if retry and attempt + 1 < _MAX_SPLIT_ATTEMPTS:
@@ -775,20 +801,102 @@ def _split(p, cells, parents, stats):
             parents = np.concatenate([[0], np.cumsum(lens)]), data
     if pending:
         raise NonConvergenceError("zero count not conserved when splitting %r"
-                                  % (cells[pending[0]][0],))
+                                  % (cells[pending[0]].rect,))
     return [kid for pack in packs for kid in pack]
 
 
+def _locate(p, cells, stats):
+    """The zero of each winding-one _Cell of cells with sides, or None.
+
+    The argument-principle moment z* = sum z_mid (d ln|p| + i d arg p) / 2 pi i
+    over the segments of a cell's sides estimates its zero from samples
+    already taken, and _newton from z* polishes it.  A zero is kept only
+    when Newton converges strictly inside its cell, whose certified winding
+    of one makes it the cell's only zero.
+    """
+    off, data = _gather([cell.sides for cell in cells])
+    rects = [cell.rect for cell in cells]
+    x0, x1, y0, y1 = np.array(rects, dtype=float).T
+    cx = 0.5 * (x0 + x1)
+    cy = 0.5 * (y0 + y1)
+    t, cum = data[0], data[4]
+    side = np.repeat(np.arange(off.size - 1), np.diff(off))[:-1]
+    # d ln p over each segment a -> a + 1, none across the end of a side
+    step = np.diff(np.log(data[3])) + 1j * np.diff(cum)
+    step[off[1:-1] - 1] = 0.0
+    # segment midpoints from the centre: base + t unit on each side
+    base = (np.array([-cx, x1 - cx, -cx, x0 - cx])
+            + 1j * np.array([y0 - cy, -cy, y1 - cy, -cy])).T.ravel()
+    zmid = 0.5 * (t[:-1] + t[1:]) * _UNIT[side % 4]
+    zmid += base[side]
+    k0 = cx + 1j * cy + np.add.reduceat(zmid * step, off[:-1:4]) / (2j * np.pi)
+    ks, steps, passes = _newton(p, rects, k0.tolist())
+    if stats is not None:
+        stats.add(guide_steps=steps, evaluations=passes)
+    return ks
+
+
+def _pick(rect, k):
+    """The child of rect's midpoint split that holds k, or None when k lies
+    within 1e-6 of rect's width or height of a cut, where a real split may
+    re-place the cut, or within 1e-12 max(1, |k|) of one, about the
+    precision of the polish, which on a tiny cell is the wider margin."""
+    kids = _quad(rect, 0.0, 0.0)
+    x0, x1, y0, y1 = rect
+    xc, yc = kids[0][1], kids[0][3]
+    floor = 1e-12 * max(1.0, abs(k))
+    if (abs(k.real - xc) <= max(1e-6 * (x1 - x0), floor)
+            or abs(k.imag - yc) <= max(1e-6 * (y1 - y0), floor)):
+        return None
+    return kids[(k.real > xc) + 2 * (k.imag > yc)]
+
+
+def _guide(p, to_split, stats):
+    """Split the _Cells of to_split that a located zero decides, evaluating
+    nothing, and gather the sides of the rest.
+
+    A cell without sides is split by its zero; when the zero lies at a cut
+    (_pick), its chain goes back: the last cell with sides above it is split
+    for real, with zero False.  Of the cells with sides, those of winding
+    one and zero None have their zero located (_locate) and are split by it
+    when it lies away from the cuts.  Returns (guided, cells): the children
+    of the splits decided by a zero, as _Cells without sides, and the
+    _Cells left to split for real, in order.
+    """
+    guided, cells = [], []
+    fallbacks = 0
+    for cell in to_split:
+        if isinstance(cell.zero, complex):
+            kid = _pick(cell.rect, cell.zero)
+            if kid is not None:
+                guided.append(cell._replace(rect=kid))
+                continue
+            fallbacks += 1
+            cell = cell.sides._replace(zero=False)
+        cells.append(cell)
+    ones = [i for i, cell in enumerate(cells) if cell.w == 1 and cell.zero is None]
+    if ones:
+        for i, k in zip(ones, _locate(p, [cells[i] for i in ones], stats)):
+            kid = None if k is None else _pick(cells[i].rect, k)
+            if kid is not None:
+                guided.append(_Cell(kid, 1, cells[i], k))
+                cells[i] = None
+        cells = [cell for cell in cells if cell is not None]
+    if stats is not None:
+        stats.add(guided=len(guided), guide_fallbacks=fallbacks)
+    return guided, cells
+
+
 def _batches(p, cells):
-    """The (cell, winding, sides) triples of cells in order, cut into
-    batches of (pairs, their sides as one (off, data)).  The splits of a
-    batch evaluate at most _BATCH_SAMPLES samples together before
-    refinement, as counted for the midpoint cuts of _split's first attempt;
-    a cell whose split alone evaluates more is a batch of its own."""
+    """The _Cells of cells in order, cut into batches of (cells, their
+    sides as one (off, data)).  The splits of a batch evaluate at most
+    _BATCH_SAMPLES samples together before refinement, as counted for the
+    midpoint cuts of _split's first attempt; a cell whose split alone
+    evaluates more is a batch of its own."""
     if not cells:
         return []
-    off, data = _gather([sides for _, _, sides in cells])
-    x0, x1, y0, y1 = np.array([cell for cell, _, _ in cells], dtype=float).T
+    off, data = _gather([cell.sides for cell in cells])
+    x0, x1, y0, y1 = np.array([cell.rect for cell in cells], dtype=float).T
     xc = 0.5 * (x0 + x1)
     yc = 0.5 * (y0 + y1)
     # as _child_lines counts them: the crosses with their centre, the fresh
@@ -796,7 +904,7 @@ def _batches(p, cells):
     # (4 fresh cuts, and halves of one segment each)
     cross = _side_segments(p, np.array([yc - y0, x1 - xc, y1 - yc, xc - x0])).sum(axis=0) - 3
     if 3 * cross.sum() + 2 * len(cells) <= _BATCH_SAMPLES:
-        return [([(cell, cw) for cell, cw, _ in cells], (off, data))]
+        return [(cells, (off, data))]
     cut = np.array([xc, yc, -xc, -yc]).T.ravel()
     _, exact, deficit = _cuts(p, off, data[0], cut)
     sizes = (cross + (~exact).reshape(-1, 4).sum(axis=1)
@@ -807,8 +915,7 @@ def _batches(p, cells):
         if k == len(sizes) or (k > start and total + size > _BATCH_SAMPLES):
             a, b = off[4 * start], off[4 * k]
             # a copy, so that each batch's sides go once it is split
-            batches.append(([(cell, cw) for cell, cw, _ in cells[start:k]],
-                            (off[4 * start:4 * k + 1] - a, data[:, a:b].copy())))
+            batches.append((cells[start:k], (off[4 * start:4 * k + 1] - a, data[:, a:b].copy())))
             start, total = k, 0
         if size is not None:
             total += size
@@ -845,12 +952,14 @@ def _settle(p, frontier, tol, stats):
     """One subdivision level: resolve what can be resolved now.
 
     Returns (found, to_split): the resonances settled on this level, in
-    frontier order, and the (cell, winding, sides) triples left to
-    quadrisect.
+    frontier order, and the _Cells left to quadrisect.
     """
-    ones = [i for i, (_, cw, _) in enumerate(frontier) if cw == 1]
-    roots = dict(zip(ones, _newton(p, [frontier[i][0] for i in ones], stats)))
-    probed = [i for i, (cell, _, _) in enumerate(frontier)
+    ones = [i for i, (_, cw, _, _) in enumerate(frontier) if cw == 1]
+    rects = [frontier[i][0] for i in ones]
+    centres = [complex(0.5 * (x0 + x1) + 1j * (0.5 * (y0 + y1))) for x0, x1, y0, y1 in rects]
+    ks, steps, passes = _newton(p, rects, centres)
+    roots = dict(zip(ones, ks))
+    probed = [i for i, (cell, _, _, _) in enumerate(frontier)
               if roots.get(i) is None
               and np.hypot(cell[1] - cell[0], cell[3] - cell[2]) > tol]
     loud = {}
@@ -859,11 +968,11 @@ def _settle(p, frontier, tol, stats):
         loud = dict(zip(probed, (_probe_max(p, cells) > 32 * _noise_floor(p, cells)).tolist()))
     settled = []
     to_split = []
-    for i, (cell, cw, sides) in enumerate(frontier):
+    for i, (cell, cw, _, _) in enumerate(frontier):
         if roots.get(i) is not None:
             settled.append((roots[i], 1, cell, True))
         elif loud.get(i):
-            to_split.append((cell, cw, sides))
+            to_split.append(frontier[i])
         else:
             cx = 0.5 * (cell[0] + cell[1])
             cy = 0.5 * (cell[2] + cell[3])
@@ -874,8 +983,9 @@ def _settle(p, frontier, tol, stats):
         found = [Resonance(k=k, multiplicity=m, residual=abs(v), cell=cell, refined=refined)
                  for (k, m, cell, refined), v in zip(settled, vals.tolist())]
     if stats is not None:
-        stats.add(noise_clusters=sum(not v for v in loud.values()),
-                  evaluations=bool(probed) + bool(settled))
+        stats.add(newton_iterations=steps, newton_failures=sum(k is None for k in ks),
+                  noise_clusters=sum(not v for v in loud.values()),
+                  evaluations=passes + bool(probed) + bool(settled))
     return found, to_split
 
 
@@ -892,6 +1002,12 @@ def find_roots(p, region, tol=1e-8, stats=None):
     rounding error.  Output is sorted by (Re k, Im k) and is deterministic
     for a given polynomial and region.  Pass a RootStats as stats to have the
     work counted.
+
+    A winding-one cell that has to be split is split by its located zero
+    when one is found (see the module docstring): the child that holds the
+    zero is the child that winding all four would keep, so the subdivision
+    visits the same cells, and every Resonance is the same, as when every
+    child is wound.  Only the work differs.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -906,32 +1022,18 @@ def find_roots(p, region, tol=1e-8, stats=None):
     if w == 0:
         return []
     found = []
-    # each cell of a level keeps its sides until it is split or settled
-    frontier = [(outer, w, sides)]
-    nthreads = thread_count()
-    pool = None
-    if nthreads > 1:
-        # imported here: a single-threaded process never needs it
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=nthreads)
-    try:
-        while frontier:
-            settled, to_split = _settle(p, frontier, tol, stats)
-            found.extend(settled)
-            # the sides of the cells to split are gathered into their
-            # batches, and the level's own sides are freed
-            batches = _batches(p, to_split)
-            frontier = to_split = None
-            if pool is not None:
-                packs = list(pool.map(lambda batch: _split(p, *batch, stats), batches))
-            else:
-                packs = []
-                while batches:
-                    packs.append(_split(p, *batches.pop(0), stats))
-            frontier = [kid for pack in packs for kid in pack]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    frontier = [_Cell(outer, w, sides, None)]
+    while frontier:
+        settled, to_split = _settle(p, frontier, tol, stats)
+        found.extend(settled)
+        frontier, to_split = _guide(p, to_split, stats)
+        # the sides of the cells to split for real are gathered into their
+        # batches, and the level's own sides are freed, but for those that
+        # a chain of guided splits may go back to
+        batches = _batches(p, to_split)
+        to_split = None
+        while batches:
+            frontier.extend(_split(p, *batches.pop(0), stats))
     found.sort(key=lambda r: (r.k.real, r.k.imag))
     return found
 

@@ -1,14 +1,18 @@
-"""Worker threads of the root finder, read from QGRAPH_THREADS.
+"""The QGRAPH_THREADS variable, read without numpy.
 
-Kept apart from rootfind, and free of numpy, so that the command line can
-check the variable for every subcommand before it loads any compute module.
+The root finder runs in the calling thread: spreading a subdivision level
+over threads measured slower than one thread, since its work is small numpy
+calls that hold the GIL.  The command line still checks the variable for
+every subcommand, before it loads any compute module, so that a value that
+is not an integer >= 0 stays a usage error; no value changes the work.
 """
 
 import os
 
 
 def thread_count():
-    """Root-finding threads from QGRAPH_THREADS: 1 when unset, 0 = per CPU."""
+    """The thread count that QGRAPH_THREADS names: 1 when unset, 0 = per
+    CPU.  Raises ValueError on anything else than an integer >= 0."""
     raw = os.environ.get("QGRAPH_THREADS", "").strip()
     if not raw:
         return 1

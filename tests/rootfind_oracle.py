@@ -6,13 +6,11 @@ _split call per cell and one scalar Newton iteration per cell.  The batched
 qgraph.rootfind must return the same Resonance tuples, bit for bit.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from qgraph.errors import BoundaryZeroSuspected, NonConvergenceError
 from qgraph.rootfind import (_JITTER, _MAX_OUTER_ATTEMPTS, _MAX_SPLIT_ATTEMPTS,
-                             _NEWTON_ITERS, Resonance, thread_count)
+                             _NEWTON_ITERS, Resonance)
 
 
 def _rect_points(rect, spacing):
@@ -92,15 +90,16 @@ def _grown(rect, delta):
 
 def _outer_winding(p, rect):
     """Winding of the search rectangle, growing it by up to 1e-3 when a zero
-    sits on the boundary.  Returns (rect_used, winding)."""
+    sits on the boundary.  Returns (rect_used, winding).  When every attempt
+    is refused, the error names the last one's cause."""
     for attempt in range(_MAX_OUTER_ATTEMPTS):
         delta = 0.0 if attempt == 0 else (0.4 + 0.6 * abs(_JITTER[attempt][0])) * 1e-3
         grown = _grown(rect, delta)
         try:
-            return grown, winding_number(p, grown)
-        except BoundaryZeroSuspected:
-            continue
-    raise NonConvergenceError("could not find a zero-free boundary near %r" % (rect,))
+            return grown, winding_number(p, tuple(map(float, grown)))
+        except BoundaryZeroSuspected as exc:
+            cause = exc
+    raise NonConvergenceError("could not find a zero-free boundary near %r: %s" % (rect, cause))
 
 
 def _newton(p, k0, cell):
@@ -178,43 +177,33 @@ def find_roots(p, region, tol=1e-8):
         return []
     found = []
     frontier = [(outer, w)]
-    nthreads = thread_count()
-    pool = ThreadPoolExecutor(max_workers=nthreads) if nthreads > 1 else None
-    try:
-        while frontier:
-            to_split = []
-            for cell, cw in frontier:
-                cx = 0.5 * (cell[0] + cell[1])
-                cy = 0.5 * (cell[2] + cell[3])
-                diam = np.hypot(cell[1] - cell[0], cell[3] - cell[2])
-                if cw == 1:
-                    k = _newton(p, cx + 1j * cy, cell)
-                    if k is not None:
-                        found.append(Resonance(k=k, multiplicity=1,
-                                               residual=abs(p.eval(k)),
-                                               cell=cell, refined=True))
-                        continue
-                if diam > tol:
-                    probe = np.array([cell[0] + 1j * cell[2],
-                                      cell[1] + 1j * cell[2],
-                                      cell[1] + 1j * cell[3],
-                                      cell[0] + 1j * cell[3],
-                                      cx + 1j * cell[2], cx + 1j * cell[3],
-                                      cell[0] + 1j * cy, cell[1] + 1j * cy])
-                    if np.max(np.abs(p.eval(probe))) > 32 * _noise_floor(p, cell):
-                        to_split.append((cell, cw))
-                        continue
-                k = cx + 1j * cy
-                found.append(Resonance(k=k, multiplicity=cw,
-                                       residual=abs(p.eval(k)),
-                                       cell=cell, refined=False))
-            if pool is not None:
-                packs = list(pool.map(lambda item: _split(p, *item), to_split))
-            else:
-                packs = [_split(p, cell, cw) for cell, cw in to_split]
-            frontier = [kid for pack in packs for kid in pack]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier:
+        to_split = []
+        for cell, cw in frontier:
+            cx = 0.5 * (cell[0] + cell[1])
+            cy = 0.5 * (cell[2] + cell[3])
+            diam = np.hypot(cell[1] - cell[0], cell[3] - cell[2])
+            if cw == 1:
+                k = _newton(p, cx + 1j * cy, cell)
+                if k is not None:
+                    found.append(Resonance(k=k, multiplicity=1,
+                                           residual=abs(p.eval(k)),
+                                           cell=cell, refined=True))
+                    continue
+            if diam > tol:
+                probe = np.array([cell[0] + 1j * cell[2],
+                                  cell[1] + 1j * cell[2],
+                                  cell[1] + 1j * cell[3],
+                                  cell[0] + 1j * cell[3],
+                                  cx + 1j * cell[2], cx + 1j * cell[3],
+                                  cell[0] + 1j * cy, cell[1] + 1j * cy])
+                if np.max(np.abs(p.eval(probe))) > 32 * _noise_floor(p, cell):
+                    to_split.append((cell, cw))
+                    continue
+            k = cx + 1j * cy
+            found.append(Resonance(k=k, multiplicity=cw,
+                                   residual=abs(p.eval(k)),
+                                   cell=cell, refined=False))
+        frontier = [kid for cell, cw in to_split for kid in _split(p, cell, cw)]
     found.sort(key=lambda r: (r.k.real, r.k.imag))
     return found

@@ -1,4 +1,5 @@
 import json
+import re
 import os
 import shutil
 import subprocess
@@ -139,7 +140,8 @@ def test_count_radii_csv(capsys):
 
 STATS_FIELDS = {"boundaries", "points", "rounds", "split_attempts",
                 "outer_growths", "newton_iterations", "newton_failures",
-                "noise_clusters", "evaluations", "reused"}
+                "noise_clusters", "evaluations", "reused", "guided", "guide_steps",
+                "guide_fallbacks"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,7 +363,8 @@ def test_failed_computation_leaves_output_alone(tmp_path, monkeypatch, capsys):
 def test_huge_disc_is_a_computation_error(capsys):
     """A disc too large to sample fails as a computation, exit code 2 and
     one error line, in process and from python -m qgraph alike: its outer
-    boundary (some 1e13 samples, hundreds of TiB) is refused unsampled."""
+    boundary (some 1e13 samples, hundreds of TiB) is refused unsampled,
+    and the line names that cause for the last rectangle tried."""
     argv = ["count", "--circle", "0.3", "--radius", "1e12"]
     tracemalloc.start()
     try:
@@ -371,6 +374,9 @@ def test_huge_disc_is_a_computation_error(capsys):
         tracemalloc.stop()
     assert (rc, out) == (2, "")
     assert err.startswith("error: could not find a zero-free boundary near (-1000000000000.5, ")
+    assert re.fullmatch(r"error: could not find a zero-free boundary near \(-1000000000000\.5, "
+                        r"[^)]*\): refinement exploded on \(-1000000000000\.500\d*, [^)]*\)\n",
+                        err), err
     assert err.count("\n") == 1
     assert peak < 16 << 20
     done = subprocess.run([sys.executable, "-m", "qgraph", *argv], capture_output=True,
@@ -549,7 +555,6 @@ for name in qgraph.__all__:
     home = sys.modules[obj.__module__]
     report["homes"][name] = [obj.__module__, getattr(home, obj.__name__) is obj]
 report["circle"] = qgraph.circle.build_graph is qgraph.build_circle_graph
-report["threads"] = qgraph.rootfind.thread_count is qgraph.threads.thread_count
 try:
     qgraph.no_such_name
 except AttributeError as exc:
@@ -567,7 +572,7 @@ def test_package_exports_resolve_to_their_defining_modules():
     assert set(report["all"]) <= set(report["star"])
     for name, (module, same) in report["homes"].items():
         assert module in SUBMODULES and same, name
-    assert report["circle"] and report["threads"]
+    assert report["circle"]
     assert report["missing"] == "module 'qgraph' has no attribute 'no_such_name'"
 
 

@@ -1,7 +1,7 @@
 """Argument checks must not be assert statements, which python -O strips.
 
-The tests below raise on bad arguments, or check the root finder's budgets
-and its inherited samples; they are run again in a python -O subprocess,
+The tests below raise on bad arguments, or check the root finder's budgets,
+its inherited samples and its located zeros; they are run again in a python -O subprocess,
 which imports the same qgraph package as this suite.
 """
 
@@ -30,6 +30,14 @@ ARGUMENT_CHECKS = (
     "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=3/5]",
     "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=1]",
     "test_rootfind.py::test_inherited_windings_match_fresh_sampling[E5V4L2b]",
+    *("test_rootfind.py::%s[%s]" % (test, case)
+      for test in ("test_root_stats_without_a_located_zero", "test_located_child_is_the_wound_child")
+      for case in ("c=0.3", "c=3/5", "c=1", "E5V4L2b")),
+    *("test_rootfind.py::%s[%s-%s]" % (test, case, radius)
+      for test in ("test_located_zeros_give_the_same_answer",
+                   "test_chains_sent_back_give_the_same_answer")
+      for case, radius in (("c=0.3", 20.0), ("c=0.3", 40.0), ("c=3/5", 20.0), ("c=3/5", 40.0),
+                           ("c=1", 20.0), ("c=1", 40.0), ("E5V4L2b", 8.0))),
     "test_cli.py::test_huge_disc_is_a_computation_error",
     "test_constraint.py::test_capacity_refused",
     "test_constraint.py::test_assemble_rejects_invalid",

@@ -1,6 +1,5 @@
+import dataclasses
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -90,17 +89,6 @@ def test_find_roots_empty_region():
 def test_find_roots_rejects_zero_poly():
     with pytest.raises(ValueError):
         find_roots(ExpPolynomial.zero((1.0,)), (0, 1, 0, 1))
-
-
-def test_find_roots_thread_env_agrees(monkeypatch):
-    region = (-2.5, 2.5, -1.0, 0.1)
-    base = find_roots(det_poly(0.0), region)
-    monkeypatch.setenv("QGRAPH_THREADS", "0")
-    threaded = find_roots(det_poly(0.0), region)
-    assert threaded == base
-    monkeypatch.setenv("QGRAPH_THREADS", "-2")
-    with pytest.raises(ValueError):
-        find_roots(det_poly(0.0), region)
 
 
 def test_strip_bound_odd_component():
@@ -391,18 +379,19 @@ def test_batched_winding_flags_boundary_zeros():
 
 # -- work counters ------------------------------------------------------------
 
-def test_root_stats_deterministic_and_inert(monkeypatch):
+def test_root_stats_deterministic_and_inert():
     p = det_poly(1 / 3)
     plain = count_in_disc(p, 10.0)
     runs = []
-    for threads in ("1", "1", "4"):
-        monkeypatch.setenv("QGRAPH_THREADS", threads)
+    for _ in range(2):
         stats = RootStats()
         assert count_in_disc(p, 10.0, stats=stats) == plain
         runs.append(stats)
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
     s = runs[0]
+    # a split decided by a located zero winds no child
     assert s.boundaries == 1 + 4 * sum(s.split_attempts)
+    assert s.guided > 0 and s.guide_steps >= s.guided
     # the outer boundary evaluates at least 16 samples and every split at
     # least the centre and 3 inner samples per cross; the children of a
     # split inherit at least 4 segments per parent side, corners shared
@@ -410,30 +399,6 @@ def test_root_stats_deterministic_and_inert(monkeypatch):
     assert s.reused >= 16 * sum(s.split_attempts)
     assert s.split_attempts[0] > 0 and s.outer_growths == 0
     assert s.newton_iterations > 0 and s.noise_clusters == 0
-
-
-def test_root_stats_add_loses_no_update_across_threads():
-    # more threads than cores and frequent switches, as when QGRAPH_THREADS
-    # workers count into one RootStats
-    stats = RootStats()
-
-    def work():
-        for _ in range(20000):
-            stats.add(points=1, rounds=2)
-            stats.add_split_attempt(1, 1)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work) for _ in range(8)]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in workers)
-    assert (stats.points, stats.rounds, stats.split_attempts[1]) == (160000, 320000, 160000)
 
 
 def test_root_stats_count_retries_growth_and_clusters():
@@ -449,27 +414,139 @@ def test_root_stats_count_retries_growth_and_clusters():
     assert sum(s.split_attempts[1:]) >= 1
 
 
+# the work of count_in_disc when every split winds its four children, as
+# before winding-one cells were split by their located zero
+WOUND = {
+    "c=0.3": RootStats(boundaries=541, points=8287, rounds=1022, split_attempts=[134, 1] + [0] * 8,
+                       newton_iterations=1234, newton_failures=66, evaluations=142,
+                       reused=12533),
+    "c=3/5": RootStats(boundaries=493, points=7640, rounds=782, split_attempts=[122, 1] + [0] * 8,
+                       newton_iterations=1289, newton_failures=79, evaluations=108,
+                       reused=11791),
+    "c=1": RootStats(boundaries=189, points=4883, rounds=228, split_attempts=[46, 1] + [0] * 8,
+                     newton_iterations=326, newton_failures=6, evaluations=68, reused=9174),
+    "E5V4L2b": RootStats(boundaries=233, points=3117, rounds=431, split_attempts=[55, 3] + [0] * 8,
+                         newton_iterations=413, newton_failures=12, noise_clusters=2,
+                         evaluations=386, reused=4379),
+}
+
+
 @pytest.mark.parametrize("case, want", [
-    ("c=0.3", RootStats(boundaries=541, points=8287, rounds=1022, split_attempts=[134, 1] + [0] * 8,
-                        newton_iterations=1234, newton_failures=66, evaluations=142,
-                        reused=12533)),
-    ("c=3/5", RootStats(boundaries=493, points=7640, rounds=782, split_attempts=[122, 1] + [0] * 8,
-                        newton_iterations=1289, newton_failures=79, evaluations=108,
-                        reused=11791)),
-    ("c=1", RootStats(boundaries=189, points=4883, rounds=228, split_attempts=[46, 1] + [0] * 8,
-                      newton_iterations=326, newton_failures=6, evaluations=68, reused=9174)),
-    ("E5V4L2b", RootStats(boundaries=233, points=3117, rounds=431, split_attempts=[55, 3] + [0] * 8,
-                          newton_iterations=413, newton_failures=12, noise_clusters=2,
-                          evaluations=386, reused=4379)),
+    ("c=0.3", dataclasses.replace(WOUND["c=0.3"], boundaries=277, points=5964, rounds=706,
+                                  split_attempts=[68, 1] + [0] * 8, evaluations=149,
+                                  reused=8678, guided=66, guide_steps=200)),
+    ("c=3/5", dataclasses.replace(WOUND["c=3/5"], boundaries=177, points=4828, rounds=362,
+                                  split_attempts=[43, 1] + [0] * 8, evaluations=105,
+                                  reused=7425, guided=79, guide_steps=230)),
+    ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=165, points=4698, rounds=184,
+                                split_attempts=[40, 1] + [0] * 8, evaluations=72,
+                                reused=8840, guided=6, guide_steps=24)),
+    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=193, points=2801, rounds=401,
+                                    split_attempts=[45, 3] + [0] * 8, evaluations=390,
+                                    reused=3939, guided=10, guide_steps=36)),
 ])
 def test_root_stats_pinned(case, want, bench_graphs):
     """The work of count_in_disc is pinned: every boundary, evaluated and
-    inherited sample, round, split and evaluation pass, on the circle at
-    R = 20 (a crossing c among them) and on a graph of the benchmark pool at
-    R = 8."""
+    inherited sample, round, split, evaluation pass and located zero, on
+    the circle at R = 20 (a crossing c among them) and on a graph of the
+    benchmark pool at R = 8.  Against winding every child, splits by a
+    located zero leave the Newton and cluster counters as they were, and
+    the evaluation passes move by the polishes they add and the batches
+    they empty."""
     stats = RootStats()
     count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
     assert stats == want
+
+
+def _decline(p, cells, stats):
+    """A locator that finds no zero."""
+    return [None] * len(cells)
+
+
+@pytest.mark.parametrize("case", list(WOUND))
+def test_root_stats_without_a_located_zero(case, bench_graphs, monkeypatch):
+    """With the locator declining every cell, every split winds its
+    children, and the work is exactly what it was before cells were split
+    by their located zero."""
+    monkeypatch.setattr(rootfind, "_locate", _decline)
+    stats = RootStats()
+    count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
+    assert stats == WOUND[case]
+
+
+SAME_ANSWER_CASES = [("c=0.3", 20.0), ("c=0.3", 40.0), ("c=3/5", 20.0), ("c=3/5", 40.0),
+                     ("c=1", 20.0), ("c=1", 40.0), ("E5V4L2b", 8.0)]
+
+
+@pytest.mark.parametrize("case, radius", SAME_ANSWER_CASES)
+def test_located_zeros_give_the_same_answer(case, radius, bench_graphs, monkeypatch):
+    """Splitting winding-one cells by their located zero gives the repr
+    and the Newton and cluster counters of winding every child, with
+    less work."""
+    p, _ = _pinned_case(case, bench_graphs)
+    runs = []
+    for locate in (_decline, rootfind._locate):
+        monkeypatch.setattr(rootfind, "_locate", locate)
+        stats = RootStats()
+        runs.append((repr(count_in_disc(p, radius, stats=stats)), stats))
+    (wound, s0), (located, s1) = runs
+    assert located == wound
+    for name in ("newton_iterations", "newton_failures", "noise_clusters", "outer_growths"):
+        assert getattr(s1, name) == getattr(s0, name), name
+    assert s0.guided == 0 < s1.guided
+    assert s1.boundaries < s0.boundaries and s1.points < s0.points
+    assert sum(s1.split_attempts) + s1.guided >= sum(s0.split_attempts)
+
+
+@pytest.mark.parametrize("case, radius", SAME_ANSWER_CASES)
+def test_chains_sent_back_give_the_same_answer(case, radius, bench_graphs, monkeypatch):
+    """When every cell without sides finds its zero at a cut, each chain
+    goes back to its last cell with sides, which is split for real, and
+    the repr is still that of winding every child."""
+    p, _ = _pinned_case(case, bench_graphs)
+    want = repr(count_in_disc(p, radius))
+    pick = rootfind._pick
+    seen = set()
+    sent_back = []
+
+    def first_pick_only(rect, k):
+        # the first pick of a zero is made for its cell with sides; every
+        # later one for a cell without sides, which is sent back
+        if k in seen:
+            sent_back.append(rect)
+            return None
+        seen.add(k)
+        return pick(rect, k)
+    monkeypatch.setattr(rootfind, "_pick", first_pick_only)
+    stats = RootStats()
+    assert repr(count_in_disc(p, radius, stats=stats)) == want
+    assert stats.guide_fallbacks == len(sent_back)
+    assert stats.guided + stats.guide_fallbacks >= len(seen) > 0
+    # at c = 1 every cell without sides settles by its centre Newton
+    assert sent_back or case == "c=1"
+
+
+@pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", "E5V4L2b"])
+def test_located_child_is_the_wound_child(case, bench_graphs, monkeypatch):
+    """Every child picked by a located zero is the one child of the
+    midpoint split with winding one when winding_numbers samples all four
+    afresh; the other three wind zero."""
+    p, radius = _pinned_case(case, bench_graphs)
+    pick = rootfind._pick
+    checked = []
+
+    def wound(rect, k):
+        kid = pick(rect, k)
+        if kid is not None:
+            kids = rootfind._quad(rect, 0.0, 0.0)
+            ws = winding_numbers(p, list(kids))
+            assert ws == [int(c == kid) for c in kids], (rect, k, ws)
+            checked.append(kid)
+        return kid
+    monkeypatch.setattr(rootfind, "_pick", wound)
+    stats = RootStats()
+    count_in_disc(p, radius, stats=stats)
+    assert len(checked) == stats.guided > 0
 
 
 def _pinned_case(case, bench_graphs):
@@ -503,7 +580,6 @@ def test_batches_keep_to_the_sample_budget(monkeypatch):
     """No split of more than one cell evaluates more than _BATCH_SAMPLES
     samples before refinement (its first evaluation pass), and the budget
     is used."""
-    monkeypatch.delenv("QGRAPH_THREADS", raising=False)
     calls = []      # per split attempt: [cells, samples of its first pass]
     quadrisect, samples = rootfind._quadrisect, rootfind._samples
 
@@ -528,7 +604,6 @@ def test_inherited_windings_match_fresh_sampling(case, bench_graphs, monkeypatch
     """Every child winding that a split computes on sides inherited from
     its parent and shared with its siblings is the int, or the suspicion,
     that winding_numbers gives on the same rectangle sampled afresh."""
-    monkeypatch.delenv("QGRAPH_THREADS", raising=False)
     p, radius = _pinned_case(case, bench_graphs)
     quadrisect = rootfind._quadrisect
     compared = []
