@@ -14,15 +14,17 @@ sides, each side a polyline of samples (t, arg p, |p'/p|, |p|) refined until
 every segment passes the endpoint tests of winding_numbers.  Every cell of
 the subdivision keeps its four refined sides until it is split or settled.
 A split cuts them at the cut point: each child inherits the two halves of
-its parent's sides that bound it, samples and tested segments as they are,
-and shares each of the four cross half-lines from the cut point with the
+its parent's sides that bound it, each exactly the parent's samples up to
+or from the cut, with their tested segments, and the cut point; and it
+shares each of the four cross half-lines from the cut point with the
 sibling on its other side, which runs it backwards.  New samples come only
-from the cross, from cuts that miss the parent's samples, and from top-ups
-(a half with fewer segments than a fresh side of its length would start
-with gets the difference by bisecting its longest segments); only new
-segments are tested.  Since siblings share every cut line, their windings
-add up to the parent's whenever they are all defined.  winding_numbers
-itself samples every side afresh, on the grid of a fresh side.
+from the cross and from cuts that miss the parent's samples; only new
+segments are tested.  The tests read only a segment's two endpoints, and
+no inherited segment is longer than the 0.7 / rate cap of a fresh grid,
+so a half needs no more samples than it inherits, however few.  Since
+siblings share every cut line, their windings add up to the parent's
+whenever they are all defined.  winding_numbers itself samples every side
+afresh, on the grid of a fresh side.
 
 A winding-one cell whose Newton from the centre fails is split without
 winding its children when its zero can be located: the argument-principle
@@ -39,12 +41,12 @@ it.
 
 The subdivision runs level by level, and each level is evaluated in batches:
 a level's cells are taken in order into batches whose splits evaluate at
-most _BATCH_SAMPLES samples together before refinement (a cell whose split
-alone evaluates more is a batch of its own).  The child boundaries of a
-batch are refined together, with one value-and-derivative pass
-(ExpPolynomial.eval_pair) per refinement round, and the Newton iterations,
-the zero polishes and the noise-floor probes of a level share one pass per
-step.  Every decision is still taken per boundary and per cell with the
+most _BATCH_SAMPLES samples together before refinement, by a bound on each
+split (a cell whose split alone may evaluate more is a batch of its own).
+The child boundaries of a batch are refined together, with one
+value-and-derivative pass (ExpPolynomial.eval_pair) per refinement round,
+and the Newton iterations, the zero polishes and the noise-floor probes of
+a level share one pass per step.  Every decision is still taken per boundary and per cell with the
 arithmetic of a one-at-a-time search, so the zeros found do not depend on
 the batching.
 
@@ -55,7 +57,6 @@ The phase total is summed in worklist order, which is not part of the
 contract.
 """
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -70,25 +71,26 @@ CountReport = namedtuple("CountReport", "R count roots strip_bound origin_zero")
 # fixed offset table for re-placing cut lines / growing the outer rectangle,
 # so that every run walks the same retry sequence; the values are
 # numpy.random.default_rng(1729).uniform(-1.0, 1.0, size=(16, 2)), written
-# out so that no qgraph process has to import numpy.random
-_JITTER = np.array([
-    [-0.9385159407896639, -0.6630850404701072],
-    [-0.4120991059094672, 0.15250381970361726],
-    [0.6247437528893673, 0.9527126292133392],
-    [-0.06999705078287288, -0.7118615780141235],
-    [0.8317834302553215, -0.2799135365268828],
-    [-0.8935374509944636, -0.6769974289473557],
-    [-0.4729177861638503, 0.3725182242692584],
-    [0.020016654102197107, 0.8939276245932366],
-    [-0.7284196091816064, -0.2675189371311004],
-    [-0.3511401789897395, -0.5500077994568566],
-    [0.3914694769770577, 0.30499922254050005],
-    [0.8878891602094368, -0.5547568236050311],
-    [0.82662472659159, -0.8787524390833232],
-    [0.060264246096984, -0.2743350369340716],
-    [-0.23096355358834564, 0.3130710448841667],
-    [-0.33154116772521003, -0.6001045979072097],
-])
+# out as Python floats so that no qgraph process has to import numpy.random
+# and every cell holds plain floats
+_JITTER = (
+    (-0.9385159407896639, -0.6630850404701072),
+    (-0.4120991059094672, 0.15250381970361726),
+    (0.6247437528893673, 0.9527126292133392),
+    (-0.06999705078287288, -0.7118615780141235),
+    (0.8317834302553215, -0.2799135365268828),
+    (-0.8935374509944636, -0.6769974289473557),
+    (-0.4729177861638503, 0.3725182242692584),
+    (0.020016654102197107, 0.8939276245932366),
+    (-0.7284196091816064, -0.2675189371311004),
+    (-0.3511401789897395, -0.5500077994568566),
+    (0.3914694769770577, 0.30499922254050005),
+    (0.8878891602094368, -0.5547568236050311),
+    (0.82662472659159, -0.8787524390833232),
+    (0.060264246096984, -0.2743350369340716),
+    (-0.23096355358834564, 0.3130710448841667),
+    (-0.33154116772521003, -0.6001045979072097),
+)
 _MAX_SPLIT_ATTEMPTS = 10
 _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
@@ -106,8 +108,8 @@ class RootStats:
 
     boundaries: rectangle boundaries whose winding number was asked for.
     points: boundary samples evaluated: the initial grid of a fresh
-        rectangle; the cross, cut points and top-ups of a split (see
-        _quadrisect); every midpoint that refinement inserts.
+        rectangle; the cross and cut points of a split (see _quadrisect);
+        every midpoint that refinement inserts.
     rounds: refinement rounds that inserted midpoints, summed over boundaries.
     split_attempts: entry a counts the cells whose quadrisection ran attempt
         a; entry 0 is every split, entries a >= 1 are retries.
@@ -201,19 +203,15 @@ _KID_SIGNS = np.array([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0],
                        [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
 
 
-@functools.lru_cache(maxsize=64)
 def _kid_layout(n):
     """For n cells split together: the directions of their sides and of
     their crosses, and the sides and signs of their children (see
-    _KID_SIDES), as read-only arrays."""
+    _KID_SIDES)."""
     cell = np.arange(n)[:, None, None]
     bside = np.where(_KID_SIDES < 8, 8 * cell + _KID_SIDES,
                      4 * cell + 8 * n - 8 + _KID_SIDES).reshape(-1, 4)
-    layout = (np.tile(_UNIT, n), np.tile(_UNIT[[3, 0, 1, 2]], n), bside,
-              np.tile(_KID_SIGNS, (n, 1)))
-    for arr in layout:
-        arr.flags.writeable = False
-    return layout
+    return (np.tile(_UNIT, n), np.tile(_UNIT[[3, 0, 1, 2]], n), bside,
+            np.tile(_KID_SIGNS, (n, 1)))
 
 
 def _fresh_lines(p, rects, nseg):
@@ -454,19 +452,6 @@ def _gather(sides):
     return off, data
 
 
-def _cuts(p, off, t, cut):
-    """Where sides off, t are cut at coordinate cut[s]: per side, the index
-    j of its last sample at or before the cut (counted from the side's
-    first sample) and whether that sample lies on the cut; per half (2 s
-    up to the cut, 2 s + 1 from it), the segments it lacks against a fresh
-    side of its length (negative when it has more)."""
-    j = np.add.reduceat(t <= np.repeat(cut, off[1:] - off[:-1]), off[:-1], dtype=np.intp) - 1
-    exact = t[off[:-1] + j] == cut
-    lengths = np.array([cut - t[off[:-1]], t[off[1:] - 1] - cut]).T.ravel()
-    have = np.array([j + ~exact, off[1:] - off[:-1] - 1 - j]).T.ravel()
-    return j, exact, (_side_segments(p, lengths) - have).astype(np.intp)
-
-
 def _windings(p, rects, max_rounds, max_points, stats, keep=False):
     """winding_numbers on fresh sides; with keep, also the _Sides of rects
     (None when no rectangle is sampled)."""
@@ -565,8 +550,7 @@ def _outer_winding(p, rect, stats):
         grown = _grown(rect, delta)
         if stats is not None and attempt:
             stats.add(outer_growths=1)
-        # the cause of a refusal names the rectangle in plain floats
-        (w,), sides = _windings(p, [tuple(map(float, grown))], 48, 400000, stats, keep=True)
+        (w,), sides = _windings(p, [grown], 48, 400000, stats, keep=True)
         if not isinstance(w, BoundaryZeroSuspected):
             return grown, w, (sides, 0)
     raise NonConvergenceError("could not find a zero-free boundary near %r: %s" % (rect, w))
@@ -613,29 +597,29 @@ def _quadrisect(p, quads, parents, stats):
     """Winding numbers of the children (BL, BR, TL, TR) = quads[i] of cells
     whose sides are parents, an (off, data) of _Sides rows.
 
-    A child runs along two halves of its parent's sides, which it inherits
-    with their samples and tested segments, and along two of the four cross
-    half-lines from the centre (xc, yc) to the sides.  Each cross is
-    sampled once, on the initial grid, and shared with the sibling on its
-    other side, who runs it backwards.  The new samples are the centre,
-    the cuts on the sides that are not parent samples, the crosses, and the
-    top-ups: a half with fewer segments than a fresh side of its length
-    gets as many more by bisecting its longest segments (the first of equal
-    ones first).  Only new segments are tested.  Returns (windings, (merged,
-    bside, bsign)), the last for _Sides.
+    A child runs along two halves of its parent's sides and along two of
+    the four cross half-lines from the centre (xc, yc) to the sides.  A half
+    is exactly the parent's samples up to or from the cut, with their
+    tested segments, and the cut point.  Each cross is sampled once, on the
+    initial grid, and shared with the sibling on its other side, who runs
+    it backwards.  The new samples are the centre, the cuts on the sides
+    that are not parent samples and the crosses' inner samples; only new
+    segments are tested.  Returns (windings, (merged, bside, bsign)), the
+    last for _Sides.
     """
-    lines, evaluated, reused = _child_lines(p, quads, parents)
-    _, _, bside, bsign = _kid_layout(len(quads))
+    unit, cunit, bside, bsign = _kid_layout(len(quads))
+    lines, evaluated, reused = _child_lines(p, quads, parents, unit, cunit)
     kids = [kid for kids in quads for kid in kids]
     ws, merged = _wind(p, lines, bside, bsign, kids, 48, 400000, stats, evaluated, reused,
                        keep=True)
     return ws, (merged, bside, bsign)
 
 
-def _child_lines(p, quads, parents):
+def _child_lines(p, quads, parents, unit, cunit):
     """The sides of the children of _quadrisect, evaluated, halves 8 i..8 i + 7
-    and crosses 8 n + 4 i..8 n + 4 i + 3 for cell i of n: (lines, samples
-    evaluated, samples inherited)."""
+    and crosses 8 n + 4 i..8 n + 4 i + 3 for cell i of n, unit and cunit
+    being the directions of the parent sides and of the crosses: (lines,
+    samples evaluated, samples inherited)."""
     n = len(quads)
     q = np.array(quads, dtype=float)
     x0, xc, y0, yc = q[:, 0].T
@@ -652,11 +636,14 @@ def _child_lines(p, quads, parents):
     # t at the two ends of the cross from the centre (xc, yc) to that cut
     cut, c0, c1 = np.array([[xc, yc, -xc, -yc], [-yc, xc, yc, -xc],
                             [-y0, x1, y1, -x0]]).transpose(0, 2, 1).reshape(3, -1)
-    j, exact, deficit = _cuts(p, off, t, cut)
+    # per parent side, its last sample at or before the cut, j counted from
+    # the side's first, and whether it lies on the cut
+    j = np.add.reduceat(t <= np.repeat(cut, off[1:] - off[:-1]), lo, dtype=np.intp) - 1
     first = lo + j
+    exact = t[first] == cut
     fresh = np.flatnonzero(~exact)
-    # the new samples follow the parents': the centres, the fresh cuts, the
-    # crosses' inner samples and the top-ups
+    # the new samples follow the parents': the centres, the fresh cuts and
+    # the crosses' inner samples
     cut_src = first.copy()
     cut_src[fresh] = size + n + np.arange(fresh.size)
     cseg = _side_segments(p, c1 - c0).astype(np.intp)
@@ -669,11 +656,9 @@ def _child_lines(p, quads, parents):
     csrc[coff[:-1]] = size + np.arange(4 * n) // 4
     csrc[coff[1:] - 1] = cut_src
     inner = (pos > 0) & (pos < cseg[cside])
-    pooled = size + n + fresh.size + ct.size - 8 * n
     zero = np.zeros(n)
     base = (np.array([zero, x1, zero, x0]) + 1j * np.array([y0, zero, y1, zero])).T.ravel()
     cbase = (np.array([xc, zero, xc, zero]) + 1j * np.array([zero, yc, zero, yc])).T.ravel()
-    unit, cunit, _, _ = _kid_layout(n)
     # halves 2s and 2s + 1 of side s: its samples up to j and the cut, then
     # the cut and its samples after j (an exact cut is sample j)
     hlen = np.empty(8 * n, dtype=np.intp)
@@ -683,44 +668,14 @@ def _child_lines(p, quads, parents):
     hside = np.repeat(np.arange(8 * n), hlen)
     s = hside >> 1
     src = np.arange(hoff[-1]) - hoff[hside] + lo[s] + (hside & 1) * j[s]
-    src[hoff[1::2] - 1] = src[hoff[1::2]] = cut_src
-    ht = t[np.minimum(src, size - 1)]
+    ht = t[src]
     ht[hoff[1::2] - 1] = ht[hoff[1::2]] = cut
+    src[hoff[1::2] - 1] = src[hoff[1::2]] = cut_src
     phase = np.empty(8 * n)
     phase[0::2] = cum[first] - cum[lo]
     phase[1::2] = cum[hi] - cum[first + ~exact]
-    z = [xc + 1j * yc, base[fresh] + cut[fresh] * unit[fresh],
-         (cbase[cside] + ct * cunit[cside])[inner]]
-    while (deficit > 0).any():
-        short = np.flatnonzero(deficit > 0)
-        nseg = hlen[short] - 1
-        rank = np.arange(nseg.sum()) - np.repeat(np.cumsum(nseg) - nseg, nseg)
-        at = np.repeat(hoff[short], nseg) + rank
-        order = np.lexsort((ht[at] - ht[at + 1], np.repeat(short, nseg)))
-        chosen = np.sort(at[order[rank < np.repeat(deficit[short], nseg)]])
-        # an inherited segment that is bisected no longer adds its step
-        inh = chosen[(src[chosen] < size) & (src[chosen + 1] < size)]
-        phase -= np.bincount(hside[inh], weights=cum[src[inh + 1]] - cum[src[inh]],
-                             minlength=8 * n)
-        mids = 0.5 * (ht[chosen] + ht[chosen + 1])
-        z.append(base[s[chosen]] + mids * unit[s[chosen]])
-        new_at = chosen + 1 + np.arange(chosen.size)
-        old = np.ones(ht.size + chosen.size, dtype=bool)
-        old[new_at] = False
-        grown = []
-        for arr, val in ((ht, mids), (src, pooled + np.arange(chosen.size)),
-                         (hside, hside[chosen])):
-            col = np.empty(old.size, dtype=arr.dtype)
-            col[old] = arr
-            col[new_at] = val
-            grown.append(col)
-        ht, src, hside = grown
-        s = hside >> 1
-        pooled += chosen.size
-        hoff = hoff + np.searchsorted(chosen, hoff)
-        added = np.bincount(hside[new_at], minlength=8 * n)
-        hlen += added
-        deficit -= added
+    z = np.concatenate([xc + 1j * yc, base[fresh] + cut[fresh] * unit[fresh],
+                        (cbase[cside] + ct * cunit[cside])[inner]])
     lsrc = np.concatenate([src, csrc])
     lt = np.concatenate([ht, ct])
     # what is not needed goes before the evaluation, whose work arrays are
@@ -729,7 +684,6 @@ def _child_lines(p, quads, parents):
     old = lsrc < size
     tested = np.zeros(lsrc.size, dtype=bool)
     tested[:-1] = old[:-1] & old[1:]
-    z = np.concatenate(z)
     new = _samples(p, z)
     rows = np.empty((4, lsrc.size))
     rows[0] = lt
@@ -890,35 +844,31 @@ def _guide(p, to_split, stats):
 def _batches(p, cells):
     """The _Cells of cells in order, cut into batches of (cells, their
     sides as one (off, data)).  The splits of a batch evaluate at most
-    _BATCH_SAMPLES samples together before refinement, as counted for the
-    midpoint cuts of _split's first attempt; a cell whose split alone
-    evaluates more is a batch of its own."""
+    _BATCH_SAMPLES samples together before refinement, each bounded for
+    the midpoint cut of _split's first attempt by its cross segments + 1:
+    the centre, the crosses' inner samples and at most 4 fresh cuts.  A
+    cell whose split alone may evaluate more is a batch of its own."""
     if not cells:
         return []
     off, data = _gather([cell.sides for cell in cells])
     x0, x1, y0, y1 = np.array([cell.rect for cell in cells], dtype=float).T
     xc = 0.5 * (x0 + x1)
     yc = 0.5 * (y0 + y1)
-    # as _child_lines counts them: the crosses with their centre, the fresh
-    # cuts and the top-ups of the halves, which come to at most 3 cross + 2
-    # (4 fresh cuts, and halves of one segment each)
-    cross = _side_segments(p, np.array([yc - y0, x1 - xc, y1 - yc, xc - x0])).sum(axis=0) - 3
-    if 3 * cross.sum() + 2 * len(cells) <= _BATCH_SAMPLES:
+    sizes = _side_segments(p, np.array([yc - y0, x1 - xc, y1 - yc, xc - x0])).sum(axis=0) + 1
+    starts = [0]
+    total = 0
+    for k, size in enumerate(sizes.tolist()):
+        if k > starts[-1] and total + size > _BATCH_SAMPLES:
+            starts.append(k)
+            total = 0
+        total += size
+    if len(starts) == 1:
         return [(cells, (off, data))]
-    cut = np.array([xc, yc, -xc, -yc]).T.ravel()
-    _, exact, deficit = _cuts(p, off, data[0], cut)
-    sizes = (cross + (~exact).reshape(-1, 4).sum(axis=1)
-             + np.maximum(deficit, 0).reshape(-1, 8).sum(axis=1)).tolist()
     batches = []
-    start = total = 0
-    for k, size in enumerate(sizes + [None]):
-        if k == len(sizes) or (k > start and total + size > _BATCH_SAMPLES):
-            a, b = off[4 * start], off[4 * k]
-            # a copy, so that each batch's sides go once it is split
-            batches.append((cells[start:k], (off[4 * start:4 * k + 1] - a, data[:, a:b].copy())))
-            start, total = k, 0
-        if size is not None:
-            total += size
+    for a, b in zip(starts, starts[1:] + [len(cells)]):
+        lo, hi = off[4 * a], off[4 * b]
+        # a copy, so that each batch's sides go once it is split
+        batches.append((cells[a:b], (off[4 * a:4 * b + 1] - lo, data[:, lo:hi].copy())))
     return batches
 
 
