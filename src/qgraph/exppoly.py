@@ -15,6 +15,7 @@ become complex as soon as any operand does.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -166,6 +167,48 @@ class ExpPolynomial:
         sigmas = [self.sigma_of(vec) for vec in self.terms]
         return (np.array(sigmas, dtype=float),
                 np.array([abs(a) for a in self.terms.values()], dtype=float))
+
+    @functools.cached_property
+    def origin_order(self):
+        """(m, c_m): the order m of the zero of p at k = 0 and its Taylor
+        coefficient c_m = sum_r a_r sigma_r^m, p(k) being
+        sum_j c_j (i k)^j / j!.
+
+        Exact: every length and every part of a coefficient is an integer
+        times a power of two (float.as_integer_ratio), so over common
+        denominators each c_j is a Gaussian integer, summed in Python ints;
+        only c_m is rounded, once.  (0, 0j) when p vanishes identically
+        (its terms cancel frequency by frequency) or a coefficient is not
+        finite.
+        """
+        lens = [L.as_integer_ratio() for L in self.lengths]
+        dl = max((d for _, d in lens), default=1)
+        ls = [n * (dl // d) for n, d in lens]
+        parts = []
+        for vec, a in self.terms.items():
+            if isinstance(a, int):
+                re, im = (a, 1), (0, 1)
+            else:
+                a = complex(a)
+                if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                    return 0, 0j
+                re, im = a.real.as_integer_ratio(), a.imag.as_integer_ratio()
+            parts.append((sum(n * L for n, L in zip(vec, ls)), re, im))
+        da = max((max(re[1], im[1]) for _, re, im in parts), default=1)
+        sig = [s for s, _, _ in parts]
+        # a_r sigma_r^m, times da dl^m
+        re = [n * (da // d) for _, (n, d), _ in parts]
+        im = [n * (da // d) for _, _, (n, d) in parts]
+        # the sums vanish for every m below the count of distinct
+        # frequencies only when every frequency's coefficients cancel
+        for m in range(len(set(sig))):
+            sr, si = sum(re), sum(im)
+            if sr or si:
+                den = da * dl ** m
+                return m, complex(sr / den, si / den)
+            re = [a * s for a, s in zip(re, sig)]
+            im = [a * s for a, s in zip(im, sig)]
+        return 0, 0j
 
     def _scalar_pair(self, karr):
         """(p, p') at a 0-d point by a loop over the terms."""

@@ -34,10 +34,21 @@ midpoint child that holds it is the one child a split would keep; it goes
 on without sides, and so do its descendants, each split by the same zero.
 Each of them still runs the centre Newton and noise-floor probe of any
 cell, so the zeros found are those of a search that winds every child.
-When the located zero comes within 1e-6 of a cell's width or height of a
-cut, where a real split could re-place the cut, the chain goes back to its
-last cell with sides, which is split for real, and so is every cell below
-it.
+
+A cell that holds k = 0 strictly inside and winds m0 times, m0 >= 2 being
+the exact order of the zero there (ExpPolynomial.origin_order), holds no
+other zero, and is split by k = 0 the same way: the midpoint child that
+holds k = 0 goes on without sides, in its parent's place among the
+level's children, for as long as both cuts pass k = 0 by more than twice
+the radius r0 within which p may be lost in the evaluation noise or
+unlike its leading Taylor term (see _origin), and by more than
+10^(-12/m0) of the cell's diameter.
+
+Either chain stops where its zero comes near a cut: within 1e-6 of a
+cell's width or height for a located zero, where a real split could
+re-place the cut, or within those margins for k = 0.  That cell is
+sampled afresh and split for real; below a located zero, no zero is
+located again.
 
 The subdivision runs level by level, and each level is evaluated in batches:
 a level's cells are taken in order into batches whose splits evaluate at
@@ -99,6 +110,10 @@ _NEWTON_ITERS = 60
 # mostly fixed per round, while its arrays grow with the samples it evaluates
 # and the (about three times as many) samples its cells inherit
 _BATCH_SAMPLES = 1 << 11
+# the rounding unit of one evaluated term (see _noise_floor), and the
+# factor over the noise floor at which a cell's probe counts as loud
+_EPS = 2.2e-16
+_LOUD = 32
 
 
 @dataclass
@@ -128,8 +143,12 @@ class RootStats:
         children (see find_roots); they are not in split_attempts.
     guide_steps: Newton steps of the polishes that locate those zeros;
         they are not in newton_iterations.
-    guide_fallbacks: chains of such splits sent back to their last cell
-        with sides, to be split for real, because the zero lay at a cut.
+    guide_fallbacks: cells below such splits that are split for real
+        instead, because the zero lay at a cut (each also in resampled).
+    origin_guided: splits decided by the zero at k = 0, without winding
+        the children (see find_roots); they are not in split_attempts.
+    resampled: cells without sides, below splits decided by a zero, that
+        are split for real and so first sampled afresh.
     """
     boundaries: int = 0
     points: int = 0
@@ -144,6 +163,8 @@ class RootStats:
     guided: int = 0
     guide_steps: int = 0
     guide_fallbacks: int = 0
+    origin_guided: int = 0
+    resampled: int = 0
 
     def add(self, **counts):
         """Add to the counters named by the keywords."""
@@ -696,11 +717,10 @@ def _child_lines(p, quads, parents, unit, cunit):
 
 
 # A cell of the subdivision frontier: its rectangle, its winding w, its
-# sides and its zero.  A cell with sides has sides = (_Sides, slot) and zero
-# None, or False on a chain sent back to a real split, which its children
-# inherit (see _guide).  A cell split off by a located zero has no sides of
-# its own: zero is that zero, and sides is the last _Cell with sides above
-# it, the one its chain goes back to.
+# sides and its zero.  sides is (_Sides, slot), or None on a cell split off
+# by a zero without winding.  zero is the located zero that split the cell
+# off, None, or False below a cell split for real because its located zero
+# lay at a cut, so that no zero is located there again (see _guide).
 _Cell = namedtuple("_Cell", "rect w sides zero")
 
 
@@ -716,9 +736,9 @@ def _quad(cell, ux, uy):
 def _split(p, cells, parents, stats):
     """Quadrisect every _Cell of cells, whose sides are parents, retrying
     the cut position of each cell until its child windings are defined and
-    conserve the parent's.  Returns the children with positive winding,
-    cell by cell, as _Cells with their sides and their parent's zero.  A
-    retry cuts the parent's sides again at its new position.
+    conserve the parent's.  Returns, per cell, the list of its children
+    with positive winding, as _Cells with their sides and their parent's
+    zero.  A retry cuts the parent's sides again at its new position.
     """
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
@@ -756,7 +776,7 @@ def _split(p, cells, parents, stats):
     if pending:
         raise NonConvergenceError("zero count not conserved when splitting %r"
                                   % (cells[pending[0]].rect,))
-    return [kid for pack in packs for kid in pack]
+    return packs
 
 
 def _locate(p, cells, stats):
@@ -805,39 +825,108 @@ def _pick(rect, k):
     return kids[(k.real > xc) + 2 * (k.imag > yc)]
 
 
-def _guide(p, to_split, stats):
-    """Split the _Cells of to_split that a located zero decides, evaluating
-    nothing, and gather the sides of the rest.
+def _origin(p):
+    """(m0, r0) for the zero of p at k = 0 when its exact order m0
+    (ExpPolynomial.origin_order) is at least 2, else None.
 
-    A cell without sides is split by its zero; when the zero lies at a cut
-    (_pick), its chain goes back: the last cell with sides above it is split
-    for real, with zero False.  Of the cells with sides, those of winding
-    one and zero None have their zero located (_locate) and are split by it
-    when it lies away from the cuts.  Returns (guided, cells): the children
-    of the splits decided by a zero, as _Cells without sides, and the
-    _Cells left to split for real, in order.
+    r0 is the least radius, on a grid of steps of 2^(1/8), at which the
+    leading Taylor term |c_m0| r^m0 / m0! exceeds the bound
+    sum_r |a_r| (|sigma_r| r)^(m0 + 1) / (m0 + 1)! e^{|sigma_r| r} on the
+    rest of the series plus the noise-floor probe's threshold, _LOUD eps
+    sum_r |a_r| e^{|sigma_r| r} (see _settle): from r0 on, as long as the
+    tail stays below the leading term, p is loud and winds m0 times
+    around k = 0 (by Rouche's theorem).  None also when no radius of the
+    grid passes.
     """
-    guided, cells = [], []
-    fallbacks = 0
+    m, c = p.origin_order
+    if m < 2:
+        return None
+    sigmas, sizes = p.size_table
+    s = np.abs(sigmas)[:, None]
+    lead = abs(c) / math.factorial(m)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # from the radius where the leading term meets the threshold at 0
+        r = (_LOUD * _EPS * sizes.sum() / lead) ** (1.0 / m) * 2.0 ** (np.arange(321) / 8.0)
+        rest = ((s * r) ** (m + 1) / math.factorial(m + 1) + _LOUD * _EPS) * np.exp(s * r)
+        ok = np.flatnonzero(lead * r ** m > sizes @ rest)
+    return (m, float(r[ok[0]])) if ok.size else None
+
+
+def _origin_pick(rect, origin):
+    """The child of rect's midpoint split that holds k = 0, or None unless
+    k = 0 lies strictly inside rect and both cuts pass it by more than
+    max(2 r0, 10^(-12/m0) times rect's diameter), origin being (m0, r0) of
+    _origin.  The first bound keeps the cuts where p is loud and winds
+    like its leading Taylor term; the second keeps |p| on them above
+    1e-12 of |p| on the sides, far from the 1e-14 of a suspected zero."""
+    x0, x1, y0, y1 = rect
+    if not (x0 < 0.0 < x1 and y0 < 0.0 < y1):
+        return None
+    m, r0 = origin
+    kids = _quad(rect, 0.0, 0.0)
+    xc, yc = kids[0][1], kids[0][3]
+    if min(abs(xc), abs(yc)) <= max(2.0 * r0, 10.0 ** (-12.0 / m) * math.hypot(x1 - x0, y1 - y0)):
+        return None
+    return kids[(xc < 0.0) + 2 * (yc < 0.0)]
+
+
+def _guide(p, to_split, origin, stats):
+    """Split the _Cells of to_split that a zero decides, evaluating nothing,
+    and sample afresh the cells without sides left to split for real.
+
+    A cell of winding m0 is split by k = 0 when _origin_pick finds the
+    child that holds it (origin is (m0, r0) of _origin, or None).  A
+    winding-one cell below a split by a located zero is split by that
+    zero when _pick finds the child; when the zero lies at a cut, the cell
+    is split for real, with zero False, which its children inherit.  Of the
+    cells with sides, those of winding one and zero None have their zero
+    located (_locate) and are split by it when it lies away from the cuts.
+    A cell without sides that is left is sampled afresh, and its winding
+    must be the one it carries.
+
+    Returns (guided, cells): the children of the splits decided by a
+    located zero, as _Cells without sides, and in order the _Cells left to
+    split for real, with sides, and the children of the splits decided by
+    k = 0, without sides, each in its parent's place.
+    """
+    guided, cells, bare = [], [], []
+    by_origin = fallbacks = 0
     for cell in to_split:
+        if origin is not None and cell.w == origin[0]:
+            kid = _origin_pick(cell.rect, origin)
+            if kid is not None:
+                by_origin += 1
+                cells.append(_Cell(kid, cell.w, None, cell.zero))
+                continue
         if isinstance(cell.zero, complex):
             kid = _pick(cell.rect, cell.zero)
             if kid is not None:
                 guided.append(cell._replace(rect=kid))
                 continue
             fallbacks += 1
-            cell = cell.sides._replace(zero=False)
+            cell = cell._replace(zero=False)
+        if cell.sides is None:
+            bare.append(len(cells))
         cells.append(cell)
+    if bare:
+        rects = [cells[i].rect for i in bare]
+        ws, store = _windings(p, rects, 48, 400000, stats, keep=True)
+        for slot, (i, w) in enumerate(zip(bare, ws)):
+            if not (isinstance(w, int) and w == cells[i].w):
+                raise NonConvergenceError("cell %r winds %s when sampled afresh, not %d"
+                                          % (cells[i].rect, w, cells[i].w))
+            cells[i] = cells[i]._replace(sides=(store, slot))
     ones = [i for i, cell in enumerate(cells) if cell.w == 1 and cell.zero is None]
     if ones:
         for i, k in zip(ones, _locate(p, [cells[i] for i in ones], stats)):
             kid = None if k is None else _pick(cells[i].rect, k)
             if kid is not None:
-                guided.append(_Cell(kid, 1, cells[i], k))
+                guided.append(_Cell(kid, 1, None, k))
                 cells[i] = None
         cells = [cell for cell in cells if cell is not None]
     if stats is not None:
-        stats.add(guided=len(guided), guide_fallbacks=fallbacks)
+        stats.add(guided=len(guided), guide_fallbacks=fallbacks, origin_guided=by_origin,
+                  resampled=len(bare))
     return guided, cells
 
 
@@ -885,7 +974,7 @@ def _noise_floor(p, cells):
     e = np.exp(np.multiply.outer(-sigmas, ys))
     n = len(cells)
     m = np.add.accumulate(sizes[:, None] * np.maximum(e[:, :n], e[:, n:]), axis=0)
-    return 2.2e-16 * m[-1]
+    return _EPS * m[-1]
 
 
 def _probe_max(p, cells):
@@ -915,7 +1004,7 @@ def _settle(p, frontier, tol, stats):
     loud = {}
     if probed:
         cells = [frontier[i][0] for i in probed]
-        loud = dict(zip(probed, (_probe_max(p, cells) > 32 * _noise_floor(p, cells)).tolist()))
+        loud = dict(zip(probed, (_probe_max(p, cells) > _LOUD * _noise_floor(p, cells)).tolist()))
     settled = []
     to_split = []
     for i, (cell, cw, _, _) in enumerate(frontier):
@@ -954,10 +1043,14 @@ def find_roots(p, region, tol=1e-8, stats=None):
     work counted.
 
     A winding-one cell that has to be split is split by its located zero
-    when one is found (see the module docstring): the child that holds the
-    zero is the child that winding all four would keep, so the subdivision
+    when one is found, and a cell that holds the zero of order m0 >= 2 at
+    k = 0, and winds m0 times, is split by k = 0 while its cuts pass well
+    clear of it (see the module docstring): the child that holds the zero
+    is the child that winding all four would keep, so the subdivision
     visits the same cells, and every Resonance is the same, as when every
-    child is wound.  Only the work differs.
+    child is wound.  Only the work differs.  Such children have no sides;
+    where a chain of them stops, its cell is sampled afresh and split for
+    real.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -971,19 +1064,25 @@ def find_roots(p, region, tol=1e-8, stats=None):
     outer, w, sides = _outer_winding(p, (x0, x1, y0, y1), stats)
     if w == 0:
         return []
+    origin = _origin(p)
     found = []
     frontier = [_Cell(outer, w, sides, None)]
     while frontier:
         settled, to_split = _settle(p, frontier, tol, stats)
         found.extend(settled)
-        frontier, to_split = _guide(p, to_split, stats)
+        frontier, to_split = _guide(p, to_split, origin, stats)
         # the sides of the cells to split for real are gathered into their
-        # batches, and the level's own sides are freed, but for those that
-        # a chain of guided splits may go back to
-        batches = _batches(p, to_split)
+        # batches, and the level's own sides are freed; their children take
+        # their places among the children that k = 0 decided
+        places = [cell if cell.sides is None else None for cell in to_split]
+        batches = _batches(p, [cell for cell in to_split if cell.sides is not None])
         to_split = None
+        packs = []
         while batches:
-            frontier.extend(_split(p, *batches.pop(0), stats))
+            packs.extend(_split(p, *batches.pop(0), stats))
+        packs = iter(packs)
+        for cell in places:
+            frontier.extend(next(packs) if cell is None else (cell,))
     found.sort(key=lambda r: (r.k.real, r.k.imag))
     return found
 
@@ -1049,9 +1148,10 @@ def count_in_disc(p, radius, tol=1e-8, stats=None):
 
     Only roots reported within 1e-9 of the origin are taken for it.  A zero
     of order >= 2 at k = 0 can come back as noise-floor clusters or Newton
-    roots at |k| ~ 1e-8, and those are still counted: until the origin's
-    order is found exactly, such a count can be too high by part of that
-    order.
+    roots at |k| ~ 1e-8, and those are still counted, so such a count can
+    be too high by part of that order.  find_roots knows the order exactly
+    (ExpPolynomial.origin_order), but uses it only to split cells with less
+    work; the count keeps the 1e-9 rule.
     """
     radius = float(radius)
     if not (math.isfinite(radius) and radius > 0):

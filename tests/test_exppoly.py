@@ -196,6 +196,24 @@ def test_sigma_range():
         ExpPolynomial.zero((1.0,)).sigma_range()
 
 
+def test_origin_order_is_exact():
+    """(e^{i L k} - 1)^m = (i L k)^m + ... has order m and c_m = m! L^m at
+    k = 0, rounded once from the exact value even when L is not dyadic; a
+    sum whose terms cancel frequency by frequency vanishes identically."""
+    from fractions import Fraction
+    for L in (1.0, 0.1, math.pi):
+        step = ExpPolynomial((L,), {(1,): 1, (0,): -1})
+        p = step
+        for m in range(1, 6):
+            assert p.origin_order == (m, complex(math.factorial(m) * Fraction(L) ** m)), (L, m)
+            p = p * step
+    # complex coefficients: 1j (e^{ik} - 1) / 4 has c_1 = 1j / 4
+    q = ExpPolynomial((1.0,), {(1,): 0.25j, (0,): -0.25j})
+    assert q.origin_order == (1, 0.25j)
+    assert ExpPolynomial((1.0, 2.0), {(2, 0): 1, (0, 1): -1}).origin_order == (0, 0j)
+    assert ExpPolynomial((1.0,), {(0,): 3}).origin_order == (0, 3 + 0j)
+
+
 def test_extreme_coefficients():
     p = ExpPolynomial((1.0, 2.0), {(1, 1): 2, (-1, -1): 5, (0, 1): 7})
     assert p.extreme_coefficients() == (5, 2)

@@ -1,8 +1,9 @@
 """Argument checks must not be assert statements, which python -O strips.
 
 The tests below raise on bad arguments, or check the root finder's budgets,
-its inherited samples and its located zeros; they are run again in a python -O subprocess,
-which imports the same qgraph package as this suite.
+its inherited samples, its located zeros and its splits by k = 0; they are
+run again in a python -O subprocess, which imports the same qgraph package
+as this suite.
 """
 
 import os
@@ -39,6 +40,16 @@ ARGUMENT_CHECKS = (
                    "test_chains_sent_back_give_the_same_answer")
       for case, radius in (("c=0.3", 20.0), ("c=0.3", 40.0), ("c=3/5", 20.0), ("c=3/5", 40.0),
                            ("c=1", 20.0), ("c=1", 40.0), ("E5V4L2b", 8.0))),
+    *("test_rootfind.py::%s[%s]" % (test, case)
+      for test in ("test_origin_splits_give_the_same_answer",
+                   "test_origin_child_is_the_wound_child")
+      for case in ("E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b")),
+    "test_rootfind.py::test_origin_splits_give_the_same_answer_on_the_family",
+    "test_rootfind.py::test_fresh_winding_that_disagrees_is_an_error",
+    *("test_rootfind.py::test_origin_order_by_high_precision_evaluation[%s]" % case
+      for case in ("E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b", "E6V6L2b",
+                   "E6V3L1-rank4", "circle c=0.3", "circle c=1", "sin(pi k)^2")),
+    "test_exppoly.py::test_origin_order_is_exact",
     "test_cli.py::test_huge_disc_is_a_computation_error",
     "test_constraint.py::test_capacity_refused",
     "test_constraint.py::test_assemble_rejects_invalid",

@@ -443,18 +443,20 @@ WOUND = {
     ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=165, points=4469, rounds=184,
                                 split_attempts=[40, 1] + [0] * 8, evaluations=72,
                                 reused=8788, guided=6, guide_steps=24)),
-    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=193, points=2501, rounds=401,
-                                    split_attempts=[45, 3] + [0] * 8, evaluations=390,
-                                    reused=3887, guided=10, guide_steps=36)),
+    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=123, points=2177, rounds=327,
+                                    split_attempts=[27, 3] + [0] * 8, evaluations=346,
+                                    reused=3205, guided=10, guide_steps=36, origin_guided=18,
+                                    resampled=2)),
 ])
 def test_root_stats_pinned(case, want, bench_graphs):
     """The work of count_in_disc is pinned: every boundary, evaluated and
     inherited sample, round, split, evaluation pass and located zero, on
     the circle at R = 20 (a crossing c among them) and on a graph of the
-    benchmark pool at R = 8.  Against winding every child, splits by a
-    located zero leave the Newton and cluster counters as they were, and
-    the evaluation passes move by the polishes they add and the batches
-    they empty."""
+    benchmark pool at R = 8, whose zero of order 2 at k = 0 splits cells
+    too.  Against winding every child, splits by a located zero or by
+    k = 0 leave the Newton and cluster counters as they were, and the
+    evaluation passes move by the polishes they add and the batches they
+    empty."""
     stats = RootStats()
     count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
     assert stats == want
@@ -465,12 +467,19 @@ def _decline(p, cells, stats):
     return [None] * len(cells)
 
 
+def _no_origin_order(monkeypatch):
+    """Turn the split by k = 0 off: every polynomial's cached order at the
+    origin reads 0."""
+    monkeypatch.setattr(ExpPolynomial, "origin_order", property(lambda self: (0, 0j)))
+
+
 @pytest.mark.parametrize("case", list(WOUND))
 def test_root_stats_without_a_located_zero(case, bench_graphs, monkeypatch):
-    """With the locator declining every cell, every split winds its
-    children, and the work is exactly what it was before cells were split
-    by their located zero."""
+    """With the locator declining every cell and the order at k = 0 read
+    as 0, every split winds its children, and the work is exactly what it
+    was before cells were split by a zero."""
     monkeypatch.setattr(rootfind, "_locate", _decline)
+    _no_origin_order(monkeypatch)
     stats = RootStats()
     count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
     assert stats == WOUND[case]
@@ -502,9 +511,9 @@ def test_located_zeros_give_the_same_answer(case, radius, bench_graphs, monkeypa
 
 @pytest.mark.parametrize("case, radius", SAME_ANSWER_CASES)
 def test_chains_sent_back_give_the_same_answer(case, radius, bench_graphs, monkeypatch):
-    """When every cell without sides finds its zero at a cut, each chain
-    goes back to its last cell with sides, which is split for real, and
-    the repr is still that of winding every child."""
+    """When every cell without sides finds its zero at a cut, each such
+    cell is sampled afresh and split for real, and the repr is still that
+    of winding every child."""
     p, _ = _pinned_case(case, bench_graphs)
     want = repr(count_in_disc(p, radius))
     pick = rootfind._pick
@@ -549,6 +558,144 @@ def test_located_child_is_the_wound_child(case, bench_graphs, monkeypatch):
     stats = RootStats()
     count_in_disc(p, radius, stats=stats)
     assert len(checked) == stats.guided > 0
+
+
+# the benchmark pool's graphs whose zero at k = 0 has order 2, their cycle
+# rank; the seventh, E6V6L2b, has a simple zero there
+ORIGIN_POOL = ["E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b"]
+SAME_COUNTERS = ("newton_iterations", "newton_failures", "noise_clusters", "outer_growths")
+
+
+def _answer(p, radius, stats):
+    """repr(count_in_disc(...)), or the text of its NonConvergenceError."""
+    try:
+        return repr(count_in_disc(p, radius, stats=stats))
+    except NonConvergenceError as e:
+        return "NonConvergenceError: %s" % e
+
+
+def _with_and_without_origin(p, radius, monkeypatch):
+    """(answer, RootStats) of count_in_disc with the split by k = 0, and
+    then without it."""
+    runs = []
+    for off in (False, True):
+        with monkeypatch.context() as m:
+            if off:
+                _no_origin_order(m)
+            stats = RootStats()
+            runs.append((_answer(p, radius, stats), stats))
+    return runs
+
+
+@pytest.mark.parametrize("case", ORIGIN_POOL)
+def test_origin_splits_give_the_same_answer(case, bench_graphs, monkeypatch):
+    """Splitting cells by the zero of order 2 at k = 0 gives the repr and
+    the Newton and cluster counters of winding every child, with less
+    work."""
+    p = assemble(bench_graphs[case]).determinant()
+    (guided, s1), (wound, s0) = _with_and_without_origin(p, 8.0, monkeypatch)
+    assert guided == wound
+    for name in SAME_COUNTERS:
+        assert getattr(s1, name) == getattr(s0, name), name
+    assert s0.origin_guided == 0 < s1.origin_guided
+    assert s1.boundaries < s0.boundaries and s1.points < s0.points
+    assert sum(s1.split_attempts) + s1.origin_guided >= sum(s0.split_attempts)
+
+
+def test_origin_splits_give_the_same_answer_on_the_family(graph_family, monkeypatch):
+    """The same on every family graph whose zero at k = 0 has order 2 or
+    more, at R = 6, errors included: graph 16 names the same cell near
+    k = -5.504 either way."""
+    checked = []
+    for i, g in enumerate(graph_family):
+        p = assemble(g).determinant()
+        if p.origin_order[0] < 2:
+            continue
+        (guided, s1), (wound, s0) = _with_and_without_origin(p, 6.0, monkeypatch)
+        assert guided == wound, i
+        for name in SAME_COUNTERS:
+            assert getattr(s1, name) == getattr(s0, name), (i, name)
+        assert s0.origin_guided == 0
+        checked.append((i, s1.origin_guided, guided))
+    assert sum(n > 0 for _, n, _ in checked) >= 10
+    answers = {i: answer for i, _, answer in checked}
+    assert answers[16].startswith("NonConvergenceError: zero count not conserved "
+                                  "when splitting (-5.504")
+
+
+@pytest.mark.parametrize("case", ORIGIN_POOL)
+def test_origin_child_is_the_wound_child(case, bench_graphs, monkeypatch):
+    """Every child picked by k = 0 is the one child of the midpoint split
+    that winding_numbers, sampling all four afresh, gives the order m0 of
+    the zero there; the other three wind zero."""
+    p = assemble(bench_graphs[case]).determinant()
+    m0 = p.origin_order[0]
+    pick = rootfind._origin_pick
+    checked = []
+
+    def wound(rect, origin):
+        kid = pick(rect, origin)
+        if kid is not None:
+            kids = rootfind._quad(rect, 0.0, 0.0)
+            ws = winding_numbers(p, list(kids))
+            assert ws == [m0 * (c == kid) for c in kids], (rect, ws)
+            checked.append(kid)
+        return kid
+    monkeypatch.setattr(rootfind, "_origin_pick", wound)
+    stats = RootStats()
+    count_in_disc(p, 8.0, stats=stats)
+    assert len(checked) == stats.origin_guided > 0
+
+
+def test_fresh_winding_that_disagrees_is_an_error(bench_graphs, monkeypatch):
+    """A cell without sides that is split for real is sampled afresh, and
+    its fresh winding must be the one it was split off with; if not, the
+    search stops with a NonConvergenceError, which python -O keeps."""
+    p = assemble(bench_graphs["E5V4L2b"]).determinant()
+    windings = rootfind._windings
+    calls = []
+
+    def off_by_one(p, rects, *args, **kwargs):
+        # the first call is the outer rectangle's, the later ones resample
+        out, sides = windings(p, rects, *args, **kwargs)
+        calls.append(rects)
+        if len(calls) > 1:
+            out = [w + 1 for w in out]
+        return out, sides
+    monkeypatch.setattr(rootfind, "_windings", off_by_one)
+    with pytest.raises(NonConvergenceError, match=r"winds 3 when sampled afresh, not 2$"):
+        count_in_disc(p, 8.0)
+    assert len(calls) == 2
+
+
+# the order of the zero at k = 0, by test id
+ORIGIN_ORDERS = {**dict.fromkeys(ORIGIN_POOL, 2), "E6V6L2b": 1, "E6V3L1-rank4": 4,
+                 "circle c=0.3": 1, "circle c=1": 1, "sin(pi k)^2": 2}
+
+
+@pytest.mark.parametrize("case", list(ORIGIN_ORDERS))
+def test_origin_order_by_high_precision_evaluation(case, bench_graphs):
+    """The exact order m and coefficient c_m at k = 0 agree with p(eps) /
+    eps^m -> c_m i^m / m!, p summed term by term at 50 digits with
+    mpmath: a lower order would make the quotient blow up, a higher one
+    c_m vanish."""
+    mpmath = pytest.importorskip("mpmath")
+    if case.startswith("circle"):
+        p = det_poly(float(case.rpartition("=")[2]))
+    elif case == "sin(pi k)^2":
+        p = sin_pi_poly() * sin_pi_poly()
+    else:
+        p = assemble(bench_graphs[case]).determinant()
+    m, c = p.origin_order
+    assert m == ORIGIN_ORDERS[case]
+    with mpmath.workdps(50):
+        eps = mpmath.mpf(2) ** -30
+        lengths = [mpmath.mpf(L) for L in p.lengths]
+        value = mpmath.fsum(mpmath.mpc(complex(a)) * mpmath.expj(eps * mpmath.fsum(
+            n * L for n, L in zip(vec, lengths))) for vec, a in p.terms.items())
+        got = complex(value / eps ** m)
+    want = c * 1j ** m / math.factorial(m)
+    assert abs(got - want) <= 1e-6 * abs(want), (got, want)
 
 
 def _pinned_case(case, bench_graphs):
@@ -635,7 +782,7 @@ def test_inherited_windings_match_fresh_sampling(case, bench_graphs, monkeypatch
     monkeypatch.setattr(rootfind, "_quadrisect", checked)
     stats = RootStats()
     count_in_disc(p, radius, stats=stats)
-    assert len(compared) == stats.boundaries - 1 - stats.outer_growths
+    assert len(compared) == stats.boundaries - 1 - stats.outer_growths - stats.resampled
     assert stats.reused > stats.points
 
 
