@@ -26,29 +26,25 @@ siblings share every cut line, their windings add up to the parent's
 whenever they are all defined.  winding_numbers itself samples every side
 afresh, on the grid of a fresh side.
 
-A winding-one cell whose Newton from the centre fails is split without
-winding its children when its zero can be located: the argument-principle
-moment of its sides estimates the zero, and Newton from the estimate
-polishes it into a zero strictly inside the cell, the cell's only one.  The
-midpoint child that holds it is the one child a split would keep; it goes
-on without sides, and so do its descendants, each split by the same zero.
-Each of them still runs the centre Newton and noise-floor probe of any
-cell, so the zeros found are those of a search that winds every child.
-
-A cell that holds k = 0 strictly inside and winds m0 times, m0 >= 2 being
-the exact order of the zero there (ExpPolynomial.origin_order), holds no
-other zero, and is split by k = 0 the same way: the midpoint child that
-holds k = 0 goes on without sides, in its parent's place among the
-level's children, for as long as both cuts pass k = 0 by more than twice
-the radius r0 within which p may be lost in the evaluation noise or
-unlike its leading Taylor term (see _origin), and by more than
-10^(-12/m0) of the cell's diameter.
-
-Either chain stops where its zero comes near a cut: within 1e-6 of a
-cell's width or height for a located zero, where a real split could
-re-place the cut, or within those margins for k = 0.  That cell is
-sampled afresh and split for real; below a located zero, no zero is
-located again.
+A cell that holds a known zero of order w strictly inside, and winds w
+times, holds no other zero, and is split by that zero without winding its
+children: the midpoint child that holds it is the one child a split would
+keep.  It goes on without sides, in its parent's place among the level's
+children, and so do its descendants, each split by the same zero.  Each of
+them still runs the centre Newton and noise-floor probe of any cell, so
+the zeros found are those of a search that winds every child.  Two kinds
+of zero are known.  A winding-one cell whose Newton from the centre fails
+has its zero located: the argument-principle moment of its sides estimates
+it, and Newton from the estimate polishes it into a zero strictly inside
+the cell.  And k = 0 is known in a cell that holds it strictly inside and
+winds m0 times, m0 >= 2 being the exact order of the zero there
+(ExpPolynomial.origin_order).  The chain stops where its zero comes near a
+cut (see _pick): within 1e-6 of a cell's width or height for a located
+zero, where a real split could re-place the cut; for k = 0, within twice
+the radius r0 within which p may be lost in the evaluation noise or unlike
+its leading Taylor term (see _origin), or within 10^(-12/m0) of the cell's
+diameter.  That cell is sampled afresh and split for real, and its
+children start with no zero.
 
 The subdivision runs level by level, and each level is evaluated in batches:
 a level's cells are taken in order into batches whose splits evaluate at
@@ -143,8 +139,9 @@ class RootStats:
         children (see find_roots); they are not in split_attempts.
     guide_steps: Newton steps of the polishes that locate those zeros;
         they are not in newton_iterations.
-    guide_fallbacks: cells below such splits that are split for real
-        instead, because the zero lay at a cut (each also in resampled).
+    guide_fallbacks: cells split off by a located zero that are split
+        for real instead, because the zero lay at a cut (each also in
+        resampled).
     origin_guided: splits decided by the zero at k = 0, without winding
         the children (see find_roots); they are not in split_attempts.
     resampled: cells without sides, below splits decided by a zero, that
@@ -275,16 +272,15 @@ def _fresh_lines(p, rects, nseg):
 
 
 def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluated,
-          reused=0, keep=False):
+          reused=0):
     """Winding numbers of the boundaries whose sides are in lines: boundary b
     runs along side bside[b, k] forwards if bsign[b, k] > 0, else backwards,
     k = 0..3.  rects[b] is its rectangle, for the messages.
 
     Returns (windings, merged): an int or a BoundaryZeroSuspected per
-    boundary, as winding_numbers; with keep, merged is the refined sides as
-    (off, data), midpoints inserted in order, else None.  evaluated and
-    reused are the samples of lines that the caller evaluated and
-    inherited, for stats.
+    boundary, as winding_numbers, and the refined sides as (off, data),
+    midpoints inserted in order.  evaluated and reused are the samples of
+    lines that the caller evaluated and inherited, for stats.
     """
     off, data = lines.off, lines.data
     ns = off.size - 1
@@ -348,10 +344,9 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
             n_points += owner.size
             np.fmax.at(ext[0], owner, mids[3])
             np.maximum.at(ext[1], owner, -mids[3])
-            if keep:
-                root = root[keep_seg]
-                inserted.append((root, mids))
-                root = np.repeat(root, 2)
+            root = root[keep_seg]
+            inserted.append((root, mids))
+            root = np.repeat(root, 2)
             # the halves a -> mid and mid -> b of each, side by side
             halves = np.empty((3, 2, 2 * owner.size))
             halves[:, 0, 0::2] = seg[0::2]
@@ -382,7 +377,7 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
     if stats is not None:
         stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds,
                   evaluations=n_evals, reused=reused)
-    return out, (_merged(off, data, inserted) if keep else None)
+    return out, _merged(off, data, inserted)
 
 
 def _merged(off, data, inserted):
@@ -473,9 +468,9 @@ def _gather(sides):
     return off, data
 
 
-def _windings(p, rects, max_rounds, max_points, stats, keep=False):
-    """winding_numbers on fresh sides; with keep, also the _Sides of rects
-    (None when no rectangle is sampled)."""
+def _windings(p, rects, max_rounds, max_points, stats):
+    """winding_numbers on fresh sides, and the _Sides of rects (None when
+    no rectangle is sampled)."""
     out = [None] * len(rects)
     x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
     nseg = _side_segments(p, np.array([x1 - x0, y1 - y0, x1 - x0, y1 - y0]).T)
@@ -494,11 +489,10 @@ def _windings(p, rects, max_rounds, max_points, stats, keep=False):
         bside = np.arange(4 * ok.size).reshape(-1, 4)
         bsign = np.ones(bside.shape)
         ws, merged = _wind(p, lines, bside, bsign, kept, max_rounds, max_points, stats,
-                           evaluated, keep=keep)
+                           evaluated)
         for i, w in zip(ok.tolist(), ws):
             out[i] = w
-        if keep:
-            sides = _Sides(merged, bside, bsign)
+        sides = _Sides(merged, bside, bsign)
     return out, sides
 
 
@@ -534,7 +528,8 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
     max_points samples is suspected without being sampled.
 
     find_roots runs the same refinement on the sides of its cells, which it
-    mostly inherits (see _quadrisect); this function samples every side.
+    mostly inherits (see _quadrisect) and keeps for their children; this
+    function samples every side, and drops the refined sides.
     """
     for rect in rects:
         x0, x1, y0, y1 = rect
@@ -571,7 +566,7 @@ def _outer_winding(p, rect, stats):
         grown = _grown(rect, delta)
         if stats is not None and attempt:
             stats.add(outer_growths=1)
-        (w,), sides = _windings(p, [grown], 48, 400000, stats, keep=True)
+        (w,), sides = _windings(p, [grown], 48, 400000, stats)
         if not isinstance(w, BoundaryZeroSuspected):
             return grown, w, (sides, 0)
     raise NonConvergenceError("could not find a zero-free boundary near %r: %s" % (rect, w))
@@ -631,8 +626,7 @@ def _quadrisect(p, quads, parents, stats):
     unit, cunit, bside, bsign = _kid_layout(len(quads))
     lines, evaluated, reused = _child_lines(p, quads, parents, unit, cunit)
     kids = [kid for kids in quads for kid in kids]
-    ws, merged = _wind(p, lines, bside, bsign, kids, 48, 400000, stats, evaluated, reused,
-                       keep=True)
+    ws, merged = _wind(p, lines, bside, bsign, kids, 48, 400000, stats, evaluated, reused)
     return ws, (merged, bside, bsign)
 
 
@@ -717,10 +711,9 @@ def _child_lines(p, quads, parents, unit, cunit):
 
 
 # A cell of the subdivision frontier: its rectangle, its winding w, its
-# sides and its zero.  sides is (_Sides, slot), or None on a cell split off
-# by a zero without winding.  zero is the located zero that split the cell
-# off, None, or False below a cell split for real because its located zero
-# lay at a cut, so that no zero is located there again (see _guide).
+# sides and its zero.  A cell split off by a known zero without winding
+# has zero, the located zero or 0j for k = 0, and sides None; any other
+# cell has sides (_Sides, slot) and zero None (see _guide).
 _Cell = namedtuple("_Cell", "rect w sides zero")
 
 
@@ -737,8 +730,8 @@ def _split(p, cells, parents, stats):
     """Quadrisect every _Cell of cells, whose sides are parents, retrying
     the cut position of each cell until its child windings are defined and
     conserve the parent's.  Returns, per cell, the list of its children
-    with positive winding, as _Cells with their sides and their parent's
-    zero.  A retry cuts the parent's sides again at its new position.
+    with positive winding, as _Cells with their sides and no zero.  A
+    retry cuts the parent's sides again at its new position.
     """
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
@@ -767,7 +760,7 @@ def _split(p, cells, parents, stats):
             rows = [b for _, _, _, b in kept]
             store = _Sides(merged, bside[rows], bsign[rows])
             for slot, (i, kid, wi, _) in enumerate(kept):
-                packs[i].append(_Cell(kid, wi, (store, slot), cells[i].zero))
+                packs[i].append(_Cell(kid, wi, (store, slot), None))
         # the retries' sides, by their place among this attempt's cells
         pending = [pending[j] for j in retry]
         if retry and attempt + 1 < _MAX_SPLIT_ATTEMPTS:
@@ -810,21 +803,6 @@ def _locate(p, cells, stats):
     return ks
 
 
-def _pick(rect, k):
-    """The child of rect's midpoint split that holds k, or None when k lies
-    within 1e-6 of rect's width or height of a cut, where a real split may
-    re-place the cut, or within 1e-12 max(1, |k|) of one, about the
-    precision of the polish, which on a tiny cell is the wider margin."""
-    kids = _quad(rect, 0.0, 0.0)
-    x0, x1, y0, y1 = rect
-    xc, yc = kids[0][1], kids[0][3]
-    floor = 1e-12 * max(1.0, abs(k))
-    if (abs(k.real - xc) <= max(1e-6 * (x1 - x0), floor)
-            or abs(k.imag - yc) <= max(1e-6 * (y1 - y0), floor)):
-        return None
-    return kids[(k.real > xc) + 2 * (k.imag > yc)]
-
-
 def _origin(p):
     """(m0, r0) for the zero of p at k = 0 when its exact order m0
     (ExpPolynomial.origin_order) is at least 2, else None.
@@ -852,82 +830,82 @@ def _origin(p):
     return (m, float(r[ok[0]])) if ok.size else None
 
 
-def _origin_pick(rect, origin):
-    """The child of rect's midpoint split that holds k = 0, or None unless
-    k = 0 lies strictly inside rect and both cuts pass it by more than
-    max(2 r0, 10^(-12/m0) times rect's diameter), origin being (m0, r0) of
-    _origin.  The first bound keeps the cuts where p is loud and winds
-    like its leading Taylor term; the second keeps |p| on them above
-    1e-12 of |p| on the sides, far from the 1e-14 of a suspected zero."""
-    x0, x1, y0, y1 = rect
-    if not (x0 < 0.0 < x1 and y0 < 0.0 < y1):
-        return None
-    m, r0 = origin
+def _pick(rect, k, origin):
+    """The child of rect's midpoint split that holds its known zero k, or
+    None when k lies too near a cut.  origin is (m0, r0) of _origin, or
+    None.
+
+    Both cuts must pass k = 0 by more than max(2 r0, 10^(-12/m0) times
+    rect's diameter): the first bound keeps them where p is loud and winds
+    like its leading Taylor term; the second keeps |p| on them above 1e-12
+    of |p| on the sides, far from the 1e-14 of a suspected zero.  They must
+    pass a located zero by more than 1e-6 of rect's width or height, where
+    a real split may re-place the cut, and by more than 1e-12 max(1, |k|),
+    about the precision of the polish, which on a tiny cell is the wider
+    margin."""
     kids = _quad(rect, 0.0, 0.0)
+    x0, x1, y0, y1 = rect
     xc, yc = kids[0][1], kids[0][3]
-    if min(abs(xc), abs(yc)) <= max(2.0 * r0, 10.0 ** (-12.0 / m) * math.hypot(x1 - x0, y1 - y0)):
+    if k == 0 and origin is not None:
+        m, r0 = origin
+        gap_x = gap_y = max(2.0 * r0, 10.0 ** (-12.0 / m) * math.hypot(x1 - x0, y1 - y0))
+    else:
+        floor = 1e-12 * max(1.0, abs(k))
+        gap_x, gap_y = max(1e-6 * (x1 - x0), floor), max(1e-6 * (y1 - y0), floor)
+    if abs(k.real - xc) <= gap_x or abs(k.imag - yc) <= gap_y:
         return None
-    return kids[(xc < 0.0) + 2 * (yc < 0.0)]
+    return kids[(k.real > xc) + 2 * (k.imag > yc)]
 
 
 def _guide(p, to_split, origin, stats):
-    """Split the _Cells of to_split that a zero decides, evaluating nothing,
-    and sample afresh the cells without sides left to split for real.
+    """Split the _Cells of to_split that a known zero decides, evaluating
+    nothing, and sample afresh the cells without sides left to split for
+    real.
 
-    A cell of winding m0 is split by k = 0 when _origin_pick finds the
-    child that holds it (origin is (m0, r0) of _origin, or None).  A
-    winding-one cell below a split by a located zero is split by that
-    zero when _pick finds the child; when the zero lies at a cut, the cell
-    is split for real, with zero False, which its children inherit.  Of the
-    cells with sides, those of winding one and zero None have their zero
-    located (_locate) and are split by it when it lies away from the cuts.
-    A cell without sides that is left is sampled afresh, and its winding
-    must be the one it carries.
+    A cell's known zero is the one it was split off with; for a cell with
+    sides, the zero that _locate finds when it winds once, or k = 0 when it
+    winds m0 times and holds k = 0 strictly inside (origin is (m0, r0) of
+    _origin, or None).  The cell is split by its zero when _pick finds the
+    child that holds it.  Else it is split for real: a cell without sides
+    is first sampled afresh, and its winding must be the one it carries.
 
-    Returns (guided, cells): the children of the splits decided by a
-    located zero, as _Cells without sides, and in order the _Cells left to
-    split for real, with sides, and the children of the splits decided by
-    k = 0, without sides, each in its parent's place.
+    Returns the _Cells in order, each in its parent's place: the children
+    of the splits decided by a zero, without sides, and the cells left to
+    split for real, with sides and no zero.
     """
-    guided, cells, bare = [], [], []
-    by_origin = fallbacks = 0
-    for cell in to_split:
-        if origin is not None and cell.w == origin[0]:
-            kid = _origin_pick(cell.rect, origin)
-            if kid is not None:
-                by_origin += 1
-                cells.append(_Cell(kid, cell.w, None, cell.zero))
-                continue
-        if isinstance(cell.zero, complex):
-            kid = _pick(cell.rect, cell.zero)
-            if kid is not None:
-                guided.append(cell._replace(rect=kid))
-                continue
-            fallbacks += 1
-            cell = cell._replace(zero=False)
+    zeros = [cell.zero for cell in to_split]
+    ones = [i for i, cell in enumerate(to_split) if cell.w == 1 and cell.sides is not None]
+    if ones:
+        for i, k in zip(ones, _locate(p, [to_split[i] for i in ones], stats)):
+            zeros[i] = k
+    cells, bare = [], []
+    counts = dict(guided=0, origin_guided=0, guide_fallbacks=0)
+    for cell, zero in zip(to_split, zeros):
+        x0, x1, y0, y1 = cell.rect
+        if (origin is not None and cell.sides is not None and cell.w == origin[0]
+                and x0 < 0.0 < x1 and y0 < 0.0 < y1):
+            zero = 0j
+        by_origin = origin is not None and zero == 0
+        kid = None if zero is None else _pick(cell.rect, zero, origin)
+        if kid is not None:
+            counts["origin_guided" if by_origin else "guided"] += 1
+            cells.append(_Cell(kid, cell.w, None, zero))
+            continue
         if cell.sides is None:
+            counts["guide_fallbacks"] += not by_origin
             bare.append(len(cells))
+            cell = cell._replace(zero=None)
         cells.append(cell)
     if bare:
-        rects = [cells[i].rect for i in bare]
-        ws, store = _windings(p, rects, 48, 400000, stats, keep=True)
+        ws, store = _windings(p, [cells[i].rect for i in bare], 48, 400000, stats)
         for slot, (i, w) in enumerate(zip(bare, ws)):
             if not (isinstance(w, int) and w == cells[i].w):
                 raise NonConvergenceError("cell %r winds %s when sampled afresh, not %d"
                                           % (cells[i].rect, w, cells[i].w))
             cells[i] = cells[i]._replace(sides=(store, slot))
-    ones = [i for i, cell in enumerate(cells) if cell.w == 1 and cell.zero is None]
-    if ones:
-        for i, k in zip(ones, _locate(p, [cells[i] for i in ones], stats)):
-            kid = None if k is None else _pick(cells[i].rect, k)
-            if kid is not None:
-                guided.append(_Cell(kid, 1, None, k))
-                cells[i] = None
-        cells = [cell for cell in cells if cell is not None]
     if stats is not None:
-        stats.add(guided=len(guided), guide_fallbacks=fallbacks, origin_guided=by_origin,
-                  resampled=len(bare))
-    return guided, cells
+        stats.add(resampled=len(bare), **counts)
+    return cells
 
 
 def _batches(p, cells):
@@ -1042,15 +1020,15 @@ def find_roots(p, region, tol=1e-8, stats=None):
     for a given polynomial and region.  Pass a RootStats as stats to have the
     work counted.
 
-    A winding-one cell that has to be split is split by its located zero
-    when one is found, and a cell that holds the zero of order m0 >= 2 at
-    k = 0, and winds m0 times, is split by k = 0 while its cuts pass well
-    clear of it (see the module docstring): the child that holds the zero
-    is the child that winding all four would keep, so the subdivision
-    visits the same cells, and every Resonance is the same, as when every
-    child is wound.  Only the work differs.  Such children have no sides;
-    where a chain of them stops, its cell is sampled afresh and split for
-    real.
+    A cell that has to be split, holds a known zero of order w strictly
+    inside and winds w times is split by that zero while its cuts pass well
+    clear of it (see the module docstring).  The known zeros are the
+    located zero of a winding-one cell and the zero of order m0 >= 2 at
+    k = 0.  The child that holds the zero is the child that winding all
+    four would keep, so the subdivision visits the same cells, and every
+    Resonance is the same, as when every child is wound.  Only the work
+    differs.  Such children have no sides; where a chain of them stops,
+    its cell is sampled afresh and split for real.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -1070,17 +1048,18 @@ def find_roots(p, region, tol=1e-8, stats=None):
     while frontier:
         settled, to_split = _settle(p, frontier, tol, stats)
         found.extend(settled)
-        frontier, to_split = _guide(p, to_split, origin, stats)
+        frontier = _guide(p, to_split, origin, stats)
         # the sides of the cells to split for real are gathered into their
         # batches, and the level's own sides are freed; their children take
-        # their places among the children that k = 0 decided
-        places = [cell if cell.sides is None else None for cell in to_split]
-        batches = _batches(p, [cell for cell in to_split if cell.sides is not None])
-        to_split = None
+        # their places among the children that a zero decided
+        places = [cell if cell.sides is None else None for cell in frontier]
+        batches = _batches(p, [cell for cell in frontier if cell.sides is not None])
+        frontier = to_split = None
         packs = []
         while batches:
             packs.extend(_split(p, *batches.pop(0), stats))
         packs = iter(packs)
+        frontier = []
         for cell in places:
             frontier.extend(next(packs) if cell is None else (cell,))
     found.sort(key=lambda r: (r.k.real, r.k.imag))

@@ -4,13 +4,19 @@ This is the root finder exactly as it ran before a subdivision level was
 evaluated in one batched pass: one winding_number call per rectangle, one
 _split call per cell and one scalar Newton iteration per cell.  The batched
 qgraph.rootfind must return the same Resonance tuples, bit for bit.
+
+At the end are the two picks of the child that holds a known zero, one for
+a located zero and one for k = 0, exactly as they ran before one _pick
+served both kinds of zero.
 """
+
+import math
 
 import numpy as np
 
 from qgraph.errors import BoundaryZeroSuspected, NonConvergenceError
 from qgraph.rootfind import (_JITTER, _MAX_OUTER_ATTEMPTS, _MAX_SPLIT_ATTEMPTS,
-                             _NEWTON_ITERS, Resonance)
+                             _NEWTON_ITERS, Resonance, _quad)
 
 
 def _rect_points(rect, spacing):
@@ -207,3 +213,36 @@ def find_roots(p, region, tol=1e-8):
         frontier = [kid for cell, cw in to_split for kid in _split(p, cell, cw)]
     found.sort(key=lambda r: (r.k.real, r.k.imag))
     return found
+
+
+def _pick(rect, k):
+    """The child of rect's midpoint split that holds k, or None when k lies
+    within 1e-6 of rect's width or height of a cut, where a real split may
+    re-place the cut, or within 1e-12 max(1, |k|) of one, about the
+    precision of the polish, which on a tiny cell is the wider margin."""
+    kids = _quad(rect, 0.0, 0.0)
+    x0, x1, y0, y1 = rect
+    xc, yc = kids[0][1], kids[0][3]
+    floor = 1e-12 * max(1.0, abs(k))
+    if (abs(k.real - xc) <= max(1e-6 * (x1 - x0), floor)
+            or abs(k.imag - yc) <= max(1e-6 * (y1 - y0), floor)):
+        return None
+    return kids[(k.real > xc) + 2 * (k.imag > yc)]
+
+
+def _origin_pick(rect, origin):
+    """The child of rect's midpoint split that holds k = 0, or None unless
+    k = 0 lies strictly inside rect and both cuts pass it by more than
+    max(2 r0, 10^(-12/m0) times rect's diameter), origin being (m0, r0) of
+    _origin.  The first bound keeps the cuts where p is loud and winds
+    like its leading Taylor term; the second keeps |p| on them above
+    1e-12 of |p| on the sides, far from the 1e-14 of a suspected zero."""
+    x0, x1, y0, y1 = rect
+    if not (x0 < 0.0 < x1 and y0 < 0.0 < y1):
+        return None
+    m, r0 = origin
+    kids = _quad(rect, 0.0, 0.0)
+    xc, yc = kids[0][1], kids[0][3]
+    if min(abs(xc), abs(yc)) <= max(2.0 * r0, 10.0 ** (-12.0 / m) * math.hypot(x1 - x0, y1 - y0)):
+        return None
+    return kids[(xc < 0.0) + 2 * (yc < 0.0)]

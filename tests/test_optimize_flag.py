@@ -1,7 +1,8 @@
 """Argument checks must not be assert statements, which python -O strips.
 
 The tests below raise on bad arguments, or check the root finder's budgets,
-its inherited samples, its located zeros and its splits by k = 0; they are
+its inherited samples and its splits by a located zero or by k = 0, its
+frontier cells and its picks of the child that holds a zero; they are
 run again in a python -O subprocess, which imports the same qgraph package
 as this suite.
 """
@@ -40,10 +41,17 @@ ARGUMENT_CHECKS = (
                    "test_chains_sent_back_give_the_same_answer")
       for case, radius in (("c=0.3", 20.0), ("c=0.3", 40.0), ("c=3/5", 20.0), ("c=3/5", 40.0),
                            ("c=1", 20.0), ("c=1", 40.0), ("E5V4L2b", 8.0))),
+    *("test_rootfind.py::test_chains_sent_back_give_the_same_answer[%s-8.0]" % case
+      for case in ("E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b")),
     *("test_rootfind.py::%s[%s]" % (test, case)
       for test in ("test_origin_splits_give_the_same_answer",
                    "test_origin_child_is_the_wound_child")
       for case in ("E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b")),
+    *("test_rootfind.py::test_frontier_cells_have_sides_or_a_zero[%s-%s]" % (case, sent_back)
+      for case in ("c=0.3", "c=3/5", "c=1", "E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1",
+                   "E6V5L1b")
+      for sent_back in ("picked", "sent-back")),
+    "test_rootfind.py::test_pick_matches_the_picks_it_replaces",
     "test_rootfind.py::test_origin_splits_give_the_same_answer_on_the_family",
     "test_rootfind.py::test_fresh_winding_that_disagrees_is_an_error",
     *("test_rootfind.py::test_origin_order_by_high_precision_evaluation[%s]" % case

@@ -487,6 +487,9 @@ def test_root_stats_without_a_located_zero(case, bench_graphs, monkeypatch):
 
 SAME_ANSWER_CASES = [("c=0.3", 20.0), ("c=0.3", 40.0), ("c=3/5", 20.0), ("c=3/5", 40.0),
                      ("c=1", 20.0), ("c=1", 40.0), ("E5V4L2b", 8.0)]
+# the benchmark pool's graphs whose zero at k = 0 has order 2, their cycle
+# rank; the seventh, E6V6L2b, has a simple zero there
+ORIGIN_POOL = ["E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b"]
 
 
 @pytest.mark.parametrize("case, radius", SAME_ANSWER_CASES)
@@ -509,32 +512,44 @@ def test_located_zeros_give_the_same_answer(case, radius, bench_graphs, monkeypa
     assert sum(s1.split_attempts) + s1.guided >= sum(s0.split_attempts)
 
 
-@pytest.mark.parametrize("case, radius", SAME_ANSWER_CASES)
-def test_chains_sent_back_give_the_same_answer(case, radius, bench_graphs, monkeypatch):
-    """When every cell without sides finds its zero at a cut, each such
-    cell is sampled afresh and split for real, and the repr is still that
-    of winding every child."""
-    p, _ = _pinned_case(case, bench_graphs)
-    want = repr(count_in_disc(p, radius))
+def _send_back(monkeypatch):
+    """Make _pick decline every cell that an earlier pick returned, that
+    is every cell without sides: each is sampled afresh and split for real.
+    Returns a list that gets, per cell sent back, whether its zero is
+    k = 0."""
     pick = rootfind._pick
-    seen = set()
+    picked = set()
     sent_back = []
 
-    def first_pick_only(rect, k):
-        # the first pick of a zero is made for its cell with sides; every
-        # later one for a cell without sides, which is sent back
-        if k in seen:
-            sent_back.append(rect)
+    def first_pick_only(rect, k, origin):
+        if rect in picked:
+            sent_back.append(origin is not None and k == 0)
             return None
-        seen.add(k)
-        return pick(rect, k)
+        kid = pick(rect, k, origin)
+        if kid is not None:
+            picked.add(kid)
+        return kid
     monkeypatch.setattr(rootfind, "_pick", first_pick_only)
+    return sent_back
+
+
+@pytest.mark.parametrize("case, radius", SAME_ANSWER_CASES
+                         + [(case, 8.0) for case in ORIGIN_POOL if case != "E5V4L2b"])
+def test_chains_sent_back_give_the_same_answer(case, radius, bench_graphs, monkeypatch):
+    """When every cell without sides finds its zero, located or k = 0, at a
+    cut, each such cell is sampled afresh and split for real, and the repr
+    is still that of winding every child."""
+    p, _ = _pinned_case(case, bench_graphs)
+    want = repr(count_in_disc(p, radius))
+    sent_back = _send_back(monkeypatch)
     stats = RootStats()
     assert repr(count_in_disc(p, radius, stats=stats)) == want
-    assert stats.guide_fallbacks == len(sent_back)
-    assert stats.guided + stats.guide_fallbacks >= len(seen) > 0
+    assert stats.resampled == len(sent_back)
+    assert stats.guide_fallbacks == sent_back.count(False)
     # at c = 1 every cell without sides settles by its centre Newton
     assert sent_back or case == "c=1"
+    if case in ORIGIN_POOL:
+        assert any(sent_back)
 
 
 @pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", "E5V4L2b"])
@@ -546,9 +561,9 @@ def test_located_child_is_the_wound_child(case, bench_graphs, monkeypatch):
     pick = rootfind._pick
     checked = []
 
-    def wound(rect, k):
-        kid = pick(rect, k)
-        if kid is not None:
+    def wound(rect, k, origin):
+        kid = pick(rect, k, origin)
+        if kid is not None and k != 0:
             kids = rootfind._quad(rect, 0.0, 0.0)
             ws = winding_numbers(p, list(kids))
             assert ws == [int(c == kid) for c in kids], (rect, k, ws)
@@ -560,9 +575,6 @@ def test_located_child_is_the_wound_child(case, bench_graphs, monkeypatch):
     assert len(checked) == stats.guided > 0
 
 
-# the benchmark pool's graphs whose zero at k = 0 has order 2, their cycle
-# rank; the seventh, E6V6L2b, has a simple zero there
-ORIGIN_POOL = ["E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b"]
 SAME_COUNTERS = ("newton_iterations", "newton_failures", "noise_clusters", "outer_growths")
 
 
@@ -630,21 +642,100 @@ def test_origin_child_is_the_wound_child(case, bench_graphs, monkeypatch):
     the zero there; the other three wind zero."""
     p = assemble(bench_graphs[case]).determinant()
     m0 = p.origin_order[0]
-    pick = rootfind._origin_pick
+    pick = rootfind._pick
     checked = []
 
-    def wound(rect, origin):
-        kid = pick(rect, origin)
-        if kid is not None:
+    def wound(rect, k, origin):
+        kid = pick(rect, k, origin)
+        if kid is not None and k == 0:
             kids = rootfind._quad(rect, 0.0, 0.0)
             ws = winding_numbers(p, list(kids))
             assert ws == [m0 * (c == kid) for c in kids], (rect, ws)
             checked.append(kid)
         return kid
-    monkeypatch.setattr(rootfind, "_origin_pick", wound)
+    monkeypatch.setattr(rootfind, "_pick", wound)
     stats = RootStats()
     count_in_disc(p, 8.0, stats=stats)
     assert len(checked) == stats.origin_guided > 0
+
+
+@pytest.mark.parametrize("sent_back", [False, True], ids=["picked", "sent-back"])
+@pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", *ORIGIN_POOL])
+def test_frontier_cells_have_sides_or_a_zero(case, sent_back, bench_graphs, monkeypatch):
+    """Every cell of every level's frontier has sides and no zero, or a
+    zero (located, or 0j for k = 0) and no sides, also when cells without
+    sides are sent back to a real split (see _send_back), whose children
+    start with no zero."""
+    p, radius = _pinned_case(case, bench_graphs)
+    if sent_back:
+        sent = _send_back(monkeypatch)
+    settle = rootfind._settle
+    zeros = []
+
+    def checked(p, frontier, tol, stats):
+        for cell in frontier:
+            assert cell.zero is not False, cell
+            assert (cell.sides is None) == (cell.zero is not None), cell
+            assert cell.zero is None or type(cell.zero) is complex, cell
+            zeros.append(cell.zero)
+        return settle(p, frontier, tol, stats)
+    monkeypatch.setattr(rootfind, "_settle", checked)
+    count_in_disc(p, radius)
+    assert any(k is None for k in zeros) and any(k is not None for k in zeros)
+    if case in ORIGIN_POOL:
+        assert 0j in zeros
+    if sent_back:
+        assert sent or case == "c=1"
+
+
+def test_pick_matches_the_picks_it_replaces():
+    """_pick returns the child, or None, of the two picks it replaces
+    (rootfind_oracle._pick for a located zero, rootfind_oracle._origin_pick
+    for k = 0), on seeded cells from 1e-9 to 3 wide, and on the same cells
+    centred on 0, whose cuts are 0.0: located zeros anywhere in them, on,
+    next to and either side of the margins, also on tiny cells where the
+    1e-12 floor is the margin; and k = 0 strictly inside, with orders 2 and
+    4 and radii r0 that put the cuts on, inside and outside the margin."""
+    rng = np.random.default_rng(20261019)
+    got = {"located": [], "origin": []}
+    floors = exact = 0
+    for x0, x1, y0, y1 in _cells(rng, 300):
+        w, h = x1 - x0, y1 - y0
+        for rect in ((x0, x1, y0, y1), (-0.5 * w, 0.5 * w, -0.5 * h, 0.5 * h)):
+            xc, yc = rootfind._quad(rect, 0.0, 0.0)[0][1::2]
+            ks = [complex(rng.uniform(rect[0], rect[1]), rng.uniform(rect[2], rect[3]))
+                  for _ in range(3)]
+            for k in list(ks):
+                floor = 1e-12 * max(1.0, abs(k))
+                gap_x, gap_y = max(1e-6 * w, floor), max(1e-6 * h, floor)
+                for sign in (-1.0, 1.0):
+                    for x in (xc + sign * gap_x, xc + 0.5 * sign * gap_x, xc + 2.0 * sign * gap_x):
+                        ks += [complex(x, k.imag), complex(np.nextafter(x, sign * math.inf), k.imag)]
+                    for y in (yc + sign * gap_y, yc + 0.5 * sign * gap_y, yc + 2.0 * sign * gap_y):
+                        ks += [complex(k.real, y), complex(k.real, np.nextafter(y, sign * math.inf))]
+            for k in ks:
+                floor = 1e-12 * max(1.0, abs(k))
+                floors += floor > 1e-6 * min(w, h)
+                exact += abs(k.real - xc) == max(1e-6 * w, floor)
+                want = oracle._pick(rect, k)
+                for origin in (None, (2, 1e-3), (4, 1e-3)):
+                    assert rootfind._pick(rect, k, origin) == want, (rect, k, origin)
+                got["located"].append(want)
+        # the cell moved to hold k = 0 strictly inside
+        u, v = rng.uniform(0.05, 0.95, 2)
+        rect = (-u * w, (1.0 - u) * w, -v * h, (1.0 - v) * h)
+        if not (rect[0] < 0.0 < rect[1] and rect[2] < 0.0 < rect[3]):
+            continue
+        xc, yc = rootfind._quad(rect, 0.0, 0.0)[0][1::2]
+        for m in (2, 4):
+            for r0 in (0.0, 1e-300, 1e-12 * math.hypot(w, h), rng.uniform(0.0, 0.6) * min(w, h),
+                       abs(xc) / 2, abs(yc) / 2, np.nextafter(min(abs(xc), abs(yc)) / 2, 0.0)):
+                want = oracle._origin_pick(rect, (m, r0))
+                assert rootfind._pick(rect, 0j, (m, r0)) == want, (rect, m, r0)
+                got["origin"].append(want)
+    for kind, picks in got.items():
+        assert any(kid is None for kid in picks) and any(kid is not None for kid in picks), kind
+    assert floors > 0 and exact > 0
 
 
 def test_fresh_winding_that_disagrees_is_an_error(bench_graphs, monkeypatch):
