@@ -26,25 +26,30 @@ siblings share every cut line, their windings add up to the parent's
 whenever they are all defined.  winding_numbers itself samples every side
 afresh, on the grid of a fresh side.
 
-A cell that holds a known zero of order w strictly inside, and winds w
-times, holds no other zero, and is split by that zero without winding its
-children: the midpoint child that holds it is the one child a split would
-keep.  It goes on without sides, in its parent's place among the level's
-children, and so do its descendants, each split by the same zero.  Each of
-them still runs the centre Newton and noise-floor probe of any cell, so
-the zeros found are those of a search that winds every child.  Two kinds
-of zero are known.  A winding-one cell whose Newton from the centre fails
-has its zero located: the argument-principle moment of its sides estimates
-it, and Newton from the estimate polishes it into a zero strictly inside
-the cell.  And k = 0 is known in a cell that holds it strictly inside and
-winds m0 times, m0 >= 2 being the exact order of the zero there
-(ExpPolynomial.origin_order).  The chain stops where its zero comes near a
+A cell whose known zeros, strictly inside, add up (with their orders) to
+its winding holds no other zero, and is split by them without winding its
+children: the midpoint children that hold them, each winding as many times
+as the zeros it holds, are the children a split would keep.  They go on
+without sides, in their parent's place among the level's children, and so
+do their descendants, each split by the zeros it holds.  Each of them
+still runs the centre Newton and noise-floor probe of any cell, so the
+zeros found are those of a search that winds every child.  Two kinds of
+zero are known.  Located zeros: a cell that winds once or twice has its
+zeros estimated from the argument-principle moments of its sides (one
+zero from the first moment, two from the first two), and Newton from each
+estimate polishes it into a zero strictly inside the cell.  Two polished
+zeros are kept only when each is resolved from the other well beyond the
+evaluation noise (see _locate): near a double zero, the noise can let
+Newton find two zeros that a real split would not separate.  And k = 0
+is known in a cell that holds it strictly inside and winds m0 times,
+m0 >= 2 being the exact order of the zero there
+(ExpPolynomial.origin_order).  A chain stops where a zero comes near a
 cut (see _pick): within 1e-6 of a cell's width or height for a located
 zero, where a real split could re-place the cut; for k = 0, within twice
 the radius r0 within which p may be lost in the evaluation noise or unlike
 its leading Taylor term (see _origin), or within 10^(-12/m0) of the cell's
 diameter.  That cell is sampled afresh and split for real, and its
-children start with no zero.
+children start with no known zeros.
 
 The subdivision runs level by level, and each level is evaluated in batches:
 a level's cells are taken in order into batches whose splits evaluate at
@@ -135,9 +140,10 @@ class RootStats:
     reused: samples that child boundaries took from their parent's sides
         without evaluating them, counted per child (the parent corner
         between a child's two inherited halves once).
-    guided: splits decided by a located zero, without winding the
-        children (see find_roots); they are not in split_attempts.
-    guide_steps: Newton steps of the polishes that locate those zeros;
+    guided: splits decided by one located zero or two, without winding
+        the children (see find_roots); they are not in split_attempts.
+    guide_steps: Newton steps of the polishes that locate zeros, one per
+        winding-one cell and two per winding-two cell, kept or refused;
         they are not in newton_iterations.
     guide_fallbacks: cells split off by a located zero that are split
         for real instead, because the zero lay at a cut (each also in
@@ -146,6 +152,8 @@ class RootStats:
         the children (see find_roots); they are not in split_attempts.
     resampled: cells without sides, below splits decided by a zero, that
         are split for real and so first sampled afresh.
+    pairs_refused: winding-two cells with sides whose two located zeros
+        were refused (see _locate and _pick), and so split for real.
     """
     boundaries: int = 0
     points: int = 0
@@ -162,6 +170,7 @@ class RootStats:
     guide_fallbacks: int = 0
     origin_guided: int = 0
     resampled: int = 0
+    pairs_refused: int = 0
 
     def add(self, **counts):
         """Add to the counters named by the keywords."""
@@ -277,10 +286,11 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
     runs along side bside[b, k] forwards if bsign[b, k] > 0, else backwards,
     k = 0..3.  rects[b] is its rectangle, for the messages.
 
-    Returns (windings, merged): an int or a BoundaryZeroSuspected per
-    boundary, as winding_numbers, and the refined sides as (off, data),
-    midpoints inserted in order.  evaluated and reused are the samples of
-    lines that the caller evaluated and inherited, for stats.
+    Returns (windings, refined): an int or a BoundaryZeroSuspected per
+    boundary, as winding_numbers, and (off, data, inserted), the sides of
+    lines and the midpoints that refinement inserted (see _merged), which
+    _Sides turns into the refined sides.  evaluated and reused are the
+    samples of lines that the caller evaluated and inherited, for stats.
     """
     off, data = lines.off, lines.data
     ns = off.size - 1
@@ -377,7 +387,7 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
     if stats is not None:
         stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds,
                   evaluations=n_evals, reused=reused)
-    return out, _merged(off, data, inserted)
+    return out, (off, data, inserted)
 
 
 def _merged(off, data, inserted):
@@ -416,10 +426,10 @@ class _Sides:
     """
     __slots__ = ("off", "data")
 
-    def __init__(self, merged, bside, bsign):
+    def __init__(self, refined, bside, bsign):
         """The sides bside, bsign of some boundaries of _wind (see there),
-        from the (off, data) that it returns."""
-        off, data = merged
+        from the (off, data, inserted) that it returns."""
+        off, data = _merged(*refined)
         es = bside.ravel()
         lens = (off[1:] - off[:-1])[es]
         self.off = np.concatenate([[0], np.cumsum(lens)])
@@ -469,8 +479,8 @@ def _gather(sides):
 
 
 def _windings(p, rects, max_rounds, max_points, stats):
-    """winding_numbers on fresh sides, and the _Sides of rects (None when
-    no rectangle is sampled)."""
+    """winding_numbers on fresh sides, and the arguments of _Sides for the
+    sides of rects (None when no rectangle is sampled)."""
     out = [None] * len(rects)
     x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
     nseg = _side_segments(p, np.array([x1 - x0, y1 - y0, x1 - x0, y1 - y0]).T)
@@ -488,11 +498,11 @@ def _windings(p, rects, max_rounds, max_points, stats):
         lines, evaluated = _fresh_lines(p, kept, nseg[ok].ravel())
         bside = np.arange(4 * ok.size).reshape(-1, 4)
         bsign = np.ones(bside.shape)
-        ws, merged = _wind(p, lines, bside, bsign, kept, max_rounds, max_points, stats,
-                           evaluated)
+        ws, refined = _wind(p, lines, bside, bsign, kept, max_rounds, max_points, stats,
+                            evaluated)
         for i, w in zip(ok.tolist(), ws):
             out[i] = w
-        sides = _Sides(merged, bside, bsign)
+        sides = refined, bside, bsign
     return out, sides
 
 
@@ -529,7 +539,7 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
 
     find_roots runs the same refinement on the sides of its cells, which it
     mostly inherits (see _quadrisect) and keeps for their children; this
-    function samples every side, and drops the refined sides.
+    function samples every side, and never assembles the refined sides.
     """
     for rect in rects:
         x0, x1, y0, y1 = rect
@@ -568,7 +578,7 @@ def _outer_winding(p, rect, stats):
             stats.add(outer_growths=1)
         (w,), sides = _windings(p, [grown], 48, 400000, stats)
         if not isinstance(w, BoundaryZeroSuspected):
-            return grown, w, (sides, 0)
+            return grown, w, (_Sides(*sides), 0)
     raise NonConvergenceError("could not find a zero-free boundary near %r: %s" % (rect, w))
 
 
@@ -578,11 +588,14 @@ def _newton(p, cells, k0s):
     Each iterate is k - p(k)/p'(k) in Python complex arithmetic; only the
     evaluation is shared.  A cell gives up when p' vanishes or when its
     iterate strays more than 4 cell diameters from its start.  Returns
-    (roots, steps, passes): per cell, the zero it converged to inside the
-    cell, or None; the Newton steps over all cells; the evaluation passes.
+    (roots, slopes, steps, passes): per cell, the zero it converged to
+    inside the cell, or None, and |p'| at the iterate of its last step, or
+    None; the Newton steps over all cells; the evaluation passes.
     """
     ks = list(k0s)
     roots = [None] * len(cells)
+    slopes = [None] * len(cells)
+    reach = [4 * np.hypot(x1 - x0, y1 - y0) for x0, x1, y0, y1 in cells]
     live = list(range(len(cells)))
     iterations = passes = 0
     for _ in range(_NEWTON_ITERS):
@@ -597,16 +610,17 @@ def _newton(p, cells, k0s):
                 continue
             step = v / dp
             k = ks[i] = ks[i] - step
-            x0, x1, y0, y1 = cells[i]
-            if abs(k - k0s[i]) > 4 * np.hypot(x1 - x0, y1 - y0):
+            if abs(k - k0s[i]) > reach[i]:
                 continue
             if abs(step) <= 1e-13 * max(1.0, abs(k)):
+                x0, x1, y0, y1 = cells[i]
                 if x0 < k.real < x1 and y0 < k.imag < y1:
                     roots[i] = k
+                    slopes[i] = abs(dp)
                 continue
             still.append(i)
         live = still
-    return roots, iterations, passes
+    return roots, slopes, iterations, passes
 
 
 def _quadrisect(p, quads, parents, stats):
@@ -620,14 +634,14 @@ def _quadrisect(p, quads, parents, stats):
     initial grid, and shared with the sibling on its other side, who runs
     it backwards.  The new samples are the centre, the cuts on the sides
     that are not parent samples and the crosses' inner samples; only new
-    segments are tested.  Returns (windings, (merged, bside, bsign)), the
-    last for _Sides.
+    segments are tested.  Returns (windings, (refined, bside, bsign)), the
+    last the arguments of _Sides for every child.
     """
     unit, cunit, bside, bsign = _kid_layout(len(quads))
     lines, evaluated, reused = _child_lines(p, quads, parents, unit, cunit)
     kids = [kid for kids in quads for kid in kids]
-    ws, merged = _wind(p, lines, bside, bsign, kids, 48, 400000, stats, evaluated, reused)
-    return ws, (merged, bside, bsign)
+    ws, refined = _wind(p, lines, bside, bsign, kids, 48, 400000, stats, evaluated, reused)
+    return ws, (refined, bside, bsign)
 
 
 def _child_lines(p, quads, parents, unit, cunit):
@@ -711,10 +725,11 @@ def _child_lines(p, quads, parents, unit, cunit):
 
 
 # A cell of the subdivision frontier: its rectangle, its winding w, its
-# sides and its zero.  A cell split off by a known zero without winding
-# has zero, the located zero or 0j for k = 0, and sides None; any other
-# cell has sides (_Sides, slot) and zero None (see _guide).
-_Cell = namedtuple("_Cell", "rect w sides zero")
+# sides and its known zeros.  A cell split off by known zeros without
+# winding has sides None and zeros the tuple of those it holds, one or two
+# located zeros or (0j,) for k = 0; any other cell has sides (_Sides, slot)
+# and zeros () (see _guide).
+_Cell = namedtuple("_Cell", "rect w sides zeros")
 
 
 def _quad(cell, ux, uy):
@@ -730,7 +745,7 @@ def _split(p, cells, parents, stats):
     """Quadrisect every _Cell of cells, whose sides are parents, retrying
     the cut position of each cell until its child windings are defined and
     conserve the parent's.  Returns, per cell, the list of its children
-    with positive winding, as _Cells with their sides and no zero.  A
+    with positive winding, as _Cells with their sides and no zeros.  A
     retry cuts the parent's sides again at its new position.
     """
     packs = [None] * len(cells)
@@ -742,7 +757,7 @@ def _split(p, cells, parents, stats):
         if attempt == 0:
             ux = uy = 0.0
         quads = [_quad(cells[i].rect, ux, uy) for i in pending]
-        ws, (merged, bside, bsign) = _quadrisect(p, quads, parents, stats)
+        ws, (refined, bside, bsign) = _quadrisect(p, quads, parents, stats)
         if stats is not None:
             stats.split_attempts[attempt] += len(pending)
         retry = []
@@ -758,9 +773,9 @@ def _split(p, cells, parents, stats):
                 retry.append(j)
         if kept:
             rows = [b for _, _, _, b in kept]
-            store = _Sides(merged, bside[rows], bsign[rows])
+            store = _Sides(refined, bside[rows], bsign[rows])
             for slot, (i, kid, wi, _) in enumerate(kept):
-                packs[i].append(_Cell(kid, wi, (store, slot), None))
+                packs[i].append(_Cell(kid, wi, (store, slot), ()))
         # the retries' sides, by their place among this attempt's cells
         pending = [pending[j] for j in retry]
         if retry and attempt + 1 < _MAX_SPLIT_ATTEMPTS:
@@ -773,13 +788,20 @@ def _split(p, cells, parents, stats):
 
 
 def _locate(p, cells, stats):
-    """The zero of each winding-one _Cell of cells with sides, or None.
+    """The zeros of each _Cell of cells with sides and winding one or two,
+    as a tuple, or () when they are not found.
 
-    The argument-principle moment z* = sum z_mid (d ln|p| + i d arg p) / 2 pi i
-    over the segments of a cell's sides estimates its zero from samples
-    already taken, and _newton from z* polishes it.  A zero is kept only
-    when Newton converges strictly inside its cell, whose certified winding
-    of one makes it the cell's only zero.
+    The argument-principle moments s_j = sum (z_mid - c)^j (d ln|p| +
+    i d arg p) / 2 pi i over the segments of a cell's sides, c its centre,
+    estimate its zeros from samples already taken: c + s_1 for one zero,
+    c + (s_1 +- sqrt(2 s_2 - s_1^2)) / 2 for two.  _newton from each
+    estimate polishes it, all cells' estimates together.  A cell's zeros
+    are kept only when each polish converges strictly inside it, whose
+    certified winding makes them its only zeros, and, for two, when each
+    polished zero z is resolved from the other beyond the evaluation noise:
+    eta / |p'(z)| < 1e-3 |z_1 - z_2|, eta being the cell's _noise_floor.
+    That refuses the two zeros that the noise around a (near) double zero
+    can let Newton find.
     """
     off, data = _gather([cell.sides for cell in cells])
     rects = [cell.rect for cell in cells]
@@ -796,11 +818,31 @@ def _locate(p, cells, stats):
             + 1j * np.array([y0 - cy, -cy, y1 - cy, -cy])).T.ravel()
     zmid = 0.5 * (t[:-1] + t[1:]) * _UNIT[side % 4]
     zmid += base[side]
-    k0 = cx + 1j * cy + np.add.reduceat(zmid * step, off[:-1:4]) / (2j * np.pi)
-    ks, steps, passes = _newton(p, rects, k0.tolist())
+    step *= zmid
+    s1 = np.add.reduceat(step, off[:-1:4]) / (2j * np.pi)
+    step *= zmid
+    s2 = np.add.reduceat(step, off[:-1:4]) / (2j * np.pi)
+    c = cx + 1j * cy
+    gap = np.sqrt(2 * s2 - s1 * s1)
+    starts = [[one] if cell.w == 1 else pair for cell, one, *pair in zip(
+        cells, (c + s1).tolist(), (c + (s1 + gap) / 2).tolist(), (c + (s1 - gap) / 2).tolist())]
+    owner = [i for i, ks in enumerate(starts) for _ in ks]
+    ks, slopes, steps, passes = _newton(p, [rects[i] for i in owner],
+                                        [k for ks in starts for k in ks])
+    found = [[] for _ in cells]
+    for i, k, d in zip(owner, ks, slopes):
+        if k is not None:
+            found[i].append((k, d))
+    pairs = [i for i, f in enumerate(found) if len(f) == 2]
+    for i, eta in zip(pairs, _noise_floor(p, [rects[i] for i in pairs]).tolist()):
+        (z1, d1), (z2, d2) = found[i]
+        if not eta / min(d1, d2) < 1e-3 * abs(z1 - z2):
+            found[i] = []
+    zeros = [tuple(k for k, _ in f) if len(f) == cell.w else () for cell, f in zip(cells, found)]
     if stats is not None:
-        stats.add(guide_steps=steps, evaluations=passes)
-    return ks
+        stats.add(guide_steps=steps, evaluations=passes,
+                  pairs_refused=sum(cell.w == 2 and not ks for cell, ks in zip(cells, zeros)))
+    return zeros
 
 
 def _origin(p):
@@ -830,10 +872,12 @@ def _origin(p):
     return (m, float(r[ok[0]])) if ok.size else None
 
 
-def _pick(rect, k, origin):
-    """The child of rect's midpoint split that holds its known zero k, or
-    None when k lies too near a cut.  origin is (m0, r0) of _origin, or
-    None.
+def _pick(rect, zeros, origin):
+    """The children of rect's midpoint split that hold its known zeros,
+    as _Cells without sides, each winding as many times as the zeros it
+    holds, in the order BL, BR, TL, TR; or None when a zero lies too near
+    a cut.  zeros is (0j,) for k = 0 when origin is (m0, r0) of _origin,
+    and k = 0 winds m0 times; else each zero is a located, simple one.
 
     Both cuts must pass k = 0 by more than max(2 r0, 10^(-12/m0) times
     rect's diameter): the first bound keeps them where p is loud and winds
@@ -846,62 +890,76 @@ def _pick(rect, k, origin):
     kids = _quad(rect, 0.0, 0.0)
     x0, x1, y0, y1 = rect
     xc, yc = kids[0][1], kids[0][3]
-    if k == 0 and origin is not None:
-        m, r0 = origin
-        gap_x = gap_y = max(2.0 * r0, 10.0 ** (-12.0 / m) * math.hypot(x1 - x0, y1 - y0))
-    else:
-        floor = 1e-12 * max(1.0, abs(k))
-        gap_x, gap_y = max(1e-6 * (x1 - x0), floor), max(1e-6 * (y1 - y0), floor)
-    if abs(k.real - xc) <= gap_x or abs(k.imag - yc) <= gap_y:
-        return None
-    return kids[(k.real > xc) + 2 * (k.imag > yc)]
+    at_origin = origin is not None and zeros == (0j,)
+    m = origin[0] if at_origin else 1
+    held = [()] * 4
+    for k in zeros:
+        if at_origin:
+            gap_x = gap_y = max(2.0 * origin[1],
+                                10.0 ** (-12.0 / m) * math.hypot(x1 - x0, y1 - y0))
+        else:
+            floor = 1e-12 * max(1.0, abs(k))
+            gap_x, gap_y = max(1e-6 * (x1 - x0), floor), max(1e-6 * (y1 - y0), floor)
+        if abs(k.real - xc) <= gap_x or abs(k.imag - yc) <= gap_y:
+            return None
+        held[(k.real > xc) + 2 * (k.imag > yc)] += (k,)
+    return [_Cell(kid, m * len(ks), None, ks) for kid, ks in zip(kids, held) if ks]
 
 
 def _guide(p, to_split, origin, stats):
-    """Split the _Cells of to_split that a known zero decides, evaluating
-    nothing, and sample afresh the cells without sides left to split for
-    real.
+    """Split the _Cells of to_split that their known zeros decide,
+    evaluating nothing, and sample afresh the cells without sides left to
+    split for real.
 
-    A cell's known zero is the one it was split off with; for a cell with
-    sides, the zero that _locate finds when it winds once, or k = 0 when it
-    winds m0 times and holds k = 0 strictly inside (origin is (m0, r0) of
-    _origin, or None).  The cell is split by its zero when _pick finds the
-    child that holds it.  Else it is split for real: a cell without sides
-    is first sampled afresh, and its winding must be the one it carries.
+    A cell's known zeros are those it was split off with; for a cell with
+    sides, k = 0 when it winds m0 times and holds k = 0 strictly inside
+    (origin is (m0, r0) of _origin, or None), else the zero or the two
+    zeros that _locate finds when it winds once or twice.  The cell is
+    split by its zeros when _pick finds the children that hold them.  Else
+    it is split for real: a cell without sides is first sampled afresh, and
+    its winding must be the one it carries.
 
     Returns the _Cells in order, each in its parent's place: the children
-    of the splits decided by a zero, without sides, and the cells left to
-    split for real, with sides and no zero.
+    of the splits decided by zeros, without sides, and the cells left to
+    split for real, with sides and no zeros.
     """
-    zeros = [cell.zero for cell in to_split]
-    ones = [i for i, cell in enumerate(to_split) if cell.w == 1 and cell.sides is not None]
-    if ones:
-        for i, k in zip(ones, _locate(p, [to_split[i] for i in ones], stats)):
-            zeros[i] = k
-    cells, bare = [], []
-    counts = dict(guided=0, origin_guided=0, guide_fallbacks=0)
-    for cell, zero in zip(to_split, zeros):
+    zeros = [cell.zeros for cell in to_split]
+    located = []
+    for i, cell in enumerate(to_split):
+        if cell.sides is None:
+            continue
         x0, x1, y0, y1 = cell.rect
-        if (origin is not None and cell.sides is not None and cell.w == origin[0]
-                and x0 < 0.0 < x1 and y0 < 0.0 < y1):
-            zero = 0j
-        by_origin = origin is not None and zero == 0
-        kid = None if zero is None else _pick(cell.rect, zero, origin)
-        if kid is not None:
+        if origin is not None and cell.w == origin[0] and x0 < 0.0 < x1 and y0 < 0.0 < y1:
+            zeros[i] = (0j,)
+        elif cell.w <= 2:
+            located.append(i)
+    if located:
+        for i, ks in zip(located, _locate(p, [to_split[i] for i in located], stats)):
+            zeros[i] = ks
+    cells, bare = [], []
+    counts = dict(guided=0, origin_guided=0, guide_fallbacks=0, pairs_refused=0)
+    for cell, ks in zip(to_split, zeros):
+        by_origin = origin is not None and ks == (0j,)
+        kids = _pick(cell.rect, ks, origin) if ks else None
+        if kids is not None:
             counts["origin_guided" if by_origin else "guided"] += 1
-            cells.append(_Cell(kid, cell.w, None, zero))
+            cells.extend(kids)
             continue
         if cell.sides is None:
             counts["guide_fallbacks"] += not by_origin
             bare.append(len(cells))
-            cell = cell._replace(zero=None)
+            cell = cell._replace(zeros=())
+        elif len(ks) == 2:
+            counts["pairs_refused"] += 1
         cells.append(cell)
     if bare:
-        ws, store = _windings(p, [cells[i].rect for i in bare], 48, 400000, stats)
-        for slot, (i, w) in enumerate(zip(bare, ws)):
+        ws, sides = _windings(p, [cells[i].rect for i in bare], 48, 400000, stats)
+        for i, w in zip(bare, ws):
             if not (isinstance(w, int) and w == cells[i].w):
                 raise NonConvergenceError("cell %r winds %s when sampled afresh, not %d"
                                           % (cells[i].rect, w, cells[i].w))
+        store = _Sides(*sides)
+        for slot, i in enumerate(bare):
             cells[i] = cells[i]._replace(sides=(store, slot))
     if stats is not None:
         stats.add(resampled=len(bare), **counts)
@@ -974,7 +1032,7 @@ def _settle(p, frontier, tol, stats):
     ones = [i for i, (_, cw, _, _) in enumerate(frontier) if cw == 1]
     rects = [frontier[i][0] for i in ones]
     centres = [complex(0.5 * (x0 + x1) + 1j * (0.5 * (y0 + y1))) for x0, x1, y0, y1 in rects]
-    ks, steps, passes = _newton(p, rects, centres)
+    ks, _, steps, passes = _newton(p, rects, centres)
     roots = dict(zip(ones, ks))
     probed = [i for i, (cell, _, _, _) in enumerate(frontier)
               if roots.get(i) is None
@@ -1020,12 +1078,14 @@ def find_roots(p, region, tol=1e-8, stats=None):
     for a given polynomial and region.  Pass a RootStats as stats to have the
     work counted.
 
-    A cell that has to be split, holds a known zero of order w strictly
-    inside and winds w times is split by that zero while its cuts pass well
-    clear of it (see the module docstring).  The known zeros are the
-    located zero of a winding-one cell and the zero of order m0 >= 2 at
-    k = 0.  The child that holds the zero is the child that winding all
-    four would keep, so the subdivision visits the same cells, and every
+    A cell that has to be split, and whose known zeros strictly inside
+    add up to its winding, is split by them while its cuts pass well clear
+    of each (see the module docstring).  The known zeros are the located
+    zeros of a cell that winds once or twice, a pair being kept only when
+    its two zeros stand apart from each other far beyond the evaluation
+    noise, and the zero of order m0 >= 2 at k = 0.  The children that hold
+    the zeros are the children that winding all four would keep, with the
+    same windings, so the subdivision visits the same cells, and every
     Resonance is the same, as when every child is wound.  Only the work
     differs.  Such children have no sides; where a chain of them stops,
     its cell is sampled afresh and split for real.
@@ -1044,7 +1104,7 @@ def find_roots(p, region, tol=1e-8, stats=None):
         return []
     origin = _origin(p)
     found = []
-    frontier = [_Cell(outer, w, sides, None)]
+    frontier = [_Cell(outer, w, sides, ())]
     while frontier:
         settled, to_split = _settle(p, frontier, tol, stats)
         found.extend(settled)
@@ -1063,7 +1123,12 @@ def find_roots(p, region, tol=1e-8, stats=None):
         for cell in places:
             frontier.extend(next(packs) if cell is None else (cell,))
     found.sort(key=lambda r: (r.k.real, r.k.imag))
-    return found
+    # cells cut at equal values hold one float per value (zeros are left
+    # alone, to keep their sign), so that results kept for long are small
+    corners = {}
+    return [Resonance(r.k, r.multiplicity, r.residual,
+                      tuple([v and corners.setdefault(v, v) for v in r.cell]), r.refined)
+            for r in found]
 
 
 def strip_bound(p):

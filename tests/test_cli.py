@@ -141,7 +141,7 @@ def test_count_radii_csv(capsys):
 STATS_FIELDS = {"boundaries", "points", "rounds", "split_attempts",
                 "outer_growths", "newton_iterations", "newton_failures",
                 "noise_clusters", "evaluations", "reused", "guided", "guide_steps",
-                "guide_fallbacks", "origin_guided", "resampled"}
+                "guide_fallbacks", "origin_guided", "resampled", "pairs_refused"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -159,7 +159,7 @@ def test_stats_json_line_leaves_stdout_alone(argv, capsys):
     assert err.endswith("\n") and err.count("\n") == 1
     stats = json.loads(err)
     assert set(stats) == STATS_FIELDS
-    assert list(stats)[-2:] == ["origin_guided", "resampled"]
+    assert list(stats)[-3:] == ["origin_guided", "resampled", "pairs_refused"]
     assert stats["boundaries"] > 0
 
 

@@ -1,8 +1,9 @@
 """Argument checks must not be assert statements, which python -O strips.
 
 The tests below raise on bad arguments, or check the root finder's budgets,
-its inherited samples and its splits by a located zero or by k = 0, its
-frontier cells and its picks of the child that holds a zero; they are
+its inherited samples and its splits by located zeros or by k = 0, the
+guard that refuses a pair of located zeros, its frontier cells and its
+picks of the children that hold zeros; they are
 run again in a python -O subprocess, which imports the same qgraph package
 as this suite.
 """
@@ -52,6 +53,8 @@ ARGUMENT_CHECKS = (
                    "E6V5L1b")
       for sent_back in ("picked", "sent-back")),
     "test_rootfind.py::test_pick_matches_the_picks_it_replaces",
+    "test_rootfind.py::test_close_pair_is_split_by_its_zeros_or_refused[0.01]",
+    "test_rootfind.py::test_close_pair_is_split_by_its_zeros_or_refused[1e-09]",
     "test_rootfind.py::test_origin_splits_give_the_same_answer_on_the_family",
     "test_rootfind.py::test_fresh_winding_that_disagrees_is_an_error",
     *("test_rootfind.py::test_origin_order_by_high_precision_evaluation[%s]" % case

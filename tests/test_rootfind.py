@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -434,18 +435,18 @@ WOUND = {
 
 
 @pytest.mark.parametrize("case, want", [
-    ("c=0.3", dataclasses.replace(WOUND["c=0.3"], boundaries=277, points=5496, rounds=706,
-                                  split_attempts=[68, 1] + [0] * 8, evaluations=149,
-                                  reused=8540, guided=66, guide_steps=200)),
-    ("c=3/5", dataclasses.replace(WOUND["c=3/5"], boundaries=177, points=4568, rounds=362,
-                                  split_attempts=[43, 1] + [0] * 8, evaluations=105,
-                                  reused=7379, guided=79, guide_steps=231)),
-    ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=165, points=4469, rounds=184,
-                                split_attempts=[40, 1] + [0] * 8, evaluations=72,
-                                reused=8788, guided=6, guide_steps=24)),
-    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=123, points=2177, rounds=327,
-                                    split_attempts=[27, 3] + [0] * 8, evaluations=346,
-                                    reused=3205, guided=10, guide_steps=36, origin_guided=18,
+    ("c=0.3", dataclasses.replace(WOUND["c=0.3"], boundaries=97, points=3822, rounds=260,
+                                  split_attempts=[23, 1] + [0] * 8, evaluations=114,
+                                  reused=5737, guided=111, guide_steps=325)),
+    ("c=3/5", dataclasses.replace(WOUND["c=3/5"], boundaries=133, points=4197, rounds=306,
+                                  split_attempts=[32, 1] + [0] * 8, evaluations=102,
+                                  reused=6654, guided=90, guide_steps=275)),
+    ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=101, points=3953, rounds=72,
+                                split_attempts=[24, 1] + [0] * 8, evaluations=69,
+                                reused=7426, guided=22, guide_steps=137)),
+    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=99, points=2050, rounds=303,
+                                    split_attempts=[21, 3] + [0] * 8, evaluations=342,
+                                    reused=2915, guided=16, guide_steps=70, origin_guided=18,
                                     resampled=2)),
 ])
 def test_root_stats_pinned(case, want, bench_graphs):
@@ -453,18 +454,19 @@ def test_root_stats_pinned(case, want, bench_graphs):
     inherited sample, round, split, evaluation pass and located zero, on
     the circle at R = 20 (a crossing c among them) and on a graph of the
     benchmark pool at R = 8, whose zero of order 2 at k = 0 splits cells
-    too.  Against winding every child, splits by a located zero or by
-    k = 0 leave the Newton and cluster counters as they were, and the
-    evaluation passes move by the polishes they add and the batches they
-    empty."""
+    too.  Against winding every child, splits by located zeros (one or
+    two) or by k = 0 leave the Newton and cluster counters as they were,
+    and the evaluation passes move by the polishes they add and the
+    batches they empty."""
     stats = RootStats()
     count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
     assert stats == want
 
 
 def _decline(p, cells, stats):
-    """A locator that finds no zero."""
-    return [None] * len(cells)
+    """A locator that finds no zero, in winding-one and winding-two cells
+    alike."""
+    return [()] * len(cells)
 
 
 def _no_origin_order(monkeypatch):
@@ -521,14 +523,13 @@ def _send_back(monkeypatch):
     picked = set()
     sent_back = []
 
-    def first_pick_only(rect, k, origin):
+    def first_pick_only(rect, zeros, origin):
         if rect in picked:
-            sent_back.append(origin is not None and k == 0)
+            sent_back.append(origin is not None and zeros == (0j,))
             return None
-        kid = pick(rect, k, origin)
-        if kid is not None:
-            picked.add(kid)
-        return kid
+        kids = pick(rect, zeros, origin)
+        picked.update(kid.rect for kid in kids or ())
+        return kids
     monkeypatch.setattr(rootfind, "_pick", first_pick_only)
     return sent_back
 
@@ -554,25 +555,53 @@ def test_chains_sent_back_give_the_same_answer(case, radius, bench_graphs, monke
 
 @pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", "E5V4L2b"])
 def test_located_child_is_the_wound_child(case, bench_graphs, monkeypatch):
-    """Every child picked by a located zero is the one child of the
-    midpoint split with winding one when winding_numbers samples all four
-    afresh; the other three wind zero."""
+    """Every child picked by one located zero or two winds, when
+    winding_numbers samples the four children of the midpoint split
+    afresh, as many times as the located zeros it holds, which is the
+    winding it is given; the other children wind zero."""
     p, radius = _pinned_case(case, bench_graphs)
     pick = rootfind._pick
     checked = []
 
-    def wound(rect, k, origin):
-        kid = pick(rect, k, origin)
-        if kid is not None and k != 0:
-            kids = rootfind._quad(rect, 0.0, 0.0)
-            ws = winding_numbers(p, list(kids))
-            assert ws == [int(c == kid) for c in kids], (rect, k, ws)
-            checked.append(kid)
-        return kid
+    def wound(rect, zeros, origin):
+        kids = pick(rect, zeros, origin)
+        if kids is not None and zeros != (0j,):
+            quad = rootfind._quad(rect, 0.0, 0.0)
+            held = [sum(c[0] < k.real < c[1] and c[2] < k.imag < c[3] for k in zeros)
+                    for c in quad]
+            assert winding_numbers(p, list(quad)) == held, (rect, zeros)
+            assert [(kid.rect, kid.w) for kid in kids] == [
+                (c, w) for c, w in zip(quad, held) if w], (rect, zeros)
+            checked.append(len(zeros))
+        return kids
     monkeypatch.setattr(rootfind, "_pick", wound)
     stats = RootStats()
     count_in_disc(p, radius, stats=stats)
     assert len(checked) == stats.guided > 0
+    assert checked.count(2) > 0 and checked.count(1) > 0
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-9])
+def test_close_pair_is_split_by_its_zeros_or_refused(gap, monkeypatch):
+    """p = (e^{ik} - a)(e^{ik} - b) has the simple zeros -i ln a and
+    -i ln b, about |a - b| apart.  At 1e-2, the winding-two outer cell that
+    holds both is split by its two located zeros.  At 1e-9 the pair sits
+    in the evaluation noise of a double zero: every pair is refused,
+    counted, and its cell split for real.  Either way the repr is that of
+    winding every child."""
+    a = cmath.exp(1j * complex(0.4, 0.3))
+    b = a + gap * cmath.exp(0.7j)
+    e = ExpPolynomial.monomial((1.0,), (1,))
+    p = (e - ExpPolynomial.constant((1.0,), a)) * (e - ExpPolynomial.constant((1.0,), b))
+    region = (-1.0, 2.0, -1.0, 1.0)
+    stats = RootStats()
+    located = repr(find_roots(p, region, stats=stats))
+    monkeypatch.setattr(rootfind, "_locate", _decline)
+    assert located == repr(find_roots(p, region))
+    if gap == 1e-2:
+        assert stats.pairs_refused == 0 and stats.guided > 0
+    else:
+        assert stats.pairs_refused > 0 and stats.guided == 0
 
 
 SAME_COUNTERS = ("newton_iterations", "newton_failures", "noise_clusters", "outer_growths")
@@ -645,14 +674,15 @@ def test_origin_child_is_the_wound_child(case, bench_graphs, monkeypatch):
     pick = rootfind._pick
     checked = []
 
-    def wound(rect, k, origin):
-        kid = pick(rect, k, origin)
-        if kid is not None and k == 0:
-            kids = rootfind._quad(rect, 0.0, 0.0)
-            ws = winding_numbers(p, list(kids))
-            assert ws == [m0 * (c == kid) for c in kids], (rect, ws)
+    def wound(rect, zeros, origin):
+        kids = pick(rect, zeros, origin)
+        if kids is not None and zeros == (0j,):
+            quad = rootfind._quad(rect, 0.0, 0.0)
+            ws = winding_numbers(p, list(quad))
+            (kid,) = kids
+            assert kid.w == m0 and ws == [m0 * (c == kid.rect) for c in quad], (rect, ws)
             checked.append(kid)
-        return kid
+        return kids
     monkeypatch.setattr(rootfind, "_pick", wound)
     stats = RootStats()
     count_in_disc(p, 8.0, stats=stats)
@@ -662,10 +692,11 @@ def test_origin_child_is_the_wound_child(case, bench_graphs, monkeypatch):
 @pytest.mark.parametrize("sent_back", [False, True], ids=["picked", "sent-back"])
 @pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", *ORIGIN_POOL])
 def test_frontier_cells_have_sides_or_a_zero(case, sent_back, bench_graphs, monkeypatch):
-    """Every cell of every level's frontier has sides and no zero, or a
-    zero (located, or 0j for k = 0) and no sides, also when cells without
+    """Every cell of every level's frontier has sides and no zeros, or a
+    tuple of the known zeros it holds (one or two located zeros, as many as
+    it winds, or (0j,) for k = 0) and no sides, also when cells without
     sides are sent back to a real split (see _send_back), whose children
-    start with no zero."""
+    start with no zeros."""
     p, radius = _pinned_case(case, bench_graphs)
     if sent_back:
         sent = _send_back(monkeypatch)
@@ -674,16 +705,19 @@ def test_frontier_cells_have_sides_or_a_zero(case, sent_back, bench_graphs, monk
 
     def checked(p, frontier, tol, stats):
         for cell in frontier:
-            assert cell.zero is not False, cell
-            assert (cell.sides is None) == (cell.zero is not None), cell
-            assert cell.zero is None or type(cell.zero) is complex, cell
-            zeros.append(cell.zero)
+            assert type(cell.zeros) is tuple, cell
+            assert (cell.sides is None) == (cell.zeros != ()), cell
+            assert all(type(k) is complex for k in cell.zeros), cell
+            assert cell.zeros in ((), (0j,)) or len(cell.zeros) == cell.w, cell
+            zeros.append(cell.zeros)
         return settle(p, frontier, tol, stats)
     monkeypatch.setattr(rootfind, "_settle", checked)
     count_in_disc(p, radius)
-    assert any(k is None for k in zeros) and any(k is not None for k in zeros)
+    assert () in zeros and any(len(ks) == 1 and ks != (0j,) for ks in zeros)
     if case in ORIGIN_POOL:
-        assert 0j in zeros
+        assert (0j,) in zeros
+    if case in ("c=0.3", "c=3/5"):
+        assert any(len(ks) == 2 for ks in zeros)
     if sent_back:
         assert sent or case == "c=1"
 
@@ -719,7 +753,8 @@ def test_pick_matches_the_picks_it_replaces():
                 exact += abs(k.real - xc) == max(1e-6 * w, floor)
                 want = oracle._pick(rect, k)
                 for origin in (None, (2, 1e-3), (4, 1e-3)):
-                    assert rootfind._pick(rect, k, origin) == want, (rect, k, origin)
+                    kids = rootfind._pick(rect, (k,), origin)
+                    assert kids == (want and [rootfind._Cell(want, 1, None, (k,))]), (rect, k)
                 got["located"].append(want)
         # the cell moved to hold k = 0 strictly inside
         u, v = rng.uniform(0.05, 0.95, 2)
@@ -731,7 +766,8 @@ def test_pick_matches_the_picks_it_replaces():
             for r0 in (0.0, 1e-300, 1e-12 * math.hypot(w, h), rng.uniform(0.0, 0.6) * min(w, h),
                        abs(xc) / 2, abs(yc) / 2, np.nextafter(min(abs(xc), abs(yc)) / 2, 0.0)):
                 want = oracle._origin_pick(rect, (m, r0))
-                assert rootfind._pick(rect, 0j, (m, r0)) == want, (rect, m, r0)
+                kids = rootfind._pick(rect, (0j,), (m, r0))
+                assert kids == (want and [rootfind._Cell(want, m, None, (0j,))]), (rect, m, r0)
                 got["origin"].append(want)
     for kind, picks in got.items():
         assert any(kid is None for kid in picks) and any(kid is not None for kid in picks), kind
@@ -924,6 +960,24 @@ def test_cells_hold_plain_floats():
         assert [type(v) for v in r.cell] == [float] * 4, r
         assert type(r.k) is complex and type(r.residual) is float, r
     assert all(type(v) is float for row in rootfind._JITTER for v in row)
+
+
+def test_found_cells_share_equal_corners():
+    """The cells of the resonances found hold one float object per nonzero
+    corner value, so that results kept in bulk stay small; a zero corner
+    keeps its sign."""
+    roots = count_in_disc(det_poly(0.3), 20.0).roots
+    corners = [v for r in roots for v in r.cell if v]
+    assert len({id(v) for v in corners}) == len(set(corners)) < len(corners) / 2
+    # zeros at 0.5 - 0.2i and 1.5 - 0.2i, in a region whose left side is at
+    # -0.0 and whose top side is at 0.0
+    e = ExpPolynomial.monomial((1.0,), (1,))
+    p = ExpPolynomial.constant((1.0,), 1.0)
+    for x in (0.5, 1.5):
+        p = p * (e - ExpPolynomial.constant((1.0,), cmath.exp(1j * complex(x, -0.2))))
+    (left, x1, y0, top), _ = [r.cell for r in find_roots(p, (-0.0, 2.0, -1.0, 0.0))]
+    assert (left, x1, y0, top) == (0.0, 1.0, -0.5, 0.0)
+    assert math.copysign(1.0, left) == -1.0 and math.copysign(1.0, top) == 1.0
 
 
 def test_root_stats_count_every_evaluation_pass(monkeypatch):
