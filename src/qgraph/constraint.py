@@ -87,13 +87,17 @@ class ConstraintMatrix:
         z_e has power 0 or 1 in the tail column of e, 0 or -1 in its head
         column).  It is evaluated by batched LU on the grid of N_e-th roots of
         unity; an N_e-point DFT per axis gives the coefficients, rounded to
-        the integers they are.
+        the integers they are.  The entry coefficients are real integers, so
+        the value at the grid point -t mod N is the conjugate of the value at
+        t: LU runs on one point of each conjugate pair and on the
+        self-conjugate points, (points + 1) / 2 of them on a 3^E grid.
 
         Certificate: on the grid every column keeps its norm, so their
         product H bounds the minor and its cofactors (Hadamard).  LU with
         partial pivoting returns det(M + dM)(1 + n eps), |dM_c| <= g n eps
         |M_c| for pivot growth g, so by multilinearity a value is off by
-        <= H((1 + g n eps)^n - 1) ~ g n^2 eps H; the DFT averages these and
+        <= H((1 + g n eps)^n - 1) ~ g n^2 eps H, and so is its conjugate,
+        which is the value at the mirror point; the DFT averages these and
         adds ~log2(points) eps H.  CapacityError is raised unless
         bound = CERT_SLACK eps H (n^2 + log2(points) + 1), CERT_SLACK covering
         g and the constants, is < 1/4 before the evaluation and covers the
@@ -133,13 +137,19 @@ class ConstraintMatrix:
         period = math.lcm(*shape)
         unit = np.exp(2j * np.pi * np.arange(period) / period)
         step = period // size
+        # mirror[t] is the flat index of -t mod N; LU runs on the points kept
+        mirror = np.arange(points).reshape(shape)[
+            np.ix_(*(-np.arange(s) % s for s in shape))].ravel()
+        kept = np.flatnonzero(np.arange(points) <= mirror)
         values = np.empty(points, dtype=complex)
-        for start in range(0, points, _CHUNK):
-            index = np.arange(start, min(start + _CHUNK, points))
+        for start in range(0, kept.size, _CHUNK):
+            index = kept[start:start + _CHUNK]
             grid = np.array(np.unravel_index(index, shape))[:m]
             batch = np.zeros((len(index), n, n), dtype=complex)
             batch[:, i, j] = (coef[:, None] * unit[(power * step) @ grid % period]).T
             values[index] = np.linalg.det(batch) * unit[-(lo * step) @ grid % period]
+        paired = kept[kept < mirror[kept]]
+        values[mirror[paired]] = np.conj(values[paired])
         coefs = np.fft.fftn(values.reshape(shape)) / points
         rounded = np.rint(coefs.real)
         error = max(np.abs(coefs.real - rounded).max(), np.abs(coefs.imag).max())

@@ -284,7 +284,11 @@ def test_kernel_matches_oracle_on_bench_polynomials(bench_polys):
     rng = np.random.default_rng(11)
     for p in bench_polys:
         block = max(1, exppoly._BLOCK_ENTRIES // len(p.terms))
-        for n in (0, 1, 2, 16, block - 1, block, block + 1, 2 * block + 3):
+        # a block of at most _LANE_LIMIT lanes is summed lane by lane: eval
+        # has one lane a point, eval_pair two
+        lanes = exppoly._LANE_LIMIT
+        for n in (0, 1, 2, 16, lanes // 2, lanes // 2 + 1, lanes, lanes + 1,
+                  block - 1, block, block + 1, 2 * block + 3):
             _assert_matches_oracle(p, _points(rng, n))
         _assert_matches_oracle(p, _points(rng, 2 * block + 2).reshape(2, -1))
         _assert_matches_oracle(p, _points(rng, 12).reshape(3, 4))
