@@ -34,7 +34,7 @@ _EXPORTS = {
 }
 
 _SUBMODULES = ("circle", "cli", "constraint", "dtn", "errors", "exppoly",
-               "graph", "rootfind", "threads")
+               "graph", "rootfind")
 
 __all__ = sorted(_EXPORTS)
 

@@ -21,7 +21,6 @@ import sys
 from .errors import ComputationError
 from .graph import (GraphFormatError, build_circle_graph, classify_weyl,
                     load_graph, validate)
-from .threads import thread_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,10 +318,6 @@ def main(argv=None):
     p.set_defaults(func=_cmd_circle_verify, sub=p)
 
     args = parser.parse_args(argv)
-    try:
-        thread_count()
-    except ValueError as exc:  # a bad environment is a usage error
-        parser.exit(1, "error: %s\n" % exc)
     _check_output(args)
     try:
         return args.func(args.sub, args)

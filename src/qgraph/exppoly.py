@@ -14,6 +14,7 @@ expansion of a constraint matrix is integer in the half-length variables) and
 become complex as soon as any operand does.
 """
 
+import cmath
 import functools
 import math
 
@@ -35,7 +36,7 @@ _LANE_LIMIT = 8
 
 
 def _block_sums(isig, coef, kb):
-    """The (rows, points) Kahan sums of one block of ExpPolynomial._array_sums.
+    """The (rows, points) Kahan sums of one block of ExpPolynomial._sums.
 
     The terms coef * exp(isig k) are formed in numpy.  Each step
     y = term - comp, t = total + y, comp = (t - total) - y, total = t then
@@ -86,6 +87,8 @@ class ExpPolynomial:
 
     def __init__(self, lengths, terms=None):
         self.lengths = tuple(float(x) for x in lengths)
+        if not all(map(math.isfinite, self.lengths)):
+            raise ValueError("lengths must be finite, got %r" % (self.lengths,))
         m = len(self.lengths)
         self.terms = {}
         if terms:
@@ -158,6 +161,9 @@ class ExpPolynomial:
         if not self.terms:
             return
         if any(isinstance(a, (float, complex)) for a in self.terms.values()):
+            for v, a in self.terms.items():
+                if isinstance(a, (float, complex)) and not cmath.isfinite(a):
+                    raise ValueError("coefficient %r at %r is not finite" % (a, v))
             top = max(abs(a) for a in self.terms.values())
             self.terms = {v: a for v, a in self.terms.items() if abs(a) > PRUNE_REL * top}
 
@@ -203,8 +209,7 @@ class ExpPolynomial:
         times a power of two (float.as_integer_ratio), so over common
         denominators each c_j is a Gaussian integer, summed in Python ints;
         only c_m is rounded, once.  (0, 0j) when p vanishes identically
-        (its terms cancel frequency by frequency) or a coefficient is not
-        finite.
+        (its terms cancel frequency by frequency).
         """
         lens = [L.as_integer_ratio() for L in self.lengths]
         dl = max((d for _, d in lens), default=1)
@@ -215,8 +220,6 @@ class ExpPolynomial:
                 re, im = (a, 1), (0, 1)
             else:
                 a = complex(a)
-                if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                    return 0, 0j
                 re, im = a.real.as_integer_ratio(), a.imag.as_integer_ratio()
             parts.append((sum(n * L for n, L in zip(vec, ls)), re, im))
         da = max((max(re[1], im[1]) for _, re, im in parts), default=1)
@@ -235,50 +238,39 @@ class ExpPolynomial:
             im = [a * s for a, s in zip(im, sig)]
         return 0, 0j
 
-    def _scalar_pair(self, karr):
-        """(p, p') at a 0-d point by a loop over the terms."""
-        total = comp = dtotal = dcomp = np.zeros((), dtype=complex)
-        for a, s in self._table:
-            e = np.exp(1j * s * karr)
-            y = a * e - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            y = (a * (1j * s)) * e - dcomp
-            t = dtotal + y
-            dcomp = (t - dtotal) - y
-            dtotal = t
-        return complex(total), complex(dtotal)
-
-    def _array_sums(self, karr, rows):
-        """The first `rows` of [p, p'] at every point of karr, as a (rows,
-        points) array, by the term-stacked kernel.
+    def _sums(self, k, rows):
+        """The first `rows` of [p, p'] at k, by the term-stacked kernel: each
+        an ndarray shaped like k, or a Python complex for a single point.
 
         Points go in blocks of at most _BLOCK_ENTRIES // terms.  A block
         takes one exp over its (terms, points) phases and one product with
         the coefficients; then the term rows are added in dump order with
         Kahan compensation, value and derivative together: lane by lane in
         Python for a block of at most _LANE_LIMIT lanes (rows x points),
-        else in one (rows, points) accumulator.
+        else in one (rows, points) accumulator.  A single point is a block
+        of one point, so it gets the bits of the same point in an array.
         """
+        karr = np.asarray(k, dtype=complex)
         flat = karr.ravel()
         isig, coef = self._stack
         coef = coef[:, :rows]
         step = max(1, _BLOCK_ENTRIES // max(1, isig.size))
         blocks = [_block_sums(isig, coef, flat[lo:lo + step])
                   for lo in range(0, max(1, flat.size), step)]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        vals = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        if karr.shape == ():
+            return [complex(v[0]) for v in vals]
+        return [v.reshape(karr.shape) for v in vals]
 
     def eval(self, k):
         """Evaluate at a complex point or ndarray of points.
 
         Terms are accumulated in the fixed dump order with Kahan compensation
-        so the result is independent of dict insertion history.
+        so the result is independent of dict insertion history.  A single
+        point gives a Python complex with the bits of the same point inside
+        an array.
         """
-        karr = np.asarray(k, dtype=complex)
-        if karr.shape == ():
-            return self._scalar_pair(karr)[0]
-        return self._array_sums(karr, 1)[0].reshape(karr.shape)
+        return self._sums(k, 1)[0]
 
     def eval_derivative(self, k):
         """Evaluate dp/dk; each term picks up a factor i*sigma."""
@@ -289,13 +281,10 @@ class ExpPolynomial:
 
         Each sum runs in the same order and with the same compensation as
         eval, so p is bit-identical to eval(k) and p' to a separate sum of
-        the derivative terms a * (i sigma) * exp(i sigma k).
+        the derivative terms a * (i sigma) * exp(i sigma k).  As in eval, a
+        single point gives a pair of Python complex values.
         """
-        karr = np.asarray(k, dtype=complex)
-        if karr.shape == ():
-            return self._scalar_pair(karr)
-        vals = self._array_sums(karr, 2)
-        return vals[0].reshape(karr.shape), vals[1].reshape(karr.shape)
+        return tuple(self._sums(k, 2))
 
     def sigma_range(self):
         """(smallest, largest) frequency present in the sum."""

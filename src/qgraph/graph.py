@@ -54,8 +54,8 @@ def validate(graph):
 
     Flags: edges whose endpoints coincide (tadpoles are out of scope; insert a
     degree-2 vertex instead), references to vertices outside 0..n-1,
-    non-positive edge lengths, and vertices that touch neither an edge nor a
-    lead (every vertex must have total degree at least one).
+    non-finite or non-positive edge lengths, and vertices that touch neither
+    an edge nor a lead (every vertex must have total degree at least one).
     """
     bad = []
     n = graph.n_vertices
@@ -68,7 +68,9 @@ def validate(graph):
                 bad.append("dangling reference: edge %d endpoint %d" % (i, end))
             else:
                 touched.add(end)
-        if not (e.length > 0):
+        if not math.isfinite(e.length):
+            bad.append("non-finite length: edge %d has length %r" % (i, e.length))
+        elif e.length <= 0:
             bad.append("non-positive length: edge %d has length %r" % (i, e.length))
     for i, l in enumerate(graph.leads):
         if not (0 <= l.vertex < n):
@@ -143,13 +145,19 @@ def build_circle_graph(c):
 def parse_graph(obj):
     if not isinstance(obj, dict):
         raise GraphFormatError("graph document must be a JSON object")
-    try:
-        names = list(obj["vertices"])
-    except (KeyError, TypeError):
+    names = obj.get("vertices")
+    if not (isinstance(names, list)
+            and all(isinstance(name, (str, int, float)) for name in names)):
         raise GraphFormatError("missing or malformed 'vertices' list")
-    if len(set(names)) != len(names):
+    # names are matched as text, so 1 and "1" name the same vertex
+    names = [str(name) for name in names]
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
         raise GraphFormatError("duplicate vertex names")
-    index = {str(name): i for i, name in enumerate(names)}
+
+    for key in ("edges", "leads"):
+        if not isinstance(obj.get(key, []), list):
+            raise GraphFormatError("malformed %r list" % key)
 
     def lookup(name, where):
         try:
@@ -163,7 +171,7 @@ def parse_graph(obj):
             u = lookup(rec["u"], "edge %d" % i)
             v = lookup(rec["v"], "edge %d" % i)
             L = float(rec["length"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed edge record %d" % i)
         edges.append((min(u, v), max(u, v), L))
     leads = []
@@ -171,19 +179,20 @@ def parse_graph(obj):
         try:
             at = lookup(rec["at"], "lead record %d" % i)
             count = int(rec.get("count", 1))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed lead record %d" % i)
         if count < 0:
             raise GraphFormatError("negative lead count in record %d" % i)
         leads.extend([at] * count)
-    return MetricGraph(len(names), edges, leads, vertex_names=[str(n) for n in names])
+    return MetricGraph(len(names), edges, leads, vertex_names=names)
 
 
 def load_graph(path):
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # a decode error, an integer of too many digits, or deep nesting
+        except (ValueError, RecursionError) as exc:
             raise GraphFormatError("not valid JSON: %s" % exc)
     return parse_graph(obj)
 

@@ -36,6 +36,12 @@ def test_validate_nonpositive_length():
     assert any(v.startswith("non-positive length:") for v in rep.violations)
     rep = validate(MetricGraph(2, [(0, 1, -2.0)]))
     assert not rep.ok
+    for length in (math.inf, -math.inf, math.nan):
+        rep = validate(MetricGraph(2, [(0, 1, length)]))
+        assert rep.violations == ("non-finite length: edge 0 has length %r" % length,)
+    rep = validate(parse_graph(json.loads(
+        '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "length": 1e309}]}')))
+    assert rep.violations == ("non-finite length: edge 0 has length inf",)
 
 
 def test_validate_isolated_vertex():
@@ -130,6 +136,11 @@ def test_load_graph_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(GraphFormatError):
         load_graph(str(path))
+    # an integer past the int-from-string digit limit, and deep nesting
+    for text in ('{"vertices": [%s]}' % ("1" * 5000), "[" * 100000 + "]" * 100000):
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match="not valid JSON"):
+            load_graph(str(path))
 
 
 def test_parse_errors():
@@ -146,6 +157,19 @@ def test_parse_errors():
         parse_graph({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}]})
     with pytest.raises(GraphFormatError):
         parse_graph({"vertices": ["a"], "leads": [{"at": "a", "count": -1}]})
+    with pytest.raises(GraphFormatError, match="malformed 'vertices'"):
+        parse_graph({"vertices": [["a"], "b"]})
+    with pytest.raises(GraphFormatError, match="malformed 'vertices'"):
+        parse_graph({"vertices": "ab"})
+    with pytest.raises(GraphFormatError, match="duplicate vertex names"):
+        parse_graph({"vertices": [1, "1"]})
+    with pytest.raises(GraphFormatError, match="malformed lead record 0"):
+        parse_graph(json.loads('{"vertices": ["a"], "leads": [{"at": "a", "count": 1e400}]}'))
+    with pytest.raises(GraphFormatError, match="malformed edge record 0"):
+        parse_graph({"vertices": ["a", "b"],
+                     "edges": [{"u": "a", "v": "b", "length": 10**400}]})
+    with pytest.raises(GraphFormatError, match="malformed 'edges'"):
+        parse_graph({"vertices": ["a"], "edges": 5})
 
 
 def test_family_stays_in_contract(graph_family):

@@ -22,6 +22,7 @@ ARGUMENT_CHECKS = (
     "test_circle.py::test_trace_rejects_mismatched_parity",
     "test_exppoly.py::test_table_mismatch_rejected",
     "test_exppoly.py::test_sigma_range",
+    "test_exppoly.py::test_non_finite_input_rejected",
     "test_rootfind.py::test_winding_rejects_empty_rect",
     "test_rootfind.py::test_find_roots_rejects_zero_poly",
     "test_rootfind.py::test_argument_checks_raise_value_error",
