@@ -168,19 +168,18 @@ def parse_graph(obj):
     edges = []
     for i, rec in enumerate(obj.get("edges", [])):
         try:
-            u = lookup(rec["u"], "edge %d" % i)
-            v = lookup(rec["v"], "edge %d" % i)
-            L = float(rec["length"])
+            u, v, L = rec["u"], rec["v"], float(rec["length"])
         except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed edge record %d" % i)
+        u, v = lookup(u, "edge %d" % i), lookup(v, "edge %d" % i)
         edges.append((min(u, v), max(u, v), L))
     leads = []
     for i, rec in enumerate(obj.get("leads", [])):
         try:
-            at = lookup(rec["at"], "lead record %d" % i)
-            count = int(rec.get("count", 1))
+            at, count = rec["at"], int(rec.get("count", 1))
         except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed lead record %d" % i)
+        at = lookup(at, "lead record %d" % i)
         if count < 0:
             raise GraphFormatError("negative lead count in record %d" % i)
         leads.extend([at] * count)

@@ -34,14 +34,17 @@ without sides, in their parent's place among the level's children, and so
 do their descendants, each split by the zeros it holds.  Each of them
 still runs the centre Newton and noise-floor probe of any cell, so the
 zeros found are those of a search that winds every child.  Two kinds of
-zero are known.  Located zeros: a cell that winds once or twice has its
-zeros estimated from the argument-principle moments of its sides (one
-zero from the first moment, two from the first two), and Newton from each
-estimate polishes it into a zero strictly inside the cell.  Two polished
-zeros are kept only when each is resolved from the other well beyond the
-evaluation noise (see _locate): near a double zero, the noise can let
-Newton find two zeros that a real split would not separate.  And k = 0
-is known in a cell that holds it strictly inside and winds m0 times,
+zero are known.  Located zeros: a cell that winds w <= _LOCATE_MAX times
+has its zeros estimated from the argument-principle moments s_1..s_w of
+its sides, the power sums of its zeros (one zero from s_1, two from s_1
+and s_2, more from the roots of the polynomial that Newton's identities
+build from the moments), and Newton from each estimate polishes it into a
+zero strictly inside the cell.  Polished zeros are kept only when each is
+resolved from the nearest other one well beyond the evaluation noise (see
+_locate): near a double zero, the noise can let Newton find two zeros
+that a real split would not separate.  Such a close pair goes with the
+child of the real split that holds both, which is not located again.  And
+k = 0 is known in a cell that holds it strictly inside and winds m0 times,
 m0 >= 2 being the exact order of the zero there
 (ExpPolynomial.origin_order).  A chain stops where a zero comes near a
 cut (see _pick): within 1e-6 of a cell's width or height for a located
@@ -115,6 +118,10 @@ _BATCH_SAMPLES = 1 << 11
 # factor over the noise floor at which a cell's probe counts as loud
 _EPS = 2.2e-16
 _LOUD = 32
+# the largest winding of a cell whose zeros _locate finds from its sides'
+# moments: past it, the midpoint-rule moments s_j lose the digits that the
+# starts need, and more cells are refused than split by their zeros
+_LOCATE_MAX = 8
 
 
 @dataclass
@@ -140,11 +147,12 @@ class RootStats:
     reused: samples that child boundaries took from their parent's sides
         without evaluating them, counted per child (the parent corner
         between a child's two inherited halves once).
-    guided: splits decided by one located zero or two, without winding
-        the children (see find_roots); they are not in split_attempts.
-    guide_steps: Newton steps of the polishes that locate zeros, one per
-        winding-one cell and two per winding-two cell, kept or refused;
-        they are not in newton_iterations.
+    guided: splits decided by located zeros (1 to _LOCATE_MAX), without
+        winding the children (see find_roots); they are not in
+        split_attempts.
+    guide_steps: Newton steps of the polishes that locate zeros, from w
+        starts in a cell that winds w times, kept or refused; they are not
+        in newton_iterations.
     guide_fallbacks: cells split off by a located zero that are split
         for real instead, because the zero lay at a cut (each also in
         resampled).
@@ -152,8 +160,9 @@ class RootStats:
         the children (see find_roots); they are not in split_attempts.
     resampled: cells without sides, below splits decided by a zero, that
         are split for real and so first sampled afresh.
-    pairs_refused: winding-two cells with sides whose two located zeros
-        were refused (see _locate and _pick), and so split for real.
+    pairs_refused: cells with sides, winding 2 to _LOCATE_MAX times,
+        whose located zeros were refused (see _locate and _pick), and so
+        split for real.
     """
     boundaries: int = 0
     points: int = 0
@@ -562,6 +571,12 @@ def winding_number(p, rect, max_rounds=48, max_points=400000):
     return w
 
 
+def _inside(rect, k):
+    """Whether k lies strictly inside rect."""
+    x0, x1, y0, y1 = rect
+    return x0 < k.real < x1 and y0 < k.imag < y1
+
+
 def _grown(rect, delta):
     x0, x1, y0, y1 = rect
     return (x0 - delta, x1 + delta, y0 - delta, y1 + delta)
@@ -587,7 +602,8 @@ def _newton(p, cells, k0s):
 
     Each iterate is k - p(k)/p'(k) in Python complex arithmetic; only the
     evaluation is shared.  A cell gives up when p' vanishes or when its
-    iterate strays more than 4 cell diameters from its start.  Returns
+    iterate strays more than 4 cell diameters from its start or is not
+    finite.  Returns
     (roots, slopes, steps, passes): per cell, the zero it converged to
     inside the cell, or None, and |p'| at the iterate of its last step, or
     None; the Newton steps over all cells; the evaluation passes.
@@ -610,11 +626,11 @@ def _newton(p, cells, k0s):
                 continue
             step = v / dp
             k = ks[i] = ks[i] - step
-            if abs(k - k0s[i]) > reach[i]:
+            # also gives up on a non-finite iterate
+            if not abs(k - k0s[i]) <= reach[i]:
                 continue
             if abs(step) <= 1e-13 * max(1.0, abs(k)):
-                x0, x1, y0, y1 = cells[i]
-                if x0 < k.real < x1 and y0 < k.imag < y1:
+                if _inside(cells[i], k):
                     roots[i] = k
                     slopes[i] = abs(dp)
                 continue
@@ -725,11 +741,14 @@ def _child_lines(p, quads, parents, unit, cunit):
 
 
 # A cell of the subdivision frontier: its rectangle, its winding w, its
-# sides and its known zeros.  A cell split off by known zeros without
-# winding has sides None and zeros the tuple of those it holds, one or two
-# located zeros or (0j,) for k = 0; any other cell has sides (_Sides, slot)
-# and zeros () (see _guide).
-_Cell = namedtuple("_Cell", "rect w sides zeros")
+# sides, its known zeros and its close pairs.  A cell split off by known
+# zeros without winding has sides None and zeros the tuple of those it
+# holds, 1 to _LOCATE_MAX located zeros or (0j,) for k = 0; any other cell
+# has sides (_Sides, slot) and zeros () (see _guide).  close holds the
+# pairs of located zeros, strictly inside the cell, that _locate refused
+# as too close in its parent or an earlier ancestor; such a cell is not
+# located again.
+_Cell = namedtuple("_Cell", "rect w sides zeros close", defaults=((),))
 
 
 def _quad(cell, ux, uy):
@@ -745,8 +764,10 @@ def _split(p, cells, parents, stats):
     """Quadrisect every _Cell of cells, whose sides are parents, retrying
     the cut position of each cell until its child windings are defined and
     conserve the parent's.  Returns, per cell, the list of its children
-    with positive winding, as _Cells with their sides and no zeros.  A
-    retry cuts the parent's sides again at its new position.
+    with positive winding, as _Cells with their sides and no zeros; a child
+    that winds at least twice takes its parent's close pairs that it holds
+    strictly inside.  A retry cuts the parent's sides again at its new
+    position.
     """
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
@@ -775,7 +796,9 @@ def _split(p, cells, parents, stats):
             rows = [b for _, _, _, b in kept]
             store = _Sides(refined, bside[rows], bsign[rows])
             for slot, (i, kid, wi, _) in enumerate(kept):
-                packs[i].append(_Cell(kid, wi, (store, slot), ()))
+                close = tuple(pair for pair in cells[i].close if wi >= 2
+                              and all(_inside(kid, k) for k in pair))
+                packs[i].append(_Cell(kid, wi, (store, slot), (), close))
         # the retries' sides, by their place among this attempt's cells
         pending = [pending[j] for j in retry]
         if retry and attempt + 1 < _MAX_SPLIT_ATTEMPTS:
@@ -787,24 +810,55 @@ def _split(p, cells, parents, stats):
     return packs
 
 
+def _moment_roots(s):
+    """The roots of the monic polynomials whose w roots have the power sums
+    s[0], ..., s[w - 1] (s_1, ..., s_w), one polynomial per column of s, as
+    the rows of an array.  Newton's identities give the coefficients, the
+    elementary symmetric functions e_j of the roots, and the eigenvalues of
+    the companion matrices, in one batched eigvals, give the roots."""
+    w, n = s.shape
+    e = [np.ones(n, dtype=complex)]
+    companion = np.zeros((n, w, w), dtype=complex)
+    companion[:, np.arange(1, w), np.arange(w - 1)] = 1.0
+    for j in range(1, w + 1):
+        # j e_j = sum_i (-1)^(i - 1) e_(j - i) s_i; the polynomial is
+        # z^w - e_1 z^(w - 1) + e_2 z^(w - 2) - ...
+        e.append(sum((-1) ** (i - 1) * e[j - i] * s[i - 1] for i in range(1, j + 1)) / j)
+        companion[:, 0, j - 1] = (-1) ** (j - 1) * e[j]
+    return np.linalg.eigvals(companion)
+
+
 def _locate(p, cells, stats):
-    """The zeros of each _Cell of cells with sides and winding one or two,
-    as a tuple, or () when they are not found.
+    """The zeros of each _Cell of cells with sides and winding w at most
+    _LOCATE_MAX, and the close pairs among them.
 
     The argument-principle moments s_j = sum (z_mid - c)^j (d ln|p| +
-    i d arg p) / 2 pi i over the segments of a cell's sides, c its centre,
-    estimate its zeros from samples already taken: c + s_1 for one zero,
-    c + (s_1 +- sqrt(2 s_2 - s_1^2)) / 2 for two.  _newton from each
-    estimate polishes it, all cells' estimates together.  A cell's zeros
-    are kept only when each polish converges strictly inside it, whose
-    certified winding makes them its only zeros, and, for two, when each
-    polished zero z is resolved from the other beyond the evaluation noise:
-    eta / |p'(z)| < 1e-3 |z_1 - z_2|, eta being the cell's _noise_floor.
-    That refuses the two zeros that the noise around a (near) double zero
-    can let Newton find.
+    i d arg p) / 2 pi i, j = 1..w, over the segments of a cell's sides, c
+    its centre, are the power sums of its zeros about c, from samples
+    already taken.  They give a start for each zero: c + s_1 for one zero,
+    c + (s_1 +- sqrt(2 s_2 - s_1^2)) / 2 for two, and for more, c plus the
+    roots of the polynomial whose roots have those power sums (see
+    _moment_roots), one eigvals for all cells of a winding.  A cell with a
+    start that is not finite is refused; _newton from each start of the
+    others polishes it, all cells' starts together.  A cell's zeros are
+    kept only when every polish converges strictly inside it, whose
+    certified winding makes them its only zeros, and, for w >= 2, when each
+    polished zero z_i is resolved from the nearest other one beyond the
+    evaluation noise: eta / |p'(z_i)| < 1e-3 min_(j != i) |z_i - z_j|, eta
+    being the cell's _noise_floor.  That refuses the zeros that the noise
+    around a (near) multiple zero can let Newton find, and a zero that two
+    polishes both reach.  A zero that fails the test and the nearest other
+    one are a close pair, unless they are within 1e-12 max(1, |z_i|) of
+    each other, about the precision of the polish, where they are one zero
+    reached twice.
+
+    Returns (zeros, close): per cell, its w zeros as a tuple, or () when
+    they are refused; and the close pairs of a cell refused by that test
+    alone, as a tuple of pairs of zeros, or ().
     """
     off, data = _gather([cell.sides for cell in cells])
     rects = [cell.rect for cell in cells]
+    ws = np.array([cell.w for cell in cells])
     x0, x1, y0, y1 = np.array(rects, dtype=float).T
     cx = 0.5 * (x0 + x1)
     cy = 0.5 * (y0 + y1)
@@ -818,14 +872,28 @@ def _locate(p, cells, stats):
             + 1j * np.array([y0 - cy, -cy, y1 - cy, -cy])).T.ravel()
     zmid = 0.5 * (t[:-1] + t[1:]) * _UNIT[side % 4]
     zmid += base[side]
-    step *= zmid
-    s1 = np.add.reduceat(step, off[:-1:4]) / (2j * np.pi)
-    step *= zmid
-    s2 = np.add.reduceat(step, off[:-1:4]) / (2j * np.pi)
+    # s[j - 1] holds the moment s_j of every cell
+    s = np.empty((ws.max(), len(cells)), dtype=complex)
+    for row in s:
+        step *= zmid
+        row[:] = np.add.reduceat(step, off[:-1:4]) / (2j * np.pi)
     c = cx + 1j * cy
-    gap = np.sqrt(2 * s2 - s1 * s1)
-    starts = [[one] if cell.w == 1 else pair for cell, one, *pair in zip(
-        cells, (c + s1).tolist(), (c + (s1 + gap) / 2).tolist(), (c + (s1 - gap) / 2).tolist())]
+    starts = [None] * len(cells)
+    # not np.unique, whose first call imports numpy.ma (16 ms of a CLI process)
+    for w in sorted(set(ws.tolist())):
+        at = np.flatnonzero(ws == w)
+        s1 = s[0, at]
+        if w == 1:
+            ks = (c[at] + s1)[:, None]
+        elif w == 2:
+            gap = np.sqrt(2 * s[1, at] - s1 * s1)
+            ks = np.array([c[at] + (s1 + gap) / 2, c[at] + (s1 - gap) / 2]).T
+        else:
+            ks = np.full((at.size, w), np.nan, dtype=complex)
+            ok = np.isfinite(s[:w, at]).all(axis=0)
+            ks[ok] = c[at[ok], None] + _moment_roots(s[:w, at[ok]])
+        for i, row, finite in zip(at.tolist(), ks.tolist(), np.isfinite(ks).all(axis=1).tolist()):
+            starts[i] = row if finite else []
     owner = [i for i, ks in enumerate(starts) for _ in ks]
     ks, slopes, steps, passes = _newton(p, [rects[i] for i in owner],
                                         [k for ks in starts for k in ks])
@@ -833,16 +901,25 @@ def _locate(p, cells, stats):
     for i, k, d in zip(owner, ks, slopes):
         if k is not None:
             found[i].append((k, d))
-    pairs = [i for i, f in enumerate(found) if len(f) == 2]
-    for i, eta in zip(pairs, _noise_floor(p, [rects[i] for i in pairs]).tolist()):
-        (z1, d1), (z2, d2) = found[i]
-        if not eta / min(d1, d2) < 1e-3 * abs(z1 - z2):
-            found[i] = []
-    zeros = [tuple(k for k, _ in f) if len(f) == cell.w else () for cell, f in zip(cells, found)]
+    full = [i for i, (cell, f) in enumerate(zip(cells, found)) if len(f) == cell.w >= 2]
+    refused = set()
+    close = [()] * len(cells)
+    for i, eta in zip(full, _noise_floor(p, [rects[i] for i in full]).tolist()):
+        pairs = set()
+        for a, (z, d) in enumerate(found[i]):
+            gap, b = min((abs(z - y), b) for b, (y, _) in enumerate(found[i]) if b != a)
+            if not eta / d < 1e-3 * gap:
+                refused.add(i)
+                # two polishes that end this near have reached one zero
+                if gap > 1e-12 * max(1.0, abs(z)):
+                    pairs.add((min(a, b), max(a, b)))
+        close[i] = tuple((found[i][a][0], found[i][b][0]) for a, b in sorted(pairs))
+    zeros = [tuple(k for k, _ in f) if len(f) == cell.w and i not in refused else ()
+             for i, (cell, f) in enumerate(zip(cells, found))]
     if stats is not None:
         stats.add(guide_steps=steps, evaluations=passes,
-                  pairs_refused=sum(cell.w == 2 and not ks for cell, ks in zip(cells, zeros)))
-    return zeros
+                  pairs_refused=sum(cell.w >= 2 and not ks for cell, ks in zip(cells, zeros)))
+    return zeros, close
 
 
 def _origin(p):
@@ -911,34 +988,38 @@ def _guide(p, to_split, origin, stats):
     evaluating nothing, and sample afresh the cells without sides left to
     split for real.
 
-    A cell's known zeros are those it was split off with; for a cell with
-    sides, k = 0 when it winds m0 times and holds k = 0 strictly inside
-    (origin is (m0, r0) of _origin, or None), else the zero or the two
-    zeros that _locate finds when it winds once or twice.  The cell is
+    A cell's known zeros are those it was split off with.  For a cell with
+    sides they are, when origin is (m0, r0) of _origin (not None) and the
+    cell holds k = 0 strictly inside, k = 0 if the cell winds m0 times and
+    none else; and otherwise the zeros that _locate finds when the cell
+    winds at most _LOCATE_MAX times and holds no close pair.  The cell is
     split by its zeros when _pick finds the children that hold them.  Else
     it is split for real: a cell without sides is first sampled afresh, and
-    its winding must be the one it carries.
+    its winding must be the one it carries; a cell that _locate refused
+    for a close pair takes its close pairs along (see _split).
 
     Returns the _Cells in order, each in its parent's place: the children
     of the splits decided by zeros, without sides, and the cells left to
     split for real, with sides and no zeros.
     """
     zeros = [cell.zeros for cell in to_split]
+    close = [cell.close for cell in to_split]
     located = []
     for i, cell in enumerate(to_split):
         if cell.sides is None:
             continue
-        x0, x1, y0, y1 = cell.rect
-        if origin is not None and cell.w == origin[0] and x0 < 0.0 < x1 and y0 < 0.0 < y1:
-            zeros[i] = (0j,)
-        elif cell.w <= 2:
+        if origin is not None and _inside(cell.rect, 0j):
+            if cell.w == origin[0]:
+                zeros[i] = (0j,)
+        elif cell.w <= _LOCATE_MAX and not cell.close:
             located.append(i)
     if located:
-        for i, ks in zip(located, _locate(p, [to_split[i] for i in located], stats)):
+        for i, ks, pairs in zip(located, *_locate(p, [to_split[i] for i in located], stats)):
             zeros[i] = ks
+            close[i] = pairs
     cells, bare = [], []
     counts = dict(guided=0, origin_guided=0, guide_fallbacks=0, pairs_refused=0)
-    for cell, ks in zip(to_split, zeros):
+    for cell, ks, pairs in zip(to_split, zeros, close):
         by_origin = origin is not None and ks == (0j,)
         kids = _pick(cell.rect, ks, origin) if ks else None
         if kids is not None:
@@ -949,9 +1030,9 @@ def _guide(p, to_split, origin, stats):
             counts["guide_fallbacks"] += not by_origin
             bare.append(len(cells))
             cell = cell._replace(zeros=())
-        elif len(ks) == 2:
+        elif len(ks) >= 2:
             counts["pairs_refused"] += 1
-        cells.append(cell)
+        cells.append(cell._replace(close=pairs))
     if bare:
         ws, sides = _windings(p, [cells[i].rect for i in bare], 48, 400000, stats)
         for i, w in zip(bare, ws):
@@ -1029,21 +1110,21 @@ def _settle(p, frontier, tol, stats):
     Returns (found, to_split): the resonances settled on this level, in
     frontier order, and the _Cells left to quadrisect.
     """
-    ones = [i for i, (_, cw, _, _) in enumerate(frontier) if cw == 1]
-    rects = [frontier[i][0] for i in ones]
+    ones = [i for i, cell in enumerate(frontier) if cell.w == 1]
+    rects = [frontier[i].rect for i in ones]
     centres = [complex(0.5 * (x0 + x1) + 1j * (0.5 * (y0 + y1))) for x0, x1, y0, y1 in rects]
     ks, _, steps, passes = _newton(p, rects, centres)
     roots = dict(zip(ones, ks))
-    probed = [i for i, (cell, _, _, _) in enumerate(frontier)
+    probed = [i for i, (cell, *_) in enumerate(frontier)
               if roots.get(i) is None
               and np.hypot(cell[1] - cell[0], cell[3] - cell[2]) > tol]
     loud = {}
     if probed:
-        cells = [frontier[i][0] for i in probed]
+        cells = [frontier[i].rect for i in probed]
         loud = dict(zip(probed, (_probe_max(p, cells) > _LOUD * _noise_floor(p, cells)).tolist()))
     settled = []
     to_split = []
-    for i, (cell, cw, _, _) in enumerate(frontier):
+    for i, (cell, cw, *_) in enumerate(frontier):
         if roots.get(i) is not None:
             settled.append((roots[i], 1, cell, True))
         elif loud.get(i):
@@ -1081,9 +1162,9 @@ def find_roots(p, region, tol=1e-8, stats=None):
     A cell that has to be split, and whose known zeros strictly inside
     add up to its winding, is split by them while its cuts pass well clear
     of each (see the module docstring).  The known zeros are the located
-    zeros of a cell that winds once or twice, a pair being kept only when
-    its two zeros stand apart from each other far beyond the evaluation
-    noise, and the zero of order m0 >= 2 at k = 0.  The children that hold
+    zeros of a cell that winds at most _LOCATE_MAX times, kept only when
+    each stands apart from the others far beyond the evaluation noise, and
+    the zero of order m0 >= 2 at k = 0.  The children that hold
     the zeros are the children that winding all four would keep, with the
     same windings, so the subdivision visits the same cells, and every
     Resonance is the same, as when every child is wound.  Only the work

@@ -65,6 +65,9 @@ def test_validate_reports_violations(tmp_path, capsys):
 @pytest.mark.parametrize("payload, message", [
     ({"vertices": [["a"], "b"]}, "missing or malformed 'vertices' list"),
     ({"vertices": ["a"], "leads": [{"at": "a", "count": 1e400}]}, "malformed lead record 0"),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "zz", "length": 1.0}]},
+     "unknown vertex 'zz' in edge 0"),
+    ({"vertices": ["a"], "leads": [{"at": "zz"}]}, "unknown vertex 'zz' in lead record 0"),
 ])
 def test_malformed_graph_file_is_a_usage_error(payload, message, tmp_path, capsys):
     path = write_graph(tmp_path, payload)
@@ -519,7 +522,8 @@ def loaded_modules(argv, env):
 SUBMODULES = sorted("qgraph." + path.stem
                     for path in Path(qgraph.__file__).parent.glob("*.py")
                     if path.stem != "__init__")
-NOT_FOR_DET = ["qgraph.dtn", "qgraph.circle"]
+# numpy.ma is not needed either, and its import takes about 16 ms
+NOT_FOR_DET = ["qgraph.dtn", "qgraph.circle", "numpy.ma"]
 
 
 @pytest.mark.parametrize("argv, banned", [
@@ -533,7 +537,7 @@ NOT_FOR_DET = ["qgraph.dtn", "qgraph.circle"]
 def test_each_command_loads_only_what_it_runs(argv, banned, tmp_path):
     """import qgraph loads no submodule; validate and classify look only at
     the graph and start without numpy; the determinant commands leave the
-    DtN and circle modules alone."""
+    DtN and circle modules and numpy.ma alone."""
     graph = write_graph(tmp_path, TWO_ARC)
     if argv is not None:
         argv = [graph if a == "GRAPH" else a for a in argv]

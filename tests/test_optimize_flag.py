@@ -2,7 +2,7 @@
 
 The tests below raise on bad arguments, or check the root finder's budgets,
 its inherited samples and its splits by located zeros or by k = 0, the
-guard that refuses a pair of located zeros, its frontier cells and its
+guard that refuses close located zeros, its frontier cells and its
 picks of the children that hold zeros; they are
 run again in a python -O subprocess, which imports the same qgraph package
 as this suite.
@@ -56,6 +56,9 @@ ARGUMENT_CHECKS = (
     "test_rootfind.py::test_pick_matches_the_picks_it_replaces",
     "test_rootfind.py::test_close_pair_is_split_by_its_zeros_or_refused[0.01]",
     "test_rootfind.py::test_close_pair_is_split_by_its_zeros_or_refused[1e-09]",
+    "test_rootfind.py::test_five_zeros_are_split_by_their_zeros_or_refused[None]",
+    "test_rootfind.py::test_five_zeros_are_split_by_their_zeros_or_refused[1e-09]",
+    "test_rootfind.py::test_newton_gives_up_on_a_non_finite_iterate",
     "test_rootfind.py::test_origin_splits_give_the_same_answer_on_the_family",
     "test_rootfind.py::test_fresh_winding_that_disagrees_is_an_error",
     *("test_rootfind.py::test_origin_order_by_high_precision_evaluation[%s]" % case

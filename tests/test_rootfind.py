@@ -435,18 +435,18 @@ WOUND = {
 
 
 @pytest.mark.parametrize("case, want", [
-    ("c=0.3", dataclasses.replace(WOUND["c=0.3"], boundaries=97, points=3822, rounds=260,
-                                  split_attempts=[23, 1] + [0] * 8, evaluations=114,
-                                  reused=5737, guided=111, guide_steps=325)),
-    ("c=3/5", dataclasses.replace(WOUND["c=3/5"], boundaries=133, points=4197, rounds=306,
-                                  split_attempts=[32, 1] + [0] * 8, evaluations=102,
-                                  reused=6654, guided=90, guide_steps=275)),
-    ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=101, points=3953, rounds=72,
-                                split_attempts=[24, 1] + [0] * 8, evaluations=69,
-                                reused=7426, guided=22, guide_steps=137)),
-    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=99, points=2050, rounds=303,
-                                    split_attempts=[21, 3] + [0] * 8, evaluations=342,
-                                    reused=2915, guided=16, guide_steps=70, origin_guided=18,
+    ("c=0.3", dataclasses.replace(WOUND["c=0.3"], boundaries=33, points=2697, rounds=108,
+                                  split_attempts=[7, 1] + [0] * 8, evaluations=113,
+                                  reused=3636, guided=127, guide_steps=395)),
+    ("c=3/5", dataclasses.replace(WOUND["c=3/5"], boundaries=33, points=2747, rounds=84,
+                                  split_attempts=[7, 1] + [0] * 8, evaluations=95,
+                                  reused=3736, guided=115, guide_steps=376)),
+    ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=33, points=3164, rounds=36,
+                                split_attempts=[7, 1] + [0] * 8, evaluations=62,
+                                reused=4732, guided=39, guide_steps=167)),
+    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=63, points=1735, rounds=293,
+                                    split_attempts=[12, 3] + [0] * 8, evaluations=343,
+                                    reused=1942, guided=25, guide_steps=125, origin_guided=18,
                                     resampled=2)),
 ])
 def test_root_stats_pinned(case, want, bench_graphs):
@@ -454,8 +454,8 @@ def test_root_stats_pinned(case, want, bench_graphs):
     inherited sample, round, split, evaluation pass and located zero, on
     the circle at R = 20 (a crossing c among them) and on a graph of the
     benchmark pool at R = 8, whose zero of order 2 at k = 0 splits cells
-    too.  Against winding every child, splits by located zeros (one or
-    two) or by k = 0 leave the Newton and cluster counters as they were,
+    too.  Against winding every child, splits by located zeros (one to
+    eight) or by k = 0 leave the Newton and cluster counters as they were,
     and the evaluation passes move by the polishes they add and the
     batches they empty."""
     stats = RootStats()
@@ -464,9 +464,9 @@ def test_root_stats_pinned(case, want, bench_graphs):
 
 
 def _decline(p, cells, stats):
-    """A locator that finds no zero, in winding-one and winding-two cells
-    alike."""
-    return [()] * len(cells)
+    """A locator that finds no zero and no close pair, whatever a cell's
+    winding."""
+    return [()] * len(cells), [()] * len(cells)
 
 
 def _no_origin_order(monkeypatch):
@@ -555,7 +555,7 @@ def test_chains_sent_back_give_the_same_answer(case, radius, bench_graphs, monke
 
 @pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", "E5V4L2b"])
 def test_located_child_is_the_wound_child(case, bench_graphs, monkeypatch):
-    """Every child picked by one located zero or two winds, when
+    """Every child picked by located zeros (one to eight) winds, when
     winding_numbers samples the four children of the midpoint split
     afresh, as many times as the located zeros it holds, which is the
     winding it is given; the other children wind zero."""
@@ -579,6 +579,29 @@ def test_located_child_is_the_wound_child(case, bench_graphs, monkeypatch):
     count_in_disc(p, radius, stats=stats)
     assert len(checked) == stats.guided > 0
     assert checked.count(2) > 0 and checked.count(1) > 0
+    if case in ("c=0.3", "c=3/5"):
+        assert sum(n >= 3 for n in checked) > 0
+
+
+def _exp_product(a):
+    """prod_j (e^{ik} - a_j), whose simple zeros are the -i ln a_j (mod 2 pi)."""
+    e = ExpPolynomial.monomial((1.0,), (1,))
+    p = ExpPolynomial.constant((1.0,), 1.0)
+    for aj in a:
+        p = p * (e - ExpPolynomial.constant((1.0,), aj))
+    return p
+
+
+def _located_cells(monkeypatch):
+    """Make _locate record the _Cells it is given; returns that list."""
+    locate = rootfind._locate
+    seen = []
+
+    def recorded(p, cells, stats):
+        seen.extend(cells)
+        return locate(p, cells, stats)
+    monkeypatch.setattr(rootfind, "_locate", recorded)
+    return seen
 
 
 @pytest.mark.parametrize("gap", [1e-2, 1e-9])
@@ -586,22 +609,78 @@ def test_close_pair_is_split_by_its_zeros_or_refused(gap, monkeypatch):
     """p = (e^{ik} - a)(e^{ik} - b) has the simple zeros -i ln a and
     -i ln b, about |a - b| apart.  At 1e-2, the winding-two outer cell that
     holds both is split by its two located zeros.  At 1e-9 the pair sits
-    in the evaluation noise of a double zero: every pair is refused,
-    counted, and its cell split for real.  Either way the repr is that of
+    in the evaluation noise of a double zero: the outer cell's pair is
+    refused, counted, and its cell split for real, and the pair travels
+    with the child that holds both zeros, which is not located again, nor
+    are its descendants that hold both.  Either way the repr is that of
     winding every child."""
     a = cmath.exp(1j * complex(0.4, 0.3))
     b = a + gap * cmath.exp(0.7j)
-    e = ExpPolynomial.monomial((1.0,), (1,))
-    p = (e - ExpPolynomial.constant((1.0,), a)) * (e - ExpPolynomial.constant((1.0,), b))
+    p = _exp_product([a, b])
     region = (-1.0, 2.0, -1.0, 1.0)
-    stats = RootStats()
-    located = repr(find_roots(p, region, stats=stats))
+    with monkeypatch.context() as m:
+        seen = _located_cells(m)
+        stats = RootStats()
+        located = repr(find_roots(p, region, stats=stats))
     monkeypatch.setattr(rootfind, "_locate", _decline)
     assert located == repr(find_roots(p, region))
     if gap == 1e-2:
         assert stats.pairs_refused == 0 and stats.guided > 0
     else:
-        assert stats.pairs_refused > 0 and stats.guided == 0
+        assert stats.pairs_refused == 1 and stats.guided == 0
+        zeros = [-1j * cmath.log(v) for v in (a, b)]
+        holders = [cell.rect for cell in seen
+                   if all(rootfind._inside(cell.rect, k) for k in zeros)]
+        assert holders == [region]
+        assert stats.split_attempts[0] > 1
+
+
+FIVE = [cmath.exp(1j * k) for k in (0.1 + 0.2j, 0.9 - 0.3j, 1.3 + 0.5j, -0.4 - 0.6j, 0.2 + 0.7j)]
+
+
+@pytest.mark.parametrize("gap", [None, 1e-9])
+def test_five_zeros_are_split_by_their_zeros_or_refused(gap, monkeypatch):
+    """p = prod_(j <= 5) (e^{ik} - a_j) has five simple zeros in the
+    region, whose outer cell winds five times and is split by its five
+    located zeros.  With a_2 moved to 1e-9 from a_1 the outer cell is
+    refused, counted and split for real.  Either way the repr is that of
+    winding every child."""
+    a = list(FIVE)
+    if gap is not None:
+        a[1] = a[0] + gap * cmath.exp(0.7j)
+    p = _exp_product(a)
+    region = (-1.0, 2.0, -1.0, 1.0)
+    pick = rootfind._pick
+    picked = []
+
+    def recorded(rect, zeros, origin):
+        kids = pick(rect, zeros, origin)
+        picked.append((rect, len(zeros), kids is not None))
+        return kids
+    with monkeypatch.context() as m:
+        m.setattr(rootfind, "_pick", recorded)
+        stats = RootStats()
+        located = repr(find_roots(p, region, stats=stats))
+    monkeypatch.setattr(rootfind, "_locate", _decline)
+    assert located == repr(find_roots(p, region))
+    if gap is None:
+        assert picked[0] == (region, 5, True)
+        assert stats.pairs_refused == 0 and sum(stats.split_attempts) == 0
+    else:
+        assert region not in [rect for rect, _, _ in picked]
+        assert stats.pairs_refused > 0 and stats.split_attempts[0] > 0
+
+
+def test_newton_gives_up_on_a_non_finite_iterate():
+    """A Newton run from nan gives up after its first step, while the run
+    beside it converges as it does alone."""
+    p = det_poly(0.3)
+    cell = (-1.0, 1.0, -1.0, 1.0)
+    alone = rootfind._newton(p, [cell], [0.2 + 0.1j])
+    roots, slopes, steps, passes = rootfind._newton(p, [cell, cell], [complex(math.nan), 0.2 + 0.1j])
+    assert roots[0] is None and slopes[0] is None
+    assert (roots[1:], slopes[1:]) == alone[:2]
+    assert steps == alone[2] + 1 and passes == alone[3]
 
 
 SAME_COUNTERS = ("newton_iterations", "newton_failures", "noise_clusters", "outer_growths")
@@ -693,10 +772,11 @@ def test_origin_child_is_the_wound_child(case, bench_graphs, monkeypatch):
 @pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", *ORIGIN_POOL])
 def test_frontier_cells_have_sides_or_a_zero(case, sent_back, bench_graphs, monkeypatch):
     """Every cell of every level's frontier has sides and no zeros, or a
-    tuple of the known zeros it holds (one or two located zeros, as many as
-    it winds, or (0j,) for k = 0) and no sides, also when cells without
-    sides are sent back to a real split (see _send_back), whose children
-    start with no zeros."""
+    tuple of the known zeros it holds (1 to 8 located zeros, as many as it
+    winds, or (0j,) for k = 0) and no sides, also when cells without sides
+    are sent back to a real split (see _send_back), whose children start
+    with no zeros.  Only a cell with sides carries close pairs, each
+    strictly inside it."""
     p, radius = _pinned_case(case, bench_graphs)
     if sent_back:
         sent = _send_back(monkeypatch)
@@ -709,6 +789,8 @@ def test_frontier_cells_have_sides_or_a_zero(case, sent_back, bench_graphs, monk
             assert (cell.sides is None) == (cell.zeros != ()), cell
             assert all(type(k) is complex for k in cell.zeros), cell
             assert cell.zeros in ((), (0j,)) or len(cell.zeros) == cell.w, cell
+            assert not cell.close or cell.sides is not None, cell
+            assert all(rootfind._inside(cell.rect, k) for pair in cell.close for k in pair), cell
             zeros.append(cell.zeros)
         return settle(p, frontier, tol, stats)
     monkeypatch.setattr(rootfind, "_settle", checked)
