@@ -42,17 +42,15 @@ build from the moments), and Newton from each estimate polishes it into a
 zero strictly inside the cell.  Polished zeros are kept only when each is
 resolved from the nearest other one well beyond the evaluation noise (see
 _locate): near a double zero, the noise can let Newton find two zeros
-that a real split would not separate.  Such a close pair goes with the
-child of the real split that holds both, which is not located again.  And
-k = 0 is known in a cell that holds it strictly inside and winds m0 times,
-m0 >= 2 being the exact order of the zero there
-(ExpPolynomial.origin_order).  A chain stops where a zero comes near a
-cut (see _pick): within 1e-6 of a cell's width or height for a located
-zero, where a real split could re-place the cut; for k = 0, within twice
-the radius r0 within which p may be lost in the evaluation noise or unlike
-its leading Taylor term (see _origin), or within 10^(-12/m0) of the cell's
-diameter.  That cell is sampled afresh and split for real, and its
-children start with no known zeros.
+that a real split would not separate.  And k = 0 is known in a cell that
+holds it strictly inside and winds m0 times, m0 >= 2 being the exact order
+of the zero there (ExpPolynomial.origin_order).  A chain stops where a zero
+comes near a cut (see _pick): within 1e-6 of a cell's width or height for
+a located zero, where a real split could re-place the cut; for k = 0,
+within twice the radius r0 within which p may be lost in the evaluation
+noise or unlike its leading Taylor term (see _origin), or within
+10^(-12/m0) of the cell's diameter.  That cell is sampled afresh and split
+for real, and its children start with no known zeros.
 
 The subdivision runs level by level, and each level is evaluated in batches:
 a level's cells are taken in order into batches whose splits evaluate at
@@ -741,14 +739,11 @@ def _child_lines(p, quads, parents, unit, cunit):
 
 
 # A cell of the subdivision frontier: its rectangle, its winding w, its
-# sides, its known zeros and its close pairs.  A cell split off by known
-# zeros without winding has sides None and zeros the tuple of those it
-# holds, 1 to _LOCATE_MAX located zeros or (0j,) for k = 0; any other cell
-# has sides (_Sides, slot) and zeros () (see _guide).  close holds the
-# pairs of located zeros, strictly inside the cell, that _locate refused
-# as too close in its parent or an earlier ancestor; such a cell is not
-# located again.
-_Cell = namedtuple("_Cell", "rect w sides zeros close", defaults=((),))
+# sides and its known zeros.  A cell split off by known zeros without
+# winding has sides None and zeros the tuple of those it holds, 1 to
+# _LOCATE_MAX located zeros or (0j,) for k = 0; any other cell has sides
+# (_Sides, slot) and zeros () (see _guide).
+_Cell = namedtuple("_Cell", "rect w sides zeros")
 
 
 def _quad(cell, ux, uy):
@@ -764,10 +759,8 @@ def _split(p, cells, parents, stats):
     """Quadrisect every _Cell of cells, whose sides are parents, retrying
     the cut position of each cell until its child windings are defined and
     conserve the parent's.  Returns, per cell, the list of its children
-    with positive winding, as _Cells with their sides and no zeros; a child
-    that winds at least twice takes its parent's close pairs that it holds
-    strictly inside.  A retry cuts the parent's sides again at its new
-    position.
+    with positive winding, as _Cells with their sides and no zeros.  A
+    retry cuts the parent's sides again at its new position.
     """
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
@@ -796,9 +789,7 @@ def _split(p, cells, parents, stats):
             rows = [b for _, _, _, b in kept]
             store = _Sides(refined, bside[rows], bsign[rows])
             for slot, (i, kid, wi, _) in enumerate(kept):
-                close = tuple(pair for pair in cells[i].close if wi >= 2
-                              and all(_inside(kid, k) for k in pair))
-                packs[i].append(_Cell(kid, wi, (store, slot), (), close))
+                packs[i].append(_Cell(kid, wi, (store, slot), ()))
         # the retries' sides, by their place among this attempt's cells
         pending = [pending[j] for j in retry]
         if retry and attempt + 1 < _MAX_SPLIT_ATTEMPTS:
@@ -830,31 +821,24 @@ def _moment_roots(s):
 
 def _locate(p, cells, stats):
     """The zeros of each _Cell of cells with sides and winding w at most
-    _LOCATE_MAX, and the close pairs among them.
+    _LOCATE_MAX, as a tuple, or () when they are not found.
 
     The argument-principle moments s_j = sum (z_mid - c)^j (d ln|p| +
     i d arg p) / 2 pi i, j = 1..w, over the segments of a cell's sides, c
     its centre, are the power sums of its zeros about c, from samples
-    already taken.  They give a start for each zero: c + s_1 for one zero,
-    c + (s_1 +- sqrt(2 s_2 - s_1^2)) / 2 for two, and for more, c plus the
-    roots of the polynomial whose roots have those power sums (see
-    _moment_roots), one eigvals for all cells of a winding.  A cell with a
-    start that is not finite is refused; _newton from each start of the
-    others polishes it, all cells' starts together.  A cell's zeros are
-    kept only when every polish converges strictly inside it, whose
-    certified winding makes them its only zeros, and, for w >= 2, when each
-    polished zero z_i is resolved from the nearest other one beyond the
-    evaluation noise: eta / |p'(z_i)| < 1e-3 min_(j != i) |z_i - z_j|, eta
-    being the cell's _noise_floor.  That refuses the zeros that the noise
-    around a (near) multiple zero can let Newton find, and a zero that two
-    polishes both reach.  A zero that fails the test and the nearest other
-    one are a close pair, unless they are within 1e-12 max(1, |z_i|) of
-    each other, about the precision of the polish, where they are one zero
-    reached twice.
-
-    Returns (zeros, close): per cell, its w zeros as a tuple, or () when
-    they are refused; and the close pairs of a cell refused by that test
-    alone, as a tuple of pairs of zeros, or ().
+    already taken.  They give a start for each zero: c + (s_1 +-
+    sqrt(2 s_2 - s_1^2)) / 2 for two zeros, and for any other number, c
+    plus the roots of the polynomial whose roots have those power sums (see
+    _moment_roots), one eigvals for all cells of a winding; for one zero
+    that is c + s_1.  A cell with a start that is not finite is refused;
+    _newton from each start of the others polishes it, all cells' starts
+    together.  A cell's zeros are kept only when every polish converges
+    strictly inside it, whose certified winding makes them its only zeros,
+    and, for w >= 2, when each polished zero z_i is resolved from the
+    nearest other one beyond the evaluation noise: eta / |p'(z_i)| < 1e-3
+    min_(j != i) |z_i - z_j|, eta being the cell's _noise_floor.  That
+    refuses the zeros that the noise around a (near) multiple zero can let
+    Newton find, and a zero that two polishes both reach.
     """
     off, data = _gather([cell.sides for cell in cells])
     rects = [cell.rect for cell in cells]
@@ -882,10 +866,8 @@ def _locate(p, cells, stats):
     # not np.unique, whose first call imports numpy.ma (16 ms of a CLI process)
     for w in sorted(set(ws.tolist())):
         at = np.flatnonzero(ws == w)
-        s1 = s[0, at]
-        if w == 1:
-            ks = (c[at] + s1)[:, None]
-        elif w == 2:
+        if w == 2:
+            s1 = s[0, at]
             gap = np.sqrt(2 * s[1, at] - s1 * s1)
             ks = np.array([c[at] + (s1 + gap) / 2, c[at] + (s1 - gap) / 2]).T
         else:
@@ -902,24 +884,15 @@ def _locate(p, cells, stats):
         if k is not None:
             found[i].append((k, d))
     full = [i for i, (cell, f) in enumerate(zip(cells, found)) if len(f) == cell.w >= 2]
-    refused = set()
-    close = [()] * len(cells)
     for i, eta in zip(full, _noise_floor(p, [rects[i] for i in full]).tolist()):
-        pairs = set()
-        for a, (z, d) in enumerate(found[i]):
-            gap, b = min((abs(z - y), b) for b, (y, _) in enumerate(found[i]) if b != a)
-            if not eta / d < 1e-3 * gap:
-                refused.add(i)
-                # two polishes that end this near have reached one zero
-                if gap > 1e-12 * max(1.0, abs(z)):
-                    pairs.add((min(a, b), max(a, b)))
-        close[i] = tuple((found[i][a][0], found[i][b][0]) for a, b in sorted(pairs))
-    zeros = [tuple(k for k, _ in f) if len(f) == cell.w and i not in refused else ()
-             for i, (cell, f) in enumerate(zip(cells, found))]
+        if not all(eta / d < 1e-3 * min(abs(z - y) for y, _ in found[i][:a] + found[i][a + 1:])
+                   for a, (z, d) in enumerate(found[i])):
+            found[i] = []
+    zeros = [tuple(k for k, _ in f) if len(f) == cell.w else () for cell, f in zip(cells, found)]
     if stats is not None:
         stats.add(guide_steps=steps, evaluations=passes,
                   pairs_refused=sum(cell.w >= 2 and not ks for cell, ks in zip(cells, zeros)))
-    return zeros, close
+    return zeros
 
 
 def _origin(p):
@@ -992,18 +965,16 @@ def _guide(p, to_split, origin, stats):
     sides they are, when origin is (m0, r0) of _origin (not None) and the
     cell holds k = 0 strictly inside, k = 0 if the cell winds m0 times and
     none else; and otherwise the zeros that _locate finds when the cell
-    winds at most _LOCATE_MAX times and holds no close pair.  The cell is
-    split by its zeros when _pick finds the children that hold them.  Else
-    it is split for real: a cell without sides is first sampled afresh, and
-    its winding must be the one it carries; a cell that _locate refused
-    for a close pair takes its close pairs along (see _split).
+    winds at most _LOCATE_MAX times.  The cell is split by its zeros when
+    _pick finds the children that hold them.  Else it is split for real: a
+    cell without sides is first sampled afresh, and its winding must be the
+    one it carries.
 
     Returns the _Cells in order, each in its parent's place: the children
     of the splits decided by zeros, without sides, and the cells left to
     split for real, with sides and no zeros.
     """
     zeros = [cell.zeros for cell in to_split]
-    close = [cell.close for cell in to_split]
     located = []
     for i, cell in enumerate(to_split):
         if cell.sides is None:
@@ -1011,15 +982,14 @@ def _guide(p, to_split, origin, stats):
         if origin is not None and _inside(cell.rect, 0j):
             if cell.w == origin[0]:
                 zeros[i] = (0j,)
-        elif cell.w <= _LOCATE_MAX and not cell.close:
+        elif cell.w <= _LOCATE_MAX:
             located.append(i)
     if located:
-        for i, ks, pairs in zip(located, *_locate(p, [to_split[i] for i in located], stats)):
+        for i, ks in zip(located, _locate(p, [to_split[i] for i in located], stats)):
             zeros[i] = ks
-            close[i] = pairs
     cells, bare = [], []
     counts = dict(guided=0, origin_guided=0, guide_fallbacks=0, pairs_refused=0)
-    for cell, ks, pairs in zip(to_split, zeros, close):
+    for cell, ks in zip(to_split, zeros):
         by_origin = origin is not None and ks == (0j,)
         kids = _pick(cell.rect, ks, origin) if ks else None
         if kids is not None:
@@ -1032,7 +1002,7 @@ def _guide(p, to_split, origin, stats):
             cell = cell._replace(zeros=())
         elif len(ks) >= 2:
             counts["pairs_refused"] += 1
-        cells.append(cell._replace(close=pairs))
+        cells.append(cell)
     if bare:
         ws, sides = _windings(p, [cells[i].rect for i in bare], 48, 400000, stats)
         for i, w in zip(bare, ws):
@@ -1110,21 +1080,21 @@ def _settle(p, frontier, tol, stats):
     Returns (found, to_split): the resonances settled on this level, in
     frontier order, and the _Cells left to quadrisect.
     """
-    ones = [i for i, cell in enumerate(frontier) if cell.w == 1]
-    rects = [frontier[i].rect for i in ones]
+    ones = [i for i, (_, cw, _, _) in enumerate(frontier) if cw == 1]
+    rects = [frontier[i][0] for i in ones]
     centres = [complex(0.5 * (x0 + x1) + 1j * (0.5 * (y0 + y1))) for x0, x1, y0, y1 in rects]
     ks, _, steps, passes = _newton(p, rects, centres)
     roots = dict(zip(ones, ks))
-    probed = [i for i, (cell, *_) in enumerate(frontier)
+    probed = [i for i, (cell, _, _, _) in enumerate(frontier)
               if roots.get(i) is None
               and np.hypot(cell[1] - cell[0], cell[3] - cell[2]) > tol]
     loud = {}
     if probed:
-        cells = [frontier[i].rect for i in probed]
+        cells = [frontier[i][0] for i in probed]
         loud = dict(zip(probed, (_probe_max(p, cells) > _LOUD * _noise_floor(p, cells)).tolist()))
     settled = []
     to_split = []
-    for i, (cell, cw, *_) in enumerate(frontier):
+    for i, (cell, cw, _, _) in enumerate(frontier):
         if roots.get(i) is not None:
             settled.append((roots[i], 1, cell, True))
         elif loud.get(i):
