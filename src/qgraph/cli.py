@@ -71,10 +71,8 @@ def _check_output(args):
 def _print_stats(stats):
     """One JSON line of the RootStats counters on stderr, when asked for."""
     if stats is not None:
-        from dataclasses import fields
-        counters = {f.name: getattr(stats, f.name) for f in fields(stats)
-                    if not f.name.startswith("_")}
-        print(json.dumps(counters), file=sys.stderr)
+        import dataclasses
+        print(json.dumps(dataclasses.asdict(stats)), file=sys.stderr)
 
 
 def _add_graph_source(sub):

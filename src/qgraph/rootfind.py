@@ -36,15 +36,15 @@ still runs the centre Newton and noise-floor probe of any cell, so the
 zeros found are those of a search that winds every child.  Two kinds of
 zero are known.  Located zeros: a cell that winds w <= _LOCATE_MAX times
 has its zeros estimated from the argument-principle moments s_1..s_w of
-its sides, the power sums of its zeros (one zero from s_1, two from s_1
-and s_2, more from the roots of the polynomial that Newton's identities
-build from the moments), and Newton from each estimate polishes it into a
-zero strictly inside the cell.  Polished zeros are kept only when each is
-resolved from the nearest other one well beyond the evaluation noise (see
-_locate): near a double zero, the noise can let Newton find two zeros
-that a real split would not separate.  And k = 0 is known in a cell that
-holds it strictly inside and winds m0 times, m0 >= 2 being the exact order
-of the zero there (ExpPolynomial.origin_order).  A chain stops where a zero
+its sides, the power sums of its zeros (the roots of the polynomial that
+Newton's identities build from the moments), and Newton from each
+estimate polishes it into a zero strictly inside the cell.  Polished
+zeros are kept only when each is resolved from the nearest other one well
+beyond the evaluation noise (see _locate): near a double zero, the noise
+can let Newton find two zeros that a real split would not separate.  And
+k = 0 is known in a cell that holds it strictly inside and winds m0
+times, m0 >= 2 being the exact order of the zero there
+(ExpPolynomial.origin_order).  A chain stops where a zero
 comes near a cut (see _pick): within 1e-6 of a cell's width or height for
 a located zero, where a real split could re-place the cut; for k = 0,
 within twice the radius r0 within which p may be lost in the evaluation
@@ -52,16 +52,14 @@ noise or unlike its leading Taylor term (see _origin), or within
 10^(-12/m0) of the cell's diameter.  That cell is sampled afresh and split
 for real, and its children start with no known zeros.
 
-The subdivision runs level by level, and each level is evaluated in batches:
-a level's cells are taken in order into batches whose splits evaluate at
-most _BATCH_SAMPLES samples together before refinement, by a bound on each
-split (a cell whose split alone may evaluate more is a batch of its own).
-The child boundaries of a batch are refined together, with one
-value-and-derivative pass (ExpPolynomial.eval_pair) per refinement round,
-and the Newton iterations, the zero polishes and the noise-floor probes of
-a level share one pass per step.  Every decision is still taken per boundary and per cell with the
-arithmetic of a one-at-a-time search, so the zeros found do not depend on
-the batching.
+The subdivision runs level by level, and the cells of a level that are
+split for real are split together: their child boundaries are refined
+together, with one value-and-derivative pass (ExpPolynomial.eval_pair)
+per refinement round, and the Newton iterations, the zero polishes and
+the noise-floor probes of a level share one pass per step.  Every
+decision is still taken per boundary and per cell with the arithmetic of
+a one-at-a-time search, so the zeros found do not depend on which cells
+are evaluated together.
 
 Boundary refinement works on a worklist of bad segments (see
 winding_numbers): each round bisects, evaluates and tests only the segments
@@ -107,11 +105,6 @@ _JITTER = (
 _MAX_SPLIT_ATTEMPTS = 10
 _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
-# samples that the splits of one batch of a level's cells evaluate before
-# refinement: one batch pays one sequence of refinement rounds, whose cost is
-# mostly fixed per round, while its arrays grow with the samples it evaluates
-# and the (about three times as many) samples its cells inherit
-_BATCH_SAMPLES = 1 << 11
 # the rounding unit of one evaluated term (see _noise_floor), and the
 # factor over the noise floor at which a cell's probe counts as loud
 _EPS = 2.2e-16
@@ -755,13 +748,14 @@ def _quad(cell, ux, uy):
     return ((x0, xc, y0, yc), (xc, x1, y0, yc), (x0, xc, yc, y1), (xc, x1, yc, y1))
 
 
-def _split(p, cells, parents, stats):
-    """Quadrisect every _Cell of cells, whose sides are parents, retrying
-    the cut position of each cell until its child windings are defined and
+def _split(p, cells, stats):
+    """Quadrisect every _Cell of cells, all with sides, retrying the cut
+    position of each cell until its child windings are defined and
     conserve the parent's.  Returns, per cell, the list of its children
     with positive winding, as _Cells with their sides and no zeros.  A
     retry cuts the parent's sides again at its new position.
     """
+    parents = _gather([cell.sides for cell in cells])
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
     for attempt in range(_MAX_SPLIT_ATTEMPTS):
@@ -826,11 +820,10 @@ def _locate(p, cells, stats):
     The argument-principle moments s_j = sum (z_mid - c)^j (d ln|p| +
     i d arg p) / 2 pi i, j = 1..w, over the segments of a cell's sides, c
     its centre, are the power sums of its zeros about c, from samples
-    already taken.  They give a start for each zero: c + (s_1 +-
-    sqrt(2 s_2 - s_1^2)) / 2 for two zeros, and for any other number, c
-    plus the roots of the polynomial whose roots have those power sums (see
-    _moment_roots), one eigvals for all cells of a winding; for one zero
-    that is c + s_1.  A cell with a start that is not finite is refused;
+    already taken.  They give a start for each zero: c plus the roots of
+    the polynomial whose roots have those power sums (see _moment_roots),
+    one eigvals for all cells of a winding; for one zero that is c + s_1.
+    A cell with a start that is not finite is refused;
     _newton from each start of the others polishes it, all cells' starts
     together.  A cell's zeros are kept only when every polish converges
     strictly inside it, whose certified winding makes them its only zeros,
@@ -866,14 +859,9 @@ def _locate(p, cells, stats):
     # not np.unique, whose first call imports numpy.ma (16 ms of a CLI process)
     for w in sorted(set(ws.tolist())):
         at = np.flatnonzero(ws == w)
-        if w == 2:
-            s1 = s[0, at]
-            gap = np.sqrt(2 * s[1, at] - s1 * s1)
-            ks = np.array([c[at] + (s1 + gap) / 2, c[at] + (s1 - gap) / 2]).T
-        else:
-            ks = np.full((at.size, w), np.nan, dtype=complex)
-            ok = np.isfinite(s[:w, at]).all(axis=0)
-            ks[ok] = c[at[ok], None] + _moment_roots(s[:w, at[ok]])
+        ks = np.full((at.size, w), np.nan, dtype=complex)
+        ok = np.isfinite(s[:w, at]).all(axis=0)
+        ks[ok] = c[at[ok], None] + _moment_roots(s[:w, at[ok]])
         for i, row, finite in zip(at.tolist(), ks.tolist(), np.isfinite(ks).all(axis=1).tolist()):
             starts[i] = row if finite else []
     owner = [i for i, ks in enumerate(starts) for _ in ks]
@@ -1017,37 +1005,6 @@ def _guide(p, to_split, origin, stats):
     return cells
 
 
-def _batches(p, cells):
-    """The _Cells of cells in order, cut into batches of (cells, their
-    sides as one (off, data)).  The splits of a batch evaluate at most
-    _BATCH_SAMPLES samples together before refinement, each bounded for
-    the midpoint cut of _split's first attempt by its cross segments + 1:
-    the centre, the crosses' inner samples and at most 4 fresh cuts.  A
-    cell whose split alone may evaluate more is a batch of its own."""
-    if not cells:
-        return []
-    off, data = _gather([cell.sides for cell in cells])
-    x0, x1, y0, y1 = np.array([cell.rect for cell in cells], dtype=float).T
-    xc = 0.5 * (x0 + x1)
-    yc = 0.5 * (y0 + y1)
-    sizes = _side_segments(p, np.array([yc - y0, x1 - xc, y1 - yc, xc - x0])).sum(axis=0) + 1
-    starts = [0]
-    total = 0
-    for k, size in enumerate(sizes.tolist()):
-        if k > starts[-1] and total + size > _BATCH_SAMPLES:
-            starts.append(k)
-            total = 0
-        total += size
-    if len(starts) == 1:
-        return [(cells, (off, data))]
-    batches = []
-    for a, b in zip(starts, starts[1:] + [len(cells)]):
-        lo, hi = off[4 * a], off[4 * b]
-        # a copy, so that each batch's sides go once it is split
-        batches.append((cells[a:b], (off[4 * a:4 * b + 1] - lo, data[:, lo:hi].copy())))
-    return batches
-
-
 def _noise_floor(p, cells):
     """Magnitude below which evaluations of p on each cell are dominated by
     floating-point error: eps times the sum of the individual term sizes.
@@ -1160,16 +1117,12 @@ def find_roots(p, region, tol=1e-8, stats=None):
         settled, to_split = _settle(p, frontier, tol, stats)
         found.extend(settled)
         frontier = _guide(p, to_split, origin, stats)
-        # the sides of the cells to split for real are gathered into their
-        # batches, and the level's own sides are freed; their children take
-        # their places among the children that a zero decided
+        # the cells to split for real are split in one call, and their
+        # children take their places among the children that a zero decided
         places = [cell if cell.sides is None else None for cell in frontier]
-        batches = _batches(p, [cell for cell in frontier if cell.sides is not None])
+        wound = [cell for cell in frontier if cell.sides is not None]
         frontier = to_split = None
-        packs = []
-        while batches:
-            packs.extend(_split(p, *batches.pop(0), stats))
-        packs = iter(packs)
+        packs = iter(_split(p, wound, stats) if wound else ())
         frontier = []
         for cell in places:
             frontier.extend(next(packs) if cell is None else (cell,))

@@ -30,7 +30,6 @@ ARGUMENT_CHECKS = (
     "test_rootfind.py::test_batched_winding_flags_boundary_zeros",
     "test_rootfind.py::test_huge_rectangle_is_refused_without_sampling",
     "test_rootfind.py::test_cells_hold_plain_floats",
-    "test_rootfind.py::test_batches_keep_to_the_sample_budget",
     "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=0.3]",
     "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=3/5]",
     "test_rootfind.py::test_inherited_windings_match_fresh_sampling[c=1]",

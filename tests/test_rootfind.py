@@ -230,6 +230,9 @@ ORACLE_FIXTURES = [
     (f_even_poly(0.9), (-5.5, 5.5, -strip_bound(f_even_poly(0.9)) - 0.5, 0.3)),
     (det_poly(0.0), (-2.5, 2.5, -1.0, 0.1)),
     (det_poly(1 / 3), (-4.6, 4.6, -1.0, 0.1)),
+    # at R = 80 a level holds 16 cells to split for real, all in one call
+    (det_poly(0.75), (-80.5, 80.5, -strip_bound(det_poly(0.75)) - 0.5,
+                      strip_bound(det_poly(0.75)) + 0.5)),
 ]
 
 
@@ -457,7 +460,7 @@ def test_root_stats_pinned(case, want, bench_graphs):
     too.  Against winding every child, splits by located zeros (one to
     eight) or by k = 0 leave the Newton and cluster counters as they were,
     and the evaluation passes move by the polishes they add and the
-    batches they empty."""
+    splits they empty."""
     stats = RootStats()
     count_in_disc(*_pinned_case(case, bench_graphs), stats=stats)
     assert stats == want
@@ -904,48 +907,6 @@ def _pinned_case(case, bench_graphs):
         c = {"c=0.3": 0.3, "c=3/5": crossing_values("odd", 5)[-2].c, "c=1": 1.0}[case]
         return det_poly(float(c)), 20.0
     return assemble(bench_graphs[case]).determinant(), 8.0
-
-
-@pytest.mark.parametrize("case", ["c=0.3", "c=3/5", "c=1", "E5V4L2b"])
-def test_batching_does_not_change_the_answer(case, bench_graphs, monkeypatch):
-    """One cell per batch, the default sample budget and whole levels give
-    the same roots and the same work, evaluation passes apart, which can
-    only fall as batches grow."""
-    p, radius = _pinned_case(case, bench_graphs)
-    runs = []
-    for budget in (1, rootfind._BATCH_SAMPLES, 1 << 40):
-        monkeypatch.setattr(rootfind, "_BATCH_SAMPLES", budget)
-        stats = RootStats()
-        runs.append((repr(count_in_disc(p, radius, stats=stats)), stats))
-    (single, s1), (default, s2), (whole, s3) = runs
-    assert single == default == whole
-    assert s1.evaluations >= s2.evaluations >= s3.evaluations
-    for s in (s1, s3):
-        s.evaluations = s2.evaluations
-        assert s == s2
-
-
-def test_batches_keep_to_the_sample_budget(monkeypatch):
-    """No split of more than one cell evaluates more than _BATCH_SAMPLES
-    samples before refinement (its first evaluation pass), and the budget
-    is used."""
-    calls = []      # per split attempt: [cells, samples of its first pass]
-    quadrisect, samples = rootfind._quadrisect, rootfind._samples
-
-    def recorded_quadrisect(p, quads, parents, stats):
-        calls.append([len(quads), None])
-        return quadrisect(p, quads, parents, stats)
-
-    def recorded_samples(p, z):
-        if calls and calls[-1][1] is None:
-            calls[-1][1] = z.size
-        return samples(p, z)
-    monkeypatch.setattr(rootfind, "_quadrisect", recorded_quadrisect)
-    monkeypatch.setattr(rootfind, "_samples", recorded_samples)
-    count_in_disc(det_poly(0.3), 40.0)
-    budget = rootfind._BATCH_SAMPLES
-    assert all(size <= budget or cells == 1 for cells, size in calls)
-    assert max(size for _, size in calls) > budget // 2
 
 
 # the circle at R = 40, at a crossing c and at a small c, by test id
