@@ -12,11 +12,13 @@ sign, into the two parity components
     f_even(k, c) = i cos(k c pi) + i cos(k pi) + 2 sin(k pi)
     f_odd(k, c)  = i cos(k c pi) - i cos(k pi) - 2 sin(k pi)
 
-(det A = s * 4 * f_even * f_odd), splitting the resonances into curves k_n(c)
-that start at c = 0 from n - i log(3)/pi, n matching the parity.  Odd-parity
-curves stay bounded and end on the real axis at c = 1; even-parity curves
-touch the real axis finitely often and then dive to -i*infinity, which is the
-transition from Weyl counting (every c < 1) to non-Weyl counting (c = 1).
+(det A = s * 4 * f_even * f_odd).  f_odd is f_even with its terms in k pi
+negated, so each formula is written once, signed +1 for even and -1 for odd.
+The factorization splits the resonances into curves k_n(c) that start at
+c = 0 from n - i log(3)/pi, n matching the parity.  Odd-parity curves stay
+bounded and end on the real axis at c = 1; even-parity curves touch the real
+axis finitely often and then dive to -i*infinity, which is the transition
+from Weyl counting (every c < 1) to non-Weyl counting (c = 1).
 
 A curve touching the real axis means a genuine embedded eigenvalue at an
 integer k; the touch parameters are rational with small denominator and come
@@ -25,6 +27,7 @@ from the closed formulas in crossing_values.
 
 import math
 from collections import namedtuple
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -33,14 +36,13 @@ from .constraint import assemble
 from .errors import NonConvergenceError
 from .exppoly import ExpPolynomial
 # the family's graph is built in graph, which loads without numpy
-from .graph import CircleParams, circle_params as params  # noqa: F401
+from .graph import circle_params as params  # noqa: F401
 from .graph import build_circle_graph as build_graph
 
 CrossingValue = namedtuple("CrossingValue", "k c")
 Crossing = namedtuple("Crossing", "c k")
 ResonanceCurve = namedtuple("ResonanceCurve", "parity n samples crossings diverged last_c")
 
-DIVERGENCE_HEIGHT = 10.0
 STEP_UNDERFLOW = 1e-13     # continuation step is gone at this gap to c = 1
 TOUCH_SCAN_HEIGHT = 1e-3   # a sample this close to the axis may be a touch
 TOUCH_IM_TOL = 1e-8
@@ -54,37 +56,41 @@ def det_poly(c):
 
 # -- parity components, scalar and exact forms --------------------------------
 
-def f_even(k, c):
+_SIGNS = {"even": 1, "odd": -1}   # the sign of the terms in k pi
+
+
+def _sign(parity):
+    if parity not in _SIGNS:
+        raise ValueError("parity must be 'even' or 'odd', got %r" % (parity,))
+    return _SIGNS[parity]
+
+
+def _signed(sign, x):
+    # a + (-b) has the bits of a - b
+    return x if sign > 0 else -x
+
+
+def _value(sign, k, c):
     k = np.asarray(k, dtype=complex) if np.ndim(k) else complex(k)
-    return 1j * np.cos(k * c * np.pi) + 1j * np.cos(k * np.pi) + 2 * np.sin(k * np.pi)
+    return (1j * np.cos(k * c * np.pi) + _signed(sign, 1j * np.cos(k * np.pi))
+            + _signed(sign, 2 * np.sin(k * np.pi)))
 
 
-def f_odd(k, c):
-    k = np.asarray(k, dtype=complex) if np.ndim(k) else complex(k)
-    return 1j * np.cos(k * c * np.pi) - 1j * np.cos(k * np.pi) - 2 * np.sin(k * np.pi)
-
-
-def _f_even_dk(k, c):
+def _derivative(sign, k, c):
     return (-1j * c * np.pi * np.sin(k * c * np.pi)
-            - 1j * np.pi * np.sin(k * np.pi) + 2 * np.pi * np.cos(k * np.pi))
+            + _signed(-sign, 1j * np.pi * np.sin(k * np.pi))
+            + _signed(sign, 2 * np.pi * np.cos(k * np.pi)))
 
 
-def _f_odd_dk(k, c):
-    return (-1j * c * np.pi * np.sin(k * c * np.pi)
-            + 1j * np.pi * np.sin(k * np.pi) - 2 * np.pi * np.cos(k * np.pi))
+def _poly(sign, c):
+    terms = {(1, 0): 0.5j, (-1, 0): 0.5j,
+             (0, 1): _signed(sign, -0.5j), (0, -1): _signed(sign, 1.5j)}
+    return ExpPolynomial((float(c) * math.pi, math.pi), terms)
 
 
-def f_even_poly(c):
-    """f_even(., c) as an ExpPolynomial over the table (c*pi, pi)."""
-    c = float(c)
-    return ExpPolynomial((c * math.pi, math.pi),
-                         {(1, 0): 0.5j, (-1, 0): 0.5j, (0, 1): -0.5j, (0, -1): 1.5j})
-
-
-def f_odd_poly(c):
-    c = float(c)
-    return ExpPolynomial((c * math.pi, math.pi),
-                         {(1, 0): 0.5j, (-1, 0): 0.5j, (0, 1): 0.5j, (0, -1): -1.5j})
+f_even, f_odd = partial(_value, 1), partial(_value, -1)
+# f_even(., c) and f_odd(., c) as ExpPolynomials over the table (c*pi, pi)
+f_even_poly, f_odd_poly = partial(_poly, 1), partial(_poly, -1)
 
 
 FactorizationReport = namedtuple("FactorizationReport",
@@ -116,6 +122,13 @@ def verify_factorization(c, n_samples=50, seed=0):
 
 # -- real-axis crossings ------------------------------------------------------
 
+def _crossings_at(sign, k):
+    """Increasing c with the component of this sign zero at integer k >= 1."""
+    if sign > 0:
+        return [Fraction(k + 1 - 2 * n, k) for n in range((k + 1) // 2, 0, -1)]
+    return [Fraction(k - 2 * n, k) for n in range(k // 2, 0, -1)] + [Fraction(1)]
+
+
 def crossing_values(parity, k_max):
     """All pairs (k, c), k <= k_max, with the parity component zero at the
     real integer k.
@@ -124,35 +137,24 @@ def crossing_values(parity, k_max):
       odd:  k = m + n,     c = (m - n) / (m + n),
             plus the n = 0 limit, the boundary value c = 1 at every k;
       even: k = m + n - 1, c = (m - n) / (m + n - 1).
-    c comes back as a Fraction, the list deduplicated and sorted by (k, c).
+    c comes back as a Fraction, the list sorted by (k, c).
     Every entry satisfies f_parity(k, c) = 0 to 1e-12.
     """
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1, got %r" % k_max)
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd', got %r" % (parity,))
-    found = set()
-    if parity == "odd":
-        for k in range(1, k_max + 1):
-            found.add(CrossingValue(k=k, c=Fraction(1)))
-            for n in range(1, k // 2 + 1):
-                found.add(CrossingValue(k=k, c=Fraction(k - 2 * n, k)))
-    else:
-        for k in range(1, k_max + 1):
-            for n in range(1, (k + 1) // 2 + 1):
-                found.add(CrossingValue(k=k, c=Fraction(k + 1 - 2 * n, k)))
-    out = sorted(found)
-    f = f_even if parity == "even" else f_odd
+    sign = _sign(parity)
+    out = [CrossingValue(k=k, c=c)
+           for k in range(1, k_max + 1) for c in _crossings_at(sign, k)]
     for r in out:
-        assert abs(f(float(r.k), float(r.c))) < 1e-12, \
+        assert abs(_value(sign, float(r.k), float(r.c))) < 1e-12, \
             "crossing formula and parity component disagree at %r" % (r,)
     return out
 
 
 # -- curve continuation -------------------------------------------------------
 
-def _corrector(f, df, k, c, tol=1e-12):
+def _corrector(f, df, k, c):
     prev = None
     for _ in range(60):
         d = df(k, c)
@@ -161,18 +163,18 @@ def _corrector(f, df, k, c, tol=1e-12):
         step = f(k, c) / d
         k = k - step
         s = abs(step)
-        if s <= tol * max(1.0, abs(k)):
+        if s <= 1e-12 * max(1.0, abs(k)):
             return k
         if prev is not None and s >= 0.5 * prev and s <= 1e-6 * max(1.0, abs(k)):
             # stalled on the rounding floor of f; deep on the even dive
             # |df| shrinks with the gap to c = 1 and the floor rises well
-            # above tol, so take the iterate as converged
+            # above 1e-12, so take the iterate as converged
             return k
         prev = s
     return None
 
 
-def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
+def trace_curve(parity, n, c_grid):
     """Follow the resonance curve k_n(c) of one parity component.
 
     Starts from the closed-form root n - i log(3)/pi at c = 0 and continues
@@ -186,14 +188,14 @@ def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
 
     Even-parity curves sink for good once the short arc gets small: after the
     grid is exhausted the tracer keeps halving the distance to c = 1 and sets
-    the diverged flag once -Im k exceeds divergence_height, or once the
-    continuation stalls at rounding distance from c = 1 (step underflow below
-    1e-13, or corrector loss inside gap 1e-9 where the Newton residual is
-    dominated by rounding in exp(pi * |Im k|)) with the curve still sinking.
-    Odd curves are bounded and are never extended.
+    the diverged flag once the continuation stops at rounding distance from
+    c = 1, by one of two criteria: the step underflows (gap below 1e-13), or
+    the corrector is lost inside gap 1e-9, where the Newton residual is
+    dominated by rounding in exp(pi * |Im k|), with the curve still sinking.
+    The depth itself stays small: about log(3 / (pi n gap)) / (2 pi), under 6
+    for any double c < 1.  Odd curves are bounded and are never extended.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd', got %r" % (parity,))
+    sign = _sign(parity)
     n = int(n)
     if not (n >= 1 and n % 2 == (0 if parity == "even" else 1)):
         raise ValueError("curve index %d does not match parity %r" % (n, parity))
@@ -202,8 +204,7 @@ def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
         raise ValueError("grid must be non-empty and lie in [0, 1)")
     if not all(b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must increase")
-    f = f_even if parity == "even" else f_odd
-    df = _f_even_dk if parity == "even" else _f_odd_dk
+    f, df = partial(_value, sign), partial(_derivative, sign)
 
     k0 = n - 1j * math.log(3.0) / math.pi
     if grid[0] != 0.0:
@@ -235,9 +236,6 @@ def trace_curve(parity, n, c_grid, divergence_height=DIVERGENCE_HEIGHT):
     if parity == "even":
         c = samples[-1][0]
         for _ in range(80):
-            if -samples[-1][1].imag > divergence_height:
-                diverged = True
-                break
             gap = 1.0 - c
             if gap < STEP_UNDERFLOW:
                 diverged = True
@@ -290,12 +288,12 @@ def _detect_touches(f, df, samples, parity):
             continue
         k_seed = samples[j][1]
         k_int = round(k_seed.real)
-        for cand in crossing_values(parity, max(k_int, 1)):
-            if cand.k != k_int or not cs[j - 1] <= cand.c <= cs[j + 1]:
+        for c in _crossings_at(_sign(parity), k_int) if k_int >= 1 else ():
+            if not cs[j - 1] <= c <= cs[j + 1]:
                 continue
-            k_star = _corrector(f, df, k_seed, float(cand.c))
+            k_star = _corrector(f, df, k_seed, float(c))
             if (k_star is not None and abs(k_star.imag) <= TOUCH_IM_TOL
                     and round(k_star.real) == k_int):
-                touches.append(Crossing(c=float(cand.c), k=float(k_int)))
+                touches.append(Crossing(c=float(c), k=float(k_int)))
                 break
     return touches

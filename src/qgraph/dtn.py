@@ -99,8 +99,10 @@ def verify_det_identity(graph, k, poly=None):
     return abs(lhs - rhs) / max(lhs, 1e-300)
 
 
-def verify_derivative_identity(graph, k, h=1e-5):
-    """Max entrywise gap between sigma_matrix and a central difference of L."""
+def verify_derivative_identity(graph, k):
+    """Max entrywise gap between sigma_matrix and a central difference of L,
+    with step 1e-5."""
     k = complex(k)
+    h = 1e-5
     num = (lambda_matrix(graph, k + h) - lambda_matrix(graph, k - h)) / (2 * h)
     return float(np.max(np.abs(num / (2.0 * k) - sigma_matrix(graph, k))))

@@ -105,6 +105,9 @@ _JITTER = (
 _MAX_SPLIT_ATTEMPTS = 10
 _MAX_OUTER_ATTEMPTS = 8
 _NEWTON_ITERS = 60
+# a boundary's refinement budget: rounds of bisection and points sampled
+_MAX_ROUNDS = 48
+_MAX_POINTS = 400000
 # the rounding unit of one evaluated term (see _noise_floor), and the
 # factor over the noise floor at which a cell's probe counts as loud
 _EPS = 2.2e-16
@@ -506,7 +509,7 @@ def _windings(p, rects, max_rounds, max_points, stats):
     return out, sides
 
 
-def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
+def winding_numbers(p, rects, max_rounds=_MAX_ROUNDS, max_points=_MAX_POINTS, stats=None):
     """Winding of p around each rectangle (re_min, re_max, im_min, im_max) of
     rects, all boundaries refined together.
 
@@ -550,13 +553,13 @@ def winding_numbers(p, rects, max_rounds=48, max_points=400000, stats=None):
     return _windings(p, rects, max_rounds, max_points, stats)[0]
 
 
-def winding_number(p, rect, max_rounds=48, max_points=400000):
+def winding_number(p, rect):
     """Winding of p around the rectangle (re_min, re_max, im_min, im_max):
     winding_numbers for one rectangle.  Raises BoundaryZeroSuspected when the
     boundary cannot be trusted, which callers resolve by nudging the
     rectangle.
     """
-    w = winding_numbers(p, [rect], max_rounds, max_points)[0]
+    w = winding_numbers(p, [rect])[0]
     if isinstance(w, BoundaryZeroSuspected):
         raise w
     return w
@@ -582,7 +585,7 @@ def _outer_winding(p, rect, stats):
         grown = _grown(rect, delta)
         if stats is not None and attempt:
             stats.add(outer_growths=1)
-        (w,), sides = _windings(p, [grown], 48, 400000, stats)
+        (w,), sides = _windings(p, [grown], _MAX_ROUNDS, _MAX_POINTS, stats)
         if not isinstance(w, BoundaryZeroSuspected):
             return grown, w, (_Sides(*sides), 0)
     raise NonConvergenceError("could not find a zero-free boundary near %r: %s" % (rect, w))
@@ -647,7 +650,8 @@ def _quadrisect(p, quads, parents, stats):
     unit, cunit, bside, bsign = _kid_layout(len(quads))
     lines, evaluated, reused = _child_lines(p, quads, parents, unit, cunit)
     kids = [kid for kids in quads for kid in kids]
-    ws, refined = _wind(p, lines, bside, bsign, kids, 48, 400000, stats, evaluated, reused)
+    ws, refined = _wind(p, lines, bside, bsign, kids, _MAX_ROUNDS, _MAX_POINTS, stats,
+                        evaluated, reused)
     return ws, (refined, bside, bsign)
 
 
@@ -992,7 +996,7 @@ def _guide(p, to_split, origin, stats):
             counts["pairs_refused"] += 1
         cells.append(cell)
     if bare:
-        ws, sides = _windings(p, [cells[i].rect for i in bare], 48, 400000, stats)
+        ws, sides = _windings(p, [cells[i].rect for i in bare], _MAX_ROUNDS, _MAX_POINTS, stats)
         for i, w in zip(bare, ws):
             if not (isinstance(w, int) and w == cells[i].w):
                 raise NonConvergenceError("cell %r winds %s when sampled afresh, not %d"
@@ -1185,7 +1189,7 @@ def strip_bound(p):
     return max(changeover(below), changeover(above))
 
 
-def count_in_disc(p, radius, tol=1e-8, stats=None):
+def count_in_disc(p, radius, stats=None):
     """Zeros of p with 0 < |k| <= radius, counted with multiplicity.
 
     Searches the rectangle [-R-1/2, R+1/2] x [-K-1/2, K+1/2] where K is the
@@ -1206,7 +1210,7 @@ def count_in_disc(p, radius, tol=1e-8, stats=None):
         raise ValueError("radius must be positive and finite, got %r" % radius)
     K = strip_bound(p)
     rect = (-radius - 0.5, radius + 0.5, -K - 0.5, K + 0.5)
-    roots = find_roots(p, rect, tol=tol, stats=stats)
+    roots = find_roots(p, rect, stats=stats)
     kept = []
     origin = False
     for r in roots:

@@ -45,18 +45,43 @@ def test_params_rejects_outside_range():
         circle.params(1.1)
 
 
+def _written_out(k, c):
+    """f_even, f_odd and their k-derivatives, each written out in full."""
+    fe = 1j * np.cos(k * c * np.pi) + 1j * np.cos(k * np.pi) + 2 * np.sin(k * np.pi)
+    fo = 1j * np.cos(k * c * np.pi) - 1j * np.cos(k * np.pi) - 2 * np.sin(k * np.pi)
+    dfe = (-1j * c * np.pi * np.sin(k * c * np.pi)
+           - 1j * np.pi * np.sin(k * np.pi) + 2 * np.pi * np.cos(k * np.pi))
+    dfo = (-1j * c * np.pi * np.sin(k * c * np.pi)
+           + 1j * np.pi * np.sin(k * np.pi) - 2 * np.pi * np.cos(k * np.pi))
+    return fe, fo, dfe, dfo
+
+
+def _signed_forms(k, c):
+    return (circle.f_even(k, c), circle.f_odd(k, c),
+            circle._derivative(1, k, c), circle._derivative(-1, k, c))
+
+
 def test_parity_components_pointwise():
+    """The signed forms carry the bits of the written-out ones, which the
+    circle-curve digests depend on."""
     rng = np.random.default_rng(21)
-    for _ in range(20):
-        k = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
-        c = float(rng.uniform(0, 1))
-        fe = 1j * np.cos(k * c * np.pi) + 1j * np.cos(k * np.pi) + 2 * np.sin(k * np.pi)
-        fo = 1j * np.cos(k * c * np.pi) - 1j * np.cos(k * np.pi) - 2 * np.sin(k * np.pi)
-        assert abs(circle.f_even(k, c) - fe) <= 1e-12 * max(1.0, abs(fe))
-        assert abs(circle.f_odd(k, c) - fo) <= 1e-12 * max(1.0, abs(fo))
+    points = [(complex(rng.uniform(-4, 4), rng.uniform(-2, 2)), float(rng.uniform(0, 1)))
+              for _ in range(20)]
+    # real integer and half-integer k, where sin(k pi) or cos(k pi) is only
+    # a rounding residue
+    points += [(complex(k), c) for k in (1.0, 2.0, 3.0, 4.0, -2.0, 0.5, 2.5, -1.5)
+               for c in (0.0, 0.25, 0.5, 1.0)]
+    for k, c in points:
+        want = _written_out(k, c)
+        assert [repr(v) for v in _signed_forms(k, c)] == [repr(v) for v in want]
         # exact polynomial forms agree with the trigonometric ones
+        fe, fo = want[:2]
         assert abs(circle.f_even_poly(c).eval(k) - fe) <= 1e-12 * max(1.0, abs(fe))
         assert abs(circle.f_odd_poly(c).eval(k) - fo) <= 1e-12 * max(1.0, abs(fo))
+    ks = np.array([k for k, _ in points])
+    for c in (0.0, 1.0 / 3.0, 1.0):
+        want = _written_out(ks, c)
+        assert [v.tobytes() for v in _signed_forms(ks, c)] == [v.tobytes() for v in want]
 
 
 def test_parity_component_special_values():
@@ -249,8 +274,13 @@ def test_real_root_at_even_touch_parameter():
     assert any(abs(r.k - 4.0) <= 1e-9 for r in real)
 
 
-def test_divergence_height_override():
-    curve = circle.trace_curve("even", 2, [j / 50 for j in range(50)],
-                               divergence_height=3.0)
-    assert curve.diverged
-    assert max(-k.imag for _, k in curve.samples) > 3.0
+def test_even_curves_diverge_at_rounding_distance_from_one():
+    """Every even curve stops by step underflow or corrector stall right next
+    to c = 1, at a depth under 5: the dive shows only as that approach."""
+    for steps in (50, 400):
+        grid = [j / steps for j in range(steps)]
+        for n in range(2, 21, 2):
+            curve = circle.trace_curve("even", n, grid)
+            assert curve.diverged
+            assert curve.last_c > 1.0 - 1e-9
+            assert max(-k.imag for _, k in curve.samples) <= 5.0
