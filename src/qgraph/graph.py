@@ -118,14 +118,14 @@ def circle_params(c):
 
 
 def build_circle_graph(c):
-    """Two-lead circle at parameter c (accepts a float or CircleParams).
+    """Two-lead circle at parameter c, a float in [0, 1].
 
     Vertices are named v1, v2 with one lead each; both arcs run from v2 to
     v1.  At c = 1 the short arc has contracted and v2 carries both leads
     (balanced: two edges, two leads); v1 survives as the spare degree-2
     vertex splitting the 2*pi loop into the two pi-edges.
     """
-    p = c if isinstance(c, CircleParams) else circle_params(c)
+    p = circle_params(c)
     if p.c == 1.0:
         return MetricGraph(2, [(0, 1, math.pi), (0, 1, math.pi)],
                            leads=[1, 1], vertex_names=["v1", "v2"])
@@ -141,6 +141,11 @@ def build_circle_graph(c):
 #
 # Vertex names map to dense ids in file order.  Stored edges are normalized to
 # tail = smaller id so that a file round-trips to one canonical orientation.
+# A graph carries at most _MAX_LEADS leads in all: each lead is stored on its
+# own and every vertex scans them, so a "count" of millions in a file of a
+# hundred bytes would take seconds and hundreds of MiB before any check ran.
+
+_MAX_LEADS = 10000
 
 def parse_graph(obj):
     if not isinstance(obj, dict):
@@ -182,6 +187,9 @@ def parse_graph(obj):
         at = lookup(at, "lead record %d" % i)
         if count < 0:
             raise GraphFormatError("negative lead count in record %d" % i)
+        if count > _MAX_LEADS - len(leads):
+            raise GraphFormatError("lead record %d takes the graph past %d leads"
+                                   % (i, _MAX_LEADS))
         leads.extend([at] * count)
     return MetricGraph(len(names), edges, leads, vertex_names=names)
 

@@ -11,8 +11,12 @@ retried, so results are reproducible run to run.
 
 A winding number is the sum of the phase steps along the rectangle's four
 sides, each side a polyline of samples (t, arg p, |p'/p|, |p|) refined until
-every segment passes the endpoint tests of winding_numbers.  Every cell of
-the subdivision keeps its four refined sides until it is split or settled.
+every segment passes the endpoint tests of winding_numbers.  Every sample
+is placed the same way, at base + t unit on its straight line (see
+_Lines): the initial grid of a fresh side or of a cut's cross, which one
+_grid lays out as equal segments with both ends exact, a cut point, and
+every midpoint that refinement inserts.  Every cell of the subdivision
+keeps its four refined sides until it is split or settled.
 A split cuts them at the cut point: each child inherits the two halves of
 its parent's sides that bound it, each exactly the parent's samples up to
 or from the cut, with their tested segments, and the cut point; and it
@@ -23,8 +27,9 @@ segments are tested.  The tests read only a segment's two endpoints, and
 no inherited segment is longer than the 0.7 / rate cap of a fresh grid,
 so a half needs no more samples than it inherits, however few.  Since
 siblings share every cut line, their windings add up to the parent's
-whenever they are all defined.  winding_numbers itself samples every side
-afresh, on the grid of a fresh side.
+whenever they are all defined.  winding_numbers itself lays every side of
+its rectangles on that grid afresh, as find_roots does for its outer
+rectangle and for a cell that a chain of known zeros leaves without sides.
 
 A cell whose known zeros, strictly inside, add up (with their orders) to
 its winding holds no other zero, and is split by them without winding its
@@ -210,13 +215,14 @@ def _ranges(starts, stops):
     return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
-# Sides of rectangle boundaries as polylines in flat arrays.  Side s holds
-# samples off[s]:off[s + 1], both its ends included, which are the columns
-# of data: t, arg p, |p'/p| and |p|.  The sample at t is base[s] + t unit[s],
-# unit[s] being the side's direction (1, i, -1 or -i), so t grows along the
-# side.  tested[i] marks a segment i -> i + 1 that passed the refinement
-# tests on an earlier boundary, and phase[s] is the sum of the phase steps
-# of those segments of side s.
+# Straight lines, sides of rectangle boundaries, as polylines in flat
+# arrays.  Line s holds samples off[s]:off[s + 1], both its ends included,
+# which are the columns of data: t, arg p, |p'/p| and |p|.  Every sample,
+# of the initial grid (see _grid) or inserted by refinement, lies at
+# base[s] + t unit[s], unit[s] being the line's direction (1, i, -1 or -i),
+# so t grows along the line.  tested[i] marks a segment i -> i + 1 that
+# passed the refinement tests on an earlier boundary, and phase[s] is the
+# sum of the phase steps of those segments of line s.
 _Lines = namedtuple("_Lines", "off data base unit tested phase")
 
 # the directions of a rectangle's sides bottom, right, top and left,
@@ -233,54 +239,24 @@ _KID_SIGNS = np.array([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0],
                        [-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
 
 
-def _kid_layout(n):
-    """For n cells split together: the directions of their sides and of
-    their crosses, and the sides and signs of their children (see
-    _KID_SIDES)."""
-    cell = np.arange(n)[:, None, None]
-    bside = np.where(_KID_SIDES < 8, 8 * cell + _KID_SIDES,
-                     4 * cell + 8 * n - 8 + _KID_SIDES).reshape(-1, 4)
-    return (np.tile(_UNIT, n), np.tile(_UNIT[[3, 0, 1, 2]], n), bside,
-            np.tile(_KID_SIGNS, (n, 1)))
-
-
-def _fresh_lines(p, rects, nseg):
-    """The sides of rects on the initial grid, evaluated: side k (bottom,
-    right, top, left) of rectangle r has nseg[4 r + k] equal segments, each
-    corner being evaluated once.  Returns (lines, samples evaluated)."""
-    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
-    # the counterclockwise start a and end b of every side
-    ax = np.array([x0, x1, x1, x0]).T.ravel()
-    ay = np.array([y0, y0, y1, y1]).T.ravel()
-    bx = np.array([x1, x1, x0, x0]).T.ravel()
-    by = np.array([y0, y1, y1, y0]).T.ravel()
-    vertical = np.tile([False, True, False, True], len(rects))
-    unit = np.tile(_UNIT, len(rects))
-    nseg = nseg.astype(np.intp)
+def _grid(t0, t1, nseg):
+    """The initial grid of lines: nseg[s] equal segments (an int array)
+    from t0[s] to t1[s] on line s, both ends exact.  Returns (off, side,
+    pos, t): line s holds samples off[s]:off[s + 1], and sample i lies at
+    t[i], the pos[i]-th of line side[i]."""
     off = np.concatenate([[0], np.cumsum(nseg + 1)])
     side = np.repeat(np.arange(nseg.size), nseg + 1)
-    j = np.arange(off[-1]) - off[side]
-    f = j / nseg[side]
-    x = ax[side] + (bx - ax)[side] * f
-    y = ay[side] + (by - ay)[side] * f
-    end = off[1:] - 1
-    x[end] = bx
-    y[end] = by
-    # every sample but a side's end, which is the next side's start
-    head = j < nseg[side]
-    vals = _samples(p, x[head] + 1j * y[head])
-    first = np.cumsum(nseg) - nseg
-    src = first[side] + j
-    src[end] = first[side[end] - side[end] % 4 + (side[end] + 1) % 4]
-    data = np.empty((4, off[-1]))
-    data[0] = np.tile(_SGN, len(rects))[side] * np.where(vertical[side], y, x)
-    data[1:] = np.take(vals, src, axis=1)
-    base = np.empty(nseg.size, dtype=complex)
-    base.real = np.where(vertical, ax + 0.0, 0.0)
-    base.imag = np.where(vertical, 0.0, ay + 0.0)
-    lines = _Lines(off=off, data=data, base=base, unit=unit,
-                   tested=np.zeros(off[-1], dtype=bool), phase=np.zeros(nseg.size))
-    return lines, vals.shape[1]
+    pos = np.arange(off[-1]) - off[side]
+    t = t0[side] + (t1 - t0)[side] * (pos / nseg[side])
+    t[off[1:] - 1] = t1
+    return off, side, pos, t
+
+
+def _bases(x0, x1, y0, y1):
+    """The points t = 0 of the bottom, right, top and left sides of the
+    rectangles (x0, x1, y0, y1), rectangle by rectangle."""
+    zero = np.zeros(x0.shape)
+    return (np.array([zero, x1, zero, x0]) + 1j * np.array([y0, zero, y1, zero])).T.ravel()
 
 
 def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluated,
@@ -291,9 +267,9 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
 
     Returns (windings, refined): an int or a BoundaryZeroSuspected per
     boundary, as winding_numbers, and (off, data, inserted), the sides of
-    lines and the midpoints that refinement inserted (see _merged), which
-    _Sides turns into the refined sides.  evaluated and reused are the
-    samples of lines that the caller evaluated and inherited, for stats.
+    lines and the midpoints that refinement inserted, which _Sides turns
+    into the refined sides.  evaluated and reused are the samples of lines
+    that the caller evaluated and inherited, for stats.
     """
     off, data = lines.off, lines.data
     ns = off.size - 1
@@ -387,35 +363,9 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
                 out.append(BoundaryZeroSuspected("phase sum far from a multiple of 2pi"))
             else:
                 out.append(w)
-    if stats is not None:
-        stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds,
-                  evaluations=n_evals, reused=reused)
+    stats.add(boundaries=len(rects), points=n_points, rounds=n_rounds,
+              evaluations=n_evals, reused=reused)
     return out, (off, data, inserted)
-
-
-def _merged(off, data, inserted):
-    """The sides off, data with the midpoints inserted, in order along each
-    side, as (off, data).  inserted holds (root, mids) per round, mids the
-    columns of the midpoints and root the sample that starts the segment of
-    off, data that each midpoint subdivides."""
-    if not inserted:
-        return off, data
-    root = np.concatenate([r for r, _ in inserted])
-    mids = np.concatenate([m for _, m in inserted], axis=1)
-    order = np.lexsort((mids[0], root))
-    n = data.shape[1]
-    # shift[i]: the midpoints that go before sample i
-    shift = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(root, minlength=n), out=shift[1:])
-    # the columns of data, then of the midpoints in order, in merged order
-    src = np.empty(n + root.size, dtype=np.intp)
-    at = root[order] + 1 + np.arange(root.size)
-    src[at] = np.arange(n, n + root.size)
-    old = np.ones(src.size, dtype=bool)
-    old[at] = False
-    src[old] = np.arange(n)
-    merged = np.take(np.concatenate([data, np.take(mids, order, axis=1)], axis=1), src, axis=1)
-    return off + shift[off], merged
 
 
 class _Sides:
@@ -431,8 +381,30 @@ class _Sides:
 
     def __init__(self, refined, bside, bsign):
         """The sides bside, bsign of some boundaries of _wind (see there),
-        from the (off, data, inserted) that it returns."""
-        off, data = _merged(*refined)
+        from the (off, data, inserted) that it returns: the lines off, data
+        with the midpoints inserted, in order along each line.  inserted
+        holds (root, mids) per round, mids the columns of the midpoints and
+        root the sample that starts the segment of off, data that each
+        midpoint subdivides."""
+        off, data, inserted = refined
+        if inserted:
+            root = np.concatenate([r for r, _ in inserted])
+            mids = np.concatenate([m for _, m in inserted], axis=1)
+            order = np.lexsort((mids[0], root))
+            n = data.shape[1]
+            # shift[i]: the midpoints that go before sample i
+            shift = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(root, minlength=n), out=shift[1:])
+            # the columns of data, then of the midpoints in order, in merged order
+            src = np.empty(n + root.size, dtype=np.intp)
+            at = root[order] + 1 + np.arange(root.size)
+            src[at] = np.arange(n, n + root.size)
+            old = np.ones(src.size, dtype=bool)
+            old[at] = False
+            src[old] = np.arange(n)
+            data = np.take(np.concatenate([data, np.take(mids, order, axis=1)], axis=1), src,
+                           axis=1)
+            off = off + shift[off]
         es = bside.ravel()
         lens = (off[1:] - off[:-1])[es]
         self.off = np.concatenate([[0], np.cumsum(lens)])
@@ -483,7 +455,13 @@ def _gather(sides):
 
 def _windings(p, rects, max_rounds, max_points, stats):
     """winding_numbers on fresh sides, and the arguments of _Sides for the
-    sides of rects (None when no rectangle is sampled)."""
+    sides of rects (None when no rectangle is sampled).
+
+    Side k (bottom, right, top, left) of a rectangle gets the initial grid
+    of _side_segments along its coordinate x, y, x or y, from corner to
+    corner counterclockwise, and t is that coordinate signed to grow along
+    the side (so t = -0.0 where a top or left side crosses an axis).  Each
+    corner is evaluated once, as the start of the side that leaves it."""
     out = [None] * len(rects)
     x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
     nseg = _side_segments(p, np.array([x1 - x0, y1 - y0, x1 - x0, y1 - y0]).T)
@@ -493,20 +471,30 @@ def _windings(p, rects, max_rounds, max_points, stats):
     for i in np.flatnonzero(~fits).tolist():
         out[i] = BoundaryZeroSuspected("refinement exploded on %r" % (rects[i],))
     ok = np.flatnonzero(fits)
-    if stats is not None and ok.size < len(rects):
-        stats.add(boundaries=len(rects) - ok.size)
-    sides = None
-    if ok.size:
-        kept = [rects[i] for i in ok.tolist()]
-        lines, evaluated = _fresh_lines(p, kept, nseg[ok].ravel())
-        bside = np.arange(4 * ok.size).reshape(-1, 4)
-        bsign = np.ones(bside.shape)
-        ws, refined = _wind(p, lines, bside, bsign, kept, max_rounds, max_points, stats,
-                            evaluated)
-        for i, w in zip(ok.tolist(), ws):
-            out[i] = w
-        sides = refined, bside, bsign
-    return out, sides
+    stats.add(boundaries=len(rects) - ok.size)
+    if not ok.size:
+        return out, None
+    x0, x1, y0, y1 = x0[ok], x1[ok], y0[ok], y1[ok]
+    nseg = nseg[ok].ravel().astype(np.intp)
+    off, side, pos, t = _grid(np.array([x0, y0, x1, y1]).T.ravel(),
+                              np.array([x1, y1, x0, y0]).T.ravel(), nseg)
+    t *= np.tile(_SGN, ok.size)[side]
+    base, unit = _bases(x0, x1, y0, y1), np.tile(_UNIT, ok.size)
+    # every sample but a side's end, which is the next side's start
+    head = pos < nseg[side]
+    vals = _samples(p, base[side[head]] + t[head] * unit[side[head]])
+    first = off[:-1] - np.arange(nseg.size)
+    src = first[side] + pos
+    src[off[1:] - 1] = np.roll(first.reshape(-1, 4), -1, axis=1).ravel()
+    lines = _Lines(off=off, data=np.vstack([t, np.take(vals, src, axis=1)]), base=base,
+                   unit=unit, tested=np.zeros(off[-1], dtype=bool), phase=np.zeros(nseg.size))
+    bside = np.arange(4 * ok.size).reshape(-1, 4)
+    bsign = np.ones(bside.shape)
+    ws, refined = _wind(p, lines, bside, bsign, [rects[i] for i in ok.tolist()], max_rounds,
+                        max_points, stats, vals.shape[1])
+    for i, w in zip(ok.tolist(), ws):
+        out[i] = w
+    return out, (refined, bside, bsign)
 
 
 def winding_numbers(p, rects, max_rounds=_MAX_ROUNDS, max_points=_MAX_POINTS, stats=None):
@@ -550,7 +538,8 @@ def winding_numbers(p, rects, max_rounds=_MAX_ROUNDS, max_points=_MAX_POINTS, st
             raise ValueError("empty rectangle %r" % (rect,))
     if not rects:
         return []
-    return _windings(p, rects, max_rounds, max_points, stats)[0]
+    return _windings(p, rects, max_rounds, max_points,
+                     RootStats() if stats is None else stats)[0]
 
 
 def winding_number(p, rect):
@@ -571,19 +560,15 @@ def _inside(rect, k):
     return x0 < k.real < x1 and y0 < k.imag < y1
 
 
-def _grown(rect, delta):
-    x0, x1, y0, y1 = rect
-    return (x0 - delta, x1 + delta, y0 - delta, y1 + delta)
-
-
 def _outer_winding(p, rect, stats):
     """Winding of the search rectangle, growing it by up to 1e-3 when a zero
     sits on the boundary.  Returns (rect_used, winding, (its _Sides, 0)).
     When every attempt is refused, the error names the last one's cause."""
+    x0, x1, y0, y1 = rect
     for attempt in range(_MAX_OUTER_ATTEMPTS):
         delta = 0.0 if attempt == 0 else (0.4 + 0.6 * abs(_JITTER[attempt][0])) * 1e-3
-        grown = _grown(rect, delta)
-        if stats is not None and attempt:
+        grown = (x0 - delta, x1 + delta, y0 - delta, y1 + delta)
+        if attempt:
             stats.add(outer_growths=1)
         (w,), sides = _windings(p, [grown], _MAX_ROUNDS, _MAX_POINTS, stats)
         if not isinstance(w, BoundaryZeroSuspected):
@@ -647,25 +632,13 @@ def _quadrisect(p, quads, parents, stats):
     segments are tested.  Returns (windings, (refined, bside, bsign)), the
     last the arguments of _Sides for every child.
     """
-    unit, cunit, bside, bsign = _kid_layout(len(quads))
-    lines, evaluated, reused = _child_lines(p, quads, parents, unit, cunit)
-    kids = [kid for kids in quads for kid in kids]
-    ws, refined = _wind(p, lines, bside, bsign, kids, _MAX_ROUNDS, _MAX_POINTS, stats,
-                        evaluated, reused)
-    return ws, (refined, bside, bsign)
-
-
-def _child_lines(p, quads, parents, unit, cunit):
-    """The sides of the children of _quadrisect, evaluated, halves 8 i..8 i + 7
-    and crosses 8 n + 4 i..8 n + 4 i + 3 for cell i of n, unit and cunit
-    being the directions of the parent sides and of the crosses: (lines,
-    samples evaluated, samples inherited)."""
     n = len(quads)
+    kids = [kid for kids in quads for kid in kids]
     q = np.array(quads, dtype=float)
     x0, xc, y0, yc = q[:, 0].T
     x1, y1 = q[:, 3, 1], q[:, 3, 3]
     if not ((x0 < xc) & (xc < x1) & (y0 < yc) & (yc < y1)).all():
-        for kid in (kid for kids in quads for kid in kids):
+        for kid in kids:
             if not (kid[1] > kid[0] and kid[3] > kid[2]):
                 raise ValueError("empty rectangle %r" % (kid,))
     off, data = parents
@@ -687,18 +660,16 @@ def _child_lines(p, quads, parents, unit, cunit):
     cut_src = first.copy()
     cut_src[fresh] = size + n + np.arange(fresh.size)
     cseg = _side_segments(p, c1 - c0).astype(np.intp)
-    coff = np.concatenate([[0], np.cumsum(cseg + 1)])
-    cside = np.repeat(np.arange(4 * n), cseg + 1)
-    pos = np.arange(coff[-1]) - coff[cside]
-    ct = c0[cside] + (c1 - c0)[cside] * (pos / cseg[cside])
-    ct[coff[1:] - 1] = c1
+    coff, cside, pos, ct = _grid(c0, c1, cseg)
     csrc = np.arange(coff[-1]) - 2 * cside + (size + n + fresh.size - 1)
     csrc[coff[:-1]] = size + np.arange(4 * n) // 4
     csrc[coff[1:] - 1] = cut_src
     inner = (pos > 0) & (pos < cseg[cside])
-    zero = np.zeros(n)
-    base = (np.array([zero, x1, zero, x0]) + 1j * np.array([y0, zero, y1, zero])).T.ravel()
-    cbase = (np.array([xc, zero, xc, zero]) + 1j * np.array([zero, yc, zero, yc])).T.ravel()
+    # the cross down, right, up or left runs like the left, bottom, right or
+    # top side of a rectangle shrunk to the cut point
+    base, unit = _bases(x0, x1, y0, y1), np.tile(_UNIT, n)
+    cbase = _bases(xc, xc, yc, yc).reshape(-1, 4)[:, [3, 0, 1, 2]].ravel()
+    cunit = np.tile(_UNIT[[3, 0, 1, 2]], n)
     # halves 2s and 2s + 1 of side s: its samples up to j and the cut, then
     # the cut and its samples after j (an exact cut is sample j)
     hlen = np.empty(8 * n, dtype=np.intp)
@@ -728,11 +699,19 @@ def _child_lines(p, quads, parents, unit, cunit):
     rows = np.empty((4, lsrc.size))
     rows[0] = lt
     rows[1:] = np.take(np.concatenate([data[1:4], new], axis=1), lsrc, axis=1)
+    # halves 8 i..8 i + 7 and crosses 8 n + 4 i..8 n + 4 i + 3 for cell i,
+    # which its children run along as _KID_SIDES and _KID_SIGNS say
     lines = _Lines(off=np.concatenate([hoff, hoff[-1] + coff[1:]]), data=rows,
                    base=np.concatenate([np.repeat(base, 2), cbase]),
                    unit=np.concatenate([np.repeat(unit, 2), cunit]), tested=tested,
                    phase=np.concatenate([phase, np.zeros(4 * n)]))
-    return lines, z.size, size - fresh.size
+    cell = np.arange(n)[:, None, None]
+    bside = np.where(_KID_SIDES < 8, 8 * cell + _KID_SIDES,
+                     4 * cell + 8 * n - 8 + _KID_SIDES).reshape(-1, 4)
+    bsign = np.tile(_KID_SIGNS, (n, 1))
+    ws, refined = _wind(p, lines, bside, bsign, kids, _MAX_ROUNDS, _MAX_POINTS, stats,
+                        z.size, size - fresh.size)
+    return ws, (refined, bside, bsign)
 
 
 # A cell of the subdivision frontier: its rectangle, its winding w, its
@@ -770,8 +749,7 @@ def _split(p, cells, stats):
             ux = uy = 0.0
         quads = [_quad(cells[i].rect, ux, uy) for i in pending]
         ws, (refined, bside, bsign) = _quadrisect(p, quads, parents, stats)
-        if stats is not None:
-            stats.split_attempts[attempt] += len(pending)
+        stats.split_attempts[attempt] += len(pending)
         retry = []
         kept = []
         for j, (i, kids) in enumerate(zip(pending, quads)):
@@ -881,9 +859,8 @@ def _locate(p, cells, stats):
                    for a, (z, d) in enumerate(found[i])):
             found[i] = []
     zeros = [tuple(k for k, _ in f) if len(f) == cell.w else () for cell, f in zip(cells, found)]
-    if stats is not None:
-        stats.add(guide_steps=steps, evaluations=passes,
-                  pairs_refused=sum(cell.w >= 2 and not ks for cell, ks in zip(cells, zeros)))
+    stats.add(guide_steps=steps, evaluations=passes,
+              pairs_refused=sum(cell.w >= 2 and not ks for cell, ks in zip(cells, zeros)))
     return zeros
 
 
@@ -1004,8 +981,7 @@ def _guide(p, to_split, origin, stats):
         store = _Sides(*sides)
         for slot, i in enumerate(bare):
             cells[i] = cells[i]._replace(sides=(store, slot))
-    if stats is not None:
-        stats.add(resampled=len(bare), **counts)
+    stats.add(resampled=len(bare), **counts)
     return cells
 
 
@@ -1069,10 +1045,9 @@ def _settle(p, frontier, tol, stats):
         vals = p.eval(np.array([k for k, _, _, _ in settled], dtype=complex))
         found = [Resonance(k=k, multiplicity=m, residual=abs(v), cell=cell, refined=refined)
                  for (k, m, cell, refined), v in zip(settled, vals.tolist())]
-    if stats is not None:
-        stats.add(newton_iterations=steps, newton_failures=sum(k is None for k in ks),
-                  noise_clusters=sum(not v for v in loud.values()),
-                  evaluations=passes + bool(probed) + bool(settled))
+    stats.add(newton_iterations=steps, newton_failures=sum(k is None for k in ks),
+              noise_clusters=sum(not v for v in loud.values()),
+              evaluations=passes + bool(probed) + bool(settled))
     return found, to_split
 
 
@@ -1111,6 +1086,8 @@ def find_roots(p, region, tol=1e-8, stats=None):
         raise ValueError("empty search region %r" % (region,))
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    if stats is None:
+        stats = RootStats()
     outer, w, sides = _outer_winding(p, (x0, x1, y0, y1), stats)
     if w == 0:
         return []

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -391,6 +392,28 @@ def test_huge_disc_is_a_computation_error(capsys):
     done = subprocess.run([sys.executable, "-m", "qgraph", *argv], capture_output=True,
                           text=True, env=package_env())
     assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+
+def test_huge_lead_count_is_refused_at_once(tmp_path, capsys):
+    """A file of about a hundred bytes that asks for 5,000,000 leads is a
+    usage error, exit code 1 and one error line, refused before a lead is
+    stored (expanding and scanning them took 9 s and 400 MiB)."""
+    path = write_graph(tmp_path, {"vertices": ["a", "b"],
+                                  "edges": [{"u": "a", "v": "b", "length": 1.0}],
+                                  "leads": [{"at": "a", "count": 5000000}]})
+    assert os.path.getsize(path) < 128
+    argv = ["classify", "--graph", path]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        err = usage_error(argv, capsys)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.25 and peak < 1 << 20
+    check_usage_error_everywhere(argv, "%s: lead record 0 takes the graph past 10000 leads"
+                                 % path, capsys)
 
 
 def test_unreadable_graph_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -123,6 +123,21 @@ def test_parse_dump_round_trip():
     assert g2.leads == g.leads
 
 
+def test_lead_count_limit():
+    """A graph carries at most 10000 leads: that many parse, one more is
+    refused, in one record or over several, before the leads are stored."""
+    g = parse_graph({"vertices": ["a", "b"], "leads": [{"at": "a", "count": 10000}]})
+    assert len(g.leads) == 10000
+    g = parse_graph({"vertices": ["a", "b"],
+                     "leads": [{"at": "a", "count": 9999}, {"at": "b"}]})
+    assert [l.vertex for l in g.leads[-2:]] == [0, 1]
+    with pytest.raises(GraphFormatError, match="^lead record 0 takes the graph past 10000 leads$"):
+        parse_graph({"vertices": ["a"], "leads": [{"at": "a", "count": 10001}]})
+    with pytest.raises(GraphFormatError, match="^lead record 2 takes the graph past 10000 leads$"):
+        parse_graph({"vertices": ["a", "b"], "leads": [{"at": "a", "count": 9999}, {"at": "b"},
+                                                       {"at": "a"}]})
+
+
 def test_load_graph(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(dump_graph(build_graph(0.5))))

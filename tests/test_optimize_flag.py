@@ -1,11 +1,10 @@
 """Argument checks must not be assert statements, which python -O strips.
 
 The tests below raise on bad arguments, or check the root finder's budgets,
-its inherited samples and its splits by located zeros or by k = 0, the
-guard that refuses close located zeros, its frontier cells and its
-picks of the children that hold zeros; they are
-run again in a python -O subprocess, which imports the same qgraph package
-as this suite.
+its fresh and inherited samples and its splits by located zeros or by
+k = 0, the guard that refuses close located zeros, its frontier cells and
+its picks of the children that hold zeros; they are run again in a
+python -O subprocess, which imports the same qgraph package as this suite.
 """
 
 import os
@@ -60,11 +59,13 @@ ARGUMENT_CHECKS = (
     "test_rootfind.py::test_newton_gives_up_on_a_non_finite_iterate",
     "test_rootfind.py::test_origin_splits_give_the_same_answer_on_the_family",
     "test_rootfind.py::test_fresh_winding_that_disagrees_is_an_error",
+    "test_rootfind.py::test_fresh_sides_keep_the_written_out_samples",
     *("test_rootfind.py::test_origin_order_by_high_precision_evaluation[%s]" % case
       for case in ("E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b", "E6V6L2b",
                    "E6V3L1-rank4", "circle c=0.3", "circle c=1", "sin(pi k)^2")),
     "test_exppoly.py::test_origin_order_is_exact",
     "test_cli.py::test_huge_disc_is_a_computation_error",
+    "test_graph.py::test_lead_count_limit",
     "test_constraint.py::test_capacity_refused",
     "test_constraint.py::test_assemble_rejects_invalid",
     "test_constraint.py::test_edge_capacity_refused_before_grid",

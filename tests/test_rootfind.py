@@ -379,6 +379,66 @@ def test_batched_winding_flags_boundary_zeros():
         winding_numbers(sin_pi_poly(), [(0.5, 1.5, -0.5, 0.5), (1.0, 1.0, 0.0, 1.0)])
 
 
+def _written_out_fresh_sides(p, rects, nseg):
+    """Reference for the initial grid of the rectangles' sides, evaluated:
+    each sample interpolated as x + i y between its side's corners, and t
+    read from it as x, y, -x or -y.  Returns (off, data) of _Lines."""
+    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
+    ax = np.array([x0, x1, x1, x0]).T.ravel()
+    ay = np.array([y0, y0, y1, y1]).T.ravel()
+    bx = np.array([x1, x1, x0, x0]).T.ravel()
+    by = np.array([y0, y1, y1, y0]).T.ravel()
+    vertical = np.tile([False, True, False, True], len(rects))
+    nseg = nseg.astype(np.intp)
+    off = np.concatenate([[0], np.cumsum(nseg + 1)])
+    side = np.repeat(np.arange(nseg.size), nseg + 1)
+    j = np.arange(off[-1]) - off[side]
+    f = j / nseg[side]
+    x = ax[side] + (bx - ax)[side] * f
+    y = ay[side] + (by - ay)[side] * f
+    end = off[1:] - 1
+    x[end] = bx
+    y[end] = by
+    head = j < nseg[side]
+    vals = rootfind._samples(p, x[head] + 1j * y[head])
+    first = np.cumsum(nseg) - nseg
+    src = first[side] + j
+    src[end] = first[side[end] - side[end] % 4 + (side[end] + 1) % 4]
+    data = np.empty((4, off[-1]))
+    data[0] = np.tile([1.0, 1.0, -1.0, -1.0], len(rects))[side] * np.where(vertical[side], y, x)
+    data[1:] = np.take(vals, src, axis=1)
+    return off, data
+
+
+def test_fresh_sides_keep_the_written_out_samples():
+    """Every sample of a fresh side is placed at base + t unit; the t row
+    and the evaluated rows keep the bits of the written-out x + i y
+    interpolation.  The cases are those of signed zeros, where
+    arctan2(+-0, x < 0) = +-pi would turn a flipped sign into a phase:
+    corners at +-0.0, the symmetric count_in_disc rectangle, whose top and
+    left sides have samples on x = 0 and y = 0, and the four cells of its
+    first cut, with corners on x = 0."""
+    signed = ExpPolynomial((1.0,), {(1,): -1.0, (0,): -1.0, (-1,): -1.0})  # -1 - 2 cos k
+    zeros = {False: 0, True: 0}
+    for p in (det_poly(1 / 3), signed, sin_pi_poly()):
+        R, K = 10.0, strip_bound(p)
+        disc = (-R - 0.5, R + 0.5, -K - 0.5, K + 0.5)
+        rects = [(-0.0, 1.0, -0.0, 1.0), (-1.0, -0.0, -1.0, -0.0), (0.0, 1.0, 0.0, 1.0),
+                 (-1.0, 0.0, -1.0, 0.0), (-1.0, -0.0, -2.0, -1.0), (-0.0, 2.0, 1.0, 2.0),
+                 disc, *rootfind._quad(disc, 0.0, 0.0)]
+        x0, x1, y0, y1 = np.array(rects).T
+        nseg = rootfind._side_segments(p, np.array([x1 - x0, y1 - y0, x1 - x0, y1 - y0]).T)
+        want_off, want = _written_out_fresh_sides(p, rects, nseg.ravel())
+        _, ((off, data, _), _, _) = rootfind._windings(p, rects, 0, rootfind._MAX_POINTS,
+                                                        RootStats())
+        assert off.tolist() == want_off.tolist()
+        for row, (got_row, want_row) in enumerate(zip(data, want)):
+            assert got_row.tobytes() == want_row.tobytes(), row
+        for sign in zeros:
+            zeros[sign] += int(np.sum((data[0] == 0) & (np.signbit(data[0]) == sign)))
+    assert zeros[False] > 0 and zeros[True] > 0
+
+
 # -- work counters ------------------------------------------------------------
 
 def test_root_stats_deterministic_and_inert():
