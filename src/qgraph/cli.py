@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import ComputationError
@@ -24,6 +25,14 @@ from .graph import (GraphFormatError, build_circle_graph, classify_weyl,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts with '-' is taken for an option unless it
+        # matches this; before Python 3.13, argparse's own pattern knows
+        # only -1 and -.5, so --im-min -1e-1 would be refused as a missing
+        # argument.  Any float with a sign and an exponent is a number here
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on usage problems; 2 is reserved for computation
     # failures here, so usage errors are routed to exit code 1
     def error(self, message):

@@ -55,7 +55,16 @@ a located zero, where a real split could re-place the cut; for k = 0,
 within twice the radius r0 within which p may be lost in the evaluation
 noise or unlike its leading Taylor term (see _origin), or within
 10^(-12/m0) of the cell's diameter.  That cell is sampled afresh and split
-for real, and its children start with no known zeros.
+for real, and its children start with no known zeros.  Once the cell
+split by k = 0 is the only cell of its level, so is every cell of its
+chain, and _descend walks the chain down at once: one noise-floor probe
+pass for all its cells, each picked once, in place of a level per cell.
+
+A cut through k = 0 where p evaluates to exactly 0 is never tried: its
+centre sample would be that 0, which suspects all four children, so a
+cell whose midpoint is k = 0 starts at its first retry (see _split).
+count_in_disc searches a rectangle symmetric about 0, whose first cut is
+such a cut.
 
 The subdivision runs level by level, and the cells of a level that are
 split for real are split together: their child boundaries are refined
@@ -134,7 +143,9 @@ class RootStats:
         every midpoint that refinement inserts.
     rounds: refinement rounds that inserted midpoints, summed over boundaries.
     split_attempts: entry a counts the cells whose quadrisection ran attempt
-        a; entry 0 is every split, entries a >= 1 are retries.
+        a, counting only attempts that ran; entry 0 is every split but those
+        of cells cut through an exact zero at k = 0, which start at attempt 1
+        (see _split), entries a >= 1 are retries.
     outer_growths: times the outer search rectangle was grown off a
         suspected boundary zero.
     newton_iterations, newton_failures: Newton steps over all winding-one
@@ -142,7 +153,8 @@ class RootStats:
     noise_clusters: cells reported as clusters because |p| at their probe
         points stayed at the evaluation noise floor.
     evaluations: evaluation passes (calls of ExpPolynomial.eval_pair or
-        eval on an array of points), each one run of the term-stacked kernel.
+        eval, on an array of points or on k = 0 alone, see _split), each one
+        run of the term-stacked kernel.
     reused: samples that child boundaries took from their parent's sides
         without evaluating them, counted per child (the parent corner
         between a child's two inherited halves once).
@@ -156,7 +168,8 @@ class RootStats:
         for real instead, because the zero lay at a cut (each also in
         resampled).
     origin_guided: splits decided by the zero at k = 0, without winding
-        the children (see find_roots); they are not in split_attempts.
+        the children (see find_roots), the picks of a one-pass descent of
+        the chain included (see _descend); they are not in split_attempts.
     resampled: cells without sides, below splits decided by a zero, that
         are split for real and so first sampled afresh.
     pairs_refused: cells with sides, winding 2 to _LOCATE_MAX times,
@@ -737,40 +750,50 @@ def _split(p, cells, stats):
     conserve the parent's.  Returns, per cell, the list of its children
     with positive winding, as _Cells with their sides and no zeros.  A
     retry cuts the parent's sides again at its new position.
+
+    A cell whose midpoint is k = 0, where p evaluates to exactly 0, starts
+    at attempt 1: the centre sample of its first cut would be that 0,
+    which suspects all four children.  p(0) is evaluated only when a
+    cell's midpoint is k = 0, in a pass of its own.
     """
-    parents = _gather([cell.sides for cell in cells])
+    full = _gather([cell.sides for cell in cells])
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
+    late = [i for i, cell in enumerate(cells) if _quad(cell.rect, 0.0, 0.0)[3][::2] == (0.0, 0.0)]
+    if late:
+        stats.add(evaluations=1)
+        if p.eval(0j) != 0:
+            late = []
     for attempt in range(_MAX_SPLIT_ATTEMPTS):
         if not pending:
             break
+        run = [i for i in pending if attempt or i not in late]
+        if not run:
+            continue
         ux, uy = _JITTER[attempt % len(_JITTER)]
         if attempt == 0:
             ux = uy = 0.0
-        quads = [_quad(cells[i].rect, ux, uy) for i in pending]
+        quads = [_quad(cells[i].rect, ux, uy) for i in run]
+        parents = full
+        if len(run) < len(cells):
+            lens, data = _take(*full, run)
+            parents = np.concatenate([[0], np.cumsum(lens)]), data
         ws, (refined, bside, bsign) = _quadrisect(p, quads, parents, stats)
-        stats.split_attempts[attempt] += len(pending)
-        retry = []
+        stats.split_attempts[attempt] += len(run)
         kept = []
-        for j, (i, kids) in enumerate(zip(pending, quads)):
+        for j, (i, kids) in enumerate(zip(run, quads)):
             wk = ws[4 * j:4 * j + 4]
             if (all(isinstance(wi, int) and wi >= 0 for wi in wk)
                     and sum(wk) == cells[i].w):
                 packs[i] = []
                 kept.extend((i, kid, wi, 4 * j + m) for m, (kid, wi) in enumerate(zip(kids, wk))
                             if wi > 0)
-            else:
-                retry.append(j)
         if kept:
             rows = [b for _, _, _, b in kept]
             store = _Sides(refined, bside[rows], bsign[rows])
             for slot, (i, kid, wi, _) in enumerate(kept):
                 packs[i].append(_Cell(kid, wi, (store, slot), ()))
-        # the retries' sides, by their place among this attempt's cells
-        pending = [pending[j] for j in retry]
-        if retry and attempt + 1 < _MAX_SPLIT_ATTEMPTS:
-            lens, data = _take(*parents, retry)
-            parents = np.concatenate([[0], np.cumsum(lens)]), data
+        pending = [i for i in pending if packs[i] is None]
     if pending:
         raise NonConvergenceError("zero count not conserved when splitting %r"
                                   % (cells[pending[0]].rect,))
@@ -925,7 +948,7 @@ def _pick(rect, zeros, origin):
     return [_Cell(kid, m * len(ks), None, ks) for kid, ks in zip(kids, held) if ks]
 
 
-def _guide(p, to_split, origin, stats):
+def _guide(p, to_split, origin, tol, stats):
     """Split the _Cells of to_split that their known zeros decide,
     evaluating nothing, and sample afresh the cells without sides left to
     split for real.
@@ -938,6 +961,10 @@ def _guide(p, to_split, origin, stats):
     _pick finds the children that hold them.  Else it is split for real: a
     cell without sides is first sampled afresh, and its winding must be the
     one it carries.
+
+    A cell split by k = 0 alone on its level has one child, alone on the
+    next level and split by k = 0 again while it is loud: _descend walks
+    that chain down at once.
 
     Returns the _Cells in order, each in its parent's place: the children
     of the splits decided by zeros, without sides, and the cells left to
@@ -963,6 +990,10 @@ def _guide(p, to_split, origin, stats):
         kids = _pick(cell.rect, ks, origin) if ks else None
         if kids is not None:
             counts["origin_guided" if by_origin else "guided"] += 1
+            if by_origin and len(to_split) == 1:
+                picks, cell, kids = _descend(p, kids[0], origin, tol, stats)
+                counts["origin_guided"] += picks
+        if kids is not None:
             cells.extend(kids)
             continue
         if cell.sides is None:
@@ -985,6 +1016,40 @@ def _guide(p, to_split, origin, stats):
     return cells
 
 
+def _descend(p, cell, origin, tol, stats):
+    """Walk down, with one probe pass, the chain that k = 0 splits from
+    cell, the one child of the lone cell of a level that _pick split by
+    k = 0.
+
+    Level by level, each cell of the chain would be alone on its level:
+    _settle probes it if it is wider than tol, and if it is loud, _pick
+    splits it into the next cell or finds k = 0 too near a cut.  So the
+    chain is cell and the child that _pick gives of each cell wider than
+    tol, up to a cell that is not or whose pick fails, each picked once;
+    every cell of it wider than tol is probed in one pass (see _loud).
+    The walk stops at the first cell not wider than tol or not loud,
+    which _settle settles as its own level would, or else at the last
+    cell, which is split for real.
+
+    Returns (picks, end, kids): the picks the walk used past cell, the
+    cell it stopped at, and [end] for _settle or None for a real split.
+    """
+    chain = [cell]
+    kids = []
+    while kids is not None and _wide(chain[-1].rect, tol):
+        kids = _pick(chain[-1].rect, (0j,), origin)
+        chain.extend(kids or ())
+    # every cell but the last was picked, so wider than tol; the last was
+    # too when its pick failed
+    probed = chain[:len(chain) - (kids is not None)]
+    loud = _loud(p, [c.rect for c in probed]) if probed else []
+    stats.add(evaluations=bool(probed))
+    for i, c in enumerate(chain):
+        if i == len(loud) or not loud[i]:
+            return i, c, [c]
+    return len(chain) - 1, chain[-1], None
+
+
 def _noise_floor(p, cells):
     """Magnitude below which evaluations of p on each cell are dominated by
     floating-point error: eps times the sum of the individual term sizes.
@@ -1001,14 +1066,23 @@ def _noise_floor(p, cells):
     return _EPS * m[-1]
 
 
-def _probe_max(p, cells):
-    """Largest |p| over the corners and edge midpoints of each cell."""
+def _wide(rect, tol):
+    """Whether the cell rect is wider than tol across its diagonal."""
+    x0, x1, y0, y1 = rect
+    return np.hypot(x1 - x0, y1 - y0) > tol
+
+
+def _loud(p, cells):
+    """Whether the probe of each cell reads above the evaluation noise: the
+    largest |p| at its corners and edge midpoints is more than _LOUD times
+    its noise floor.  One evaluation pass for all cells."""
     x0, x1, y0, y1 = np.array(cells, dtype=float).reshape(-1, 4).T
     cx = 0.5 * (x0 + x1)
     cy = 0.5 * (y0 + y1)
     re = np.stack([x0, x1, x1, x0, cx, cx, x0, x1], axis=1)
     im = np.stack([y0, y0, y1, y1, y0, y1, cy, cy], axis=1)
-    return np.max(np.abs(p.eval(re + 1j * im)), axis=1)
+    probe = np.max(np.abs(p.eval(re + 1j * im)), axis=1)
+    return (probe > _LOUD * _noise_floor(p, cells)).tolist()
 
 
 def _settle(p, frontier, tol, stats):
@@ -1023,12 +1097,10 @@ def _settle(p, frontier, tol, stats):
     ks, _, steps, passes = _newton(p, rects, centres)
     roots = dict(zip(ones, ks))
     probed = [i for i, (cell, _, _, _) in enumerate(frontier)
-              if roots.get(i) is None
-              and np.hypot(cell[1] - cell[0], cell[3] - cell[2]) > tol]
+              if roots.get(i) is None and _wide(cell, tol)]
     loud = {}
     if probed:
-        cells = [frontier[i][0] for i in probed]
-        loud = dict(zip(probed, (_probe_max(p, cells) > _LOUD * _noise_floor(p, cells)).tolist()))
+        loud = dict(zip(probed, _loud(p, [frontier[i][0] for i in probed])))
     settled = []
     to_split = []
     for i, (cell, cw, _, _) in enumerate(frontier):
@@ -1097,7 +1169,7 @@ def find_roots(p, region, tol=1e-8, stats=None):
     while frontier:
         settled, to_split = _settle(p, frontier, tol, stats)
         found.extend(settled)
-        frontier = _guide(p, to_split, origin, stats)
+        frontier = _guide(p, to_split, origin, tol, stats)
         # the cells to split for real are split in one call, and their
         # children take their places among the children that a zero decided
         places = [cell if cell.sides is None else None for cell in frontier]
@@ -1139,9 +1211,12 @@ def strip_bound(p):
     def changeover(pairs):
         # pairs: [(gap<0 ... ), ...] dominance margin as a function of t
         ext_m = pairs[0][1]
+        gaps, sizes = np.array(pairs[1:]).T
 
         def dominated(t):
-            return ext_m > sum(m * np.exp(g * t) for g, m in pairs[1:])
+            # accumulate adds left to right, where np.sum would add
+            # pairwise: K keeps the bits of a plain loop over pairs
+            return ext_m > np.add.accumulate(sizes * np.exp(gaps * t))[-1]
 
         hi = 1.0
         while not dominated(hi):

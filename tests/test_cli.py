@@ -148,6 +148,27 @@ def test_roots_byte_deterministic(capsys):
     assert len(first.strip().split("\n")) > 1
 
 
+def test_negative_numbers_with_an_exponent(capsys):
+    """A negative value written with an exponent is a number, not an
+    option, as -0.1 is: both spellings print the same bytes, in process
+    and as python -m qgraph.  A value that is no number still fails."""
+    base = ["roots", "--circle", "0.3", "--re-min", "-2", "--re-max", "2", "--im-max", "0.1"]
+    spellings = (["--im-min", "-1e-1"], ["--im-min=-0.1"], ["--im-min", "-1E-1"],
+                 ["--im-min", "-.1e+0"])
+    outs = []
+    for spelling in spellings:
+        rc, out, err = run_main(base + spelling, capsys)
+        assert (rc, err) == (0, "")
+        outs.append(out)
+    assert len(set(outs)) == 1 and len(outs[0].splitlines()) > 1
+    for spelling in spellings[:2]:
+        done = subprocess.run([sys.executable, "-m", "qgraph", *base, *spelling],
+                              capture_output=True, text=True, env=package_env())
+        assert (done.returncode, done.stdout, done.stderr) == (0, outs[0], "")
+    assert "argument --im-min: expected one argument" in usage_error(
+        base + ["--im-min", "-1e"], capsys)
+
+
 def test_count_single_radius(capsys):
     rc, out, _ = run_main(["count", "--circle", "1", "--radius", "20"], capsys)
     assert rc == 0

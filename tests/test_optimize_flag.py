@@ -3,8 +3,10 @@
 The tests below raise on bad arguments, or check the root finder's budgets,
 its fresh and inherited samples and its splits by located zeros or by
 k = 0, the guard that refuses close located zeros, its frontier cells and
-its picks of the children that hold zeros; they are run again in a
-python -O subprocess, which imports the same qgraph package as this suite.
+its picks of the children that hold zeros, its one-pass descent of the
+k = 0 chain and its first cuts that pass an exact zero at k = 0; they are
+run again in a python -O subprocess, which imports the same qgraph
+package as this suite.
 """
 
 import os
@@ -58,6 +60,12 @@ ARGUMENT_CHECKS = (
     "test_rootfind.py::test_five_zeros_are_split_by_their_zeros_or_refused[1e-09]",
     "test_rootfind.py::test_newton_gives_up_on_a_non_finite_iterate",
     "test_rootfind.py::test_origin_splits_give_the_same_answer_on_the_family",
+    *("test_rootfind.py::test_one_pass_descent_gives_the_same_answer[%s]" % case
+      for case in ("E5V4L2b", "E5V4L1b", "E6V5L2b", "E7V6L2b", "E7V6L1", "E6V5L1b")),
+    "test_rootfind.py::test_one_pass_descent_gives_the_same_answer_on_the_family",
+    "test_rootfind.py::test_no_cut_through_an_exact_zero",
+    "test_rootfind.py::test_cut_through_zero_runs_where_p_is_not_zero",
+    "test_rootfind.py::test_level_mixing_a_cut_through_zero",
     "test_rootfind.py::test_fresh_winding_that_disagrees_is_an_error",
     "test_rootfind.py::test_fresh_sides_keep_the_written_out_samples",
     *("test_rootfind.py::test_origin_order_by_high_precision_evaluation[%s]" % case

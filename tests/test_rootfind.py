@@ -479,35 +479,36 @@ def test_root_stats_count_retries_growth_and_clusters():
 
 
 # the work of count_in_disc when every split winds its four children, as
-# before winding-one cells were split by their located zero
+# before winding-one cells were split by their located zero; the first cut
+# through k = 0, where p is exactly 0, is skipped all the same
 WOUND = {
-    "c=0.3": RootStats(boundaries=541, points=7324, rounds=1022, split_attempts=[134, 1] + [0] * 8,
+    "c=0.3": RootStats(boundaries=537, points=6939, rounds=1022, split_attempts=[133, 1] + [0] * 8,
                        newton_iterations=1234, newton_failures=66, evaluations=142,
-                       reused=12243),
-    "c=3/5": RootStats(boundaries=493, points=6807, rounds=782, split_attempts=[122, 1] + [0] * 8,
+                       reused=11471),
+    "c=3/5": RootStats(boundaries=489, points=6418, rounds=782, split_attempts=[121, 1] + [0] * 8,
                        newton_iterations=1289, newton_failures=79, evaluations=108,
-                       reused=11575),
-    "c=1": RootStats(boundaries=189, points=4618, rounds=228, split_attempts=[46, 1] + [0] * 8,
-                     newton_iterations=326, newton_failures=6, evaluations=68, reused=9118),
-    "E5V4L2b": RootStats(boundaries=233, points=2745, rounds=431, split_attempts=[55, 3] + [0] * 8,
+                       reused=10803),
+    "c=1": RootStats(boundaries=185, points=4237, rounds=228, split_attempts=[45, 1] + [0] * 8,
+                     newton_iterations=326, newton_failures=6, evaluations=68, reused=8362),
+    "E5V4L2b": RootStats(boundaries=229, points=2560, rounds=431, split_attempts=[54, 3] + [0] * 8,
                          newton_iterations=413, newton_failures=12, noise_clusters=2,
-                         evaluations=386, reused=4321),
+                         evaluations=386, reused=3957),
 }
 
 
 @pytest.mark.parametrize("case, want", [
-    ("c=0.3", dataclasses.replace(WOUND["c=0.3"], boundaries=33, points=2697, rounds=108,
-                                  split_attempts=[7, 1] + [0] * 8, evaluations=113,
-                                  reused=3636, guided=127, guide_steps=395)),
-    ("c=3/5", dataclasses.replace(WOUND["c=3/5"], boundaries=33, points=2747, rounds=84,
-                                  split_attempts=[7, 1] + [0] * 8, evaluations=95,
-                                  reused=3736, guided=115, guide_steps=376)),
-    ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=33, points=3164, rounds=36,
-                                split_attempts=[7, 1] + [0] * 8, evaluations=62,
-                                reused=4732, guided=39, guide_steps=167)),
-    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=63, points=1735, rounds=293,
-                                    split_attempts=[12, 3] + [0] * 8, evaluations=343,
-                                    reused=1942, guided=25, guide_steps=125, origin_guided=18,
+    ("c=0.3", dataclasses.replace(WOUND["c=0.3"], boundaries=29, points=2312, rounds=108,
+                                  split_attempts=[6, 1] + [0] * 8, evaluations=113,
+                                  reused=2864, guided=127, guide_steps=395)),
+    ("c=3/5", dataclasses.replace(WOUND["c=3/5"], boundaries=29, points=2358, rounds=84,
+                                  split_attempts=[6, 1] + [0] * 8, evaluations=95,
+                                  reused=2964, guided=115, guide_steps=376)),
+    ("c=1", dataclasses.replace(WOUND["c=1"], boundaries=29, points=2783, rounds=36,
+                                split_attempts=[6, 1] + [0] * 8, evaluations=62,
+                                reused=3976, guided=39, guide_steps=167)),
+    ("E5V4L2b", dataclasses.replace(WOUND["E5V4L2b"], boundaries=59, points=1550, rounds=293,
+                                    split_attempts=[11, 3] + [0] * 8, evaluations=329,
+                                    reused=1578, guided=25, guide_steps=125, origin_guided=18,
                                     resampled=2)),
 ])
 def test_root_stats_pinned(case, want, bench_graphs):
@@ -821,6 +822,120 @@ def test_origin_child_is_the_wound_child(case, bench_graphs, monkeypatch):
     stats = RootStats()
     count_in_disc(p, 8.0, stats=stats)
     assert len(checked) == stats.origin_guided > 0
+
+
+def _level_by_level(p, cell, origin, tol, stats):
+    """A _descend that walks nothing: the lone cell's child goes to the
+    next level, which probes it and picks its child, one level per cell."""
+    return 0, cell, [cell]
+
+
+def _passes_saved(p, radius, monkeypatch):
+    """(answer, evaluation passes saved) of count_in_disc with the one-pass
+    descent of the last k = 0 chain against one level per cell, after
+    checking that the answer and every other counter are the same."""
+    runs = []
+    for off in (False, True):
+        with monkeypatch.context() as m:
+            if off:
+                m.setattr(rootfind, "_descend", _level_by_level)
+            stats = RootStats()
+            runs.append((_answer(p, radius, stats), stats))
+    (answer, s1), (stepped, s0) = runs
+    assert answer == stepped
+    assert dataclasses.replace(s1, evaluations=s0.evaluations) == s0
+    assert s1.evaluations <= s0.evaluations
+    return answer, s0.evaluations - s1.evaluations
+
+
+@pytest.mark.parametrize("case", ORIGIN_POOL)
+def test_one_pass_descent_gives_the_same_answer(case, bench_graphs, monkeypatch):
+    """Walking the last chain of cells split by k = 0 down in one probe
+    pass gives the repr and every counter of one level per cell, with
+    fewer evaluation passes."""
+    p = assemble(bench_graphs[case]).determinant()
+    assert _passes_saved(p, 8.0, monkeypatch)[1] > 0
+
+
+def test_one_pass_descent_gives_the_same_answer_on_the_family(graph_family, monkeypatch):
+    """The same on every family graph whose zero at k = 0 has order 2 or
+    more, at R = 6, errors included: graph 16 still names the cell near
+    k = -5.504, which a descent past the other cells' splits would not."""
+    saved = {}
+    for i, g in enumerate(graph_family):
+        p = assemble(g).determinant()
+        if p.origin_order[0] >= 2:
+            saved[i] = _passes_saved(p, 6.0, monkeypatch)
+    assert sum(n > 0 for _, n in saved.values()) >= 10
+    assert saved[16][0].startswith("NonConvergenceError: zero count not conserved "
+                                   "when splitting (-5.504")
+
+
+def _recorded_cuts(monkeypatch):
+    """Make _quadrisect record the cut point of every cell it splits, in
+    order; returns the list."""
+    quadrisect = rootfind._quadrisect
+    cuts = []
+
+    def recorded(p, quads, parents, stats):
+        cuts.extend(complex(q[3][0], q[3][2]) for q in quads)
+        return quadrisect(p, quads, parents, stats)
+    monkeypatch.setattr(rootfind, "_quadrisect", recorded)
+    return cuts
+
+
+def test_no_cut_through_an_exact_zero(monkeypatch):
+    """count_in_disc searches a rectangle symmetric about 0, whose midpoint
+    cut would pass through k = 0, where det_poly(0.3) evaluates to exactly
+    0.  That cell starts at its first retry, so no quadrisection cuts at
+    0j, and the attempt it skips is not counted."""
+    p = det_poly(0.3)
+    assert p.eval(0j) == 0
+    cuts = _recorded_cuts(monkeypatch)
+    stats = RootStats()
+    rep = count_in_disc(p, 10.0, stats=stats)
+    assert 0j not in cuts and len(cuts) == sum(stats.split_attempts)
+    K = rep.strip_bound
+    outer = (-10.5, 10.5, -K - 0.5, K + 0.5)
+    assert stats.outer_growths == 0
+    assert cuts[0] == complex(*rootfind._quad(outer, *rootfind._JITTER[1])[3][::2])
+
+
+def test_cut_through_zero_runs_where_p_is_not_zero(monkeypatch):
+    """Where p(0) != 0, a rectangle symmetric about 0 is still cut at 0j
+    first: p = (e^{ik} - a)(e^{ik} - b), zeros 0.4 + 0.3i and -0.6 - 0.2i,
+    with the locator declining so that the outer cell is split for real."""
+    p = _exp_product([cmath.exp(1j * complex(0.4, 0.3)), cmath.exp(1j * complex(-0.6, -0.2))])
+    assert p.eval(0j) != 0
+    monkeypatch.setattr(rootfind, "_locate", _decline)
+    cuts = _recorded_cuts(monkeypatch)
+    stats = RootStats()
+    roots = find_roots(p, (-1.0, 1.0, -1.0, 1.0), stats=stats)
+    assert cuts[0] == 0j and stats.split_attempts[0] >= 1
+    assert [round(r.k.real, 9) + 1j * round(r.k.imag, 9) for r in roots] == [-0.6 - 0.2j,
+                                                                              0.4 + 0.3j]
+
+
+def test_level_mixing_a_cut_through_zero(monkeypatch):
+    """In one _split, the cell cut through k = 0 (det_poly(0.3) is exactly
+    0 there) starts at attempt 1 while the other runs attempt 0, and each
+    gets the children it gets when split alone."""
+    p = det_poly(0.3)
+    rects = [(-1.0, 1.0, -0.5, 0.5), (1.5, 3.5, -0.7, 0.3)]
+    ws, sides = rootfind._windings(p, rects, rootfind._MAX_ROUNDS, rootfind._MAX_POINTS,
+                                   RootStats())
+    assert ws == [4, 4]
+    store = rootfind._Sides(*sides)
+    cells = [rootfind._Cell(rect, w, (store, i), ()) for i, (rect, w) in enumerate(zip(rects, ws))]
+    cuts = _recorded_cuts(monkeypatch)
+    stats = RootStats()
+    both = rootfind._split(p, cells, stats)
+    assert stats.split_attempts[:2] == [1, 1]
+    assert cuts == [complex(*rootfind._quad(rects[1], 0.0, 0.0)[3][::2]),
+                    complex(*rootfind._quad(rects[0], *rootfind._JITTER[1])[3][::2])]
+    alone = [rootfind._split(p, [cell], RootStats())[0] for cell in cells]
+    assert ([[(kid.rect, kid.w) for kid in kids] for kids in both]
+            == [[(kid.rect, kid.w) for kid in kids] for kids in alone])
 
 
 @pytest.mark.parametrize("sent_back", [False, True], ids=["picked", "sent-back"])
