@@ -36,7 +36,6 @@ from .constraint import assemble
 from .errors import NonConvergenceError
 from .exppoly import ExpPolynomial
 # the family's graph is built in graph, which loads without numpy
-from .graph import circle_params as params  # noqa: F401
 from .graph import build_circle_graph as build_graph
 
 CrossingValue = namedtuple("CrossingValue", "k c")
@@ -106,6 +105,8 @@ def verify_factorization(c, n_samples=50, seed=0):
     c = float(c)
     if not 0.0 <= c < 1.0:
         raise ValueError("factorization needs c in [0, 1), got %r" % c)
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValueError("n_samples must be a positive integer, got %r" % (n_samples,))
     poly = det_poly(c)
     rng = np.random.default_rng(seed)
     ks = rng.uniform(-5, 5, n_samples) + 1j * rng.uniform(-2, 2, n_samples)

@@ -16,11 +16,11 @@ or a constant.  The expansion interpolates det A on the grid of cube roots
 of unity in the edge phases e^{ik rho_e} and rounds its integer coefficients
 under an error certificate; it is refused above CAPACITY or EDGE_CAPACITY.
 
-Row and column orders are fixed once and for all (columns: vertex values by
-vertex id, tail coefficients by edge id, head coefficients by edge id, lead
-amplitudes by lead id; rows: per vertex its continuity rows with edge
-endpoints first, then its leads, finally all balance rows by vertex id), so
-det A has one well-defined sign.
+Row and column orders are fixed once and for all, so det A has one
+well-defined sign.  Columns: vertex values, tail coefficients, head
+coefficients, lead amplitudes, each block by id.  Rows: per vertex its
+continuity rows, edge endpoints in edge order and then its leads; then all
+balance rows, the one of vertex v being row 2E + L + v.
 """
 
 import math
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .exppoly import ExpPolynomial
-from .graph import validate
+from .graph import incidence, require_valid
 
 CAPACITY = 32  # matrix size bound of the expansion
 EDGE_CAPACITY = 10  # bound on the edges that vary in a minor: 3^10 grid points
@@ -174,9 +174,7 @@ def assemble(graph, flip_edges=()):
     assembly.  Flipping changes individual entries (and negates the
     determinant) but not the zero set.
     """
-    rep = validate(graph)
-    if not rep.ok:
-        raise ValueError("graph fails validation: " + "; ".join(rep.violations))
+    require_valid(graph)
     flip = set(flip_edges)
     nv, ne, nl = graph.n_vertices, len(graph.edges), len(graph.leads)
     # effective orientation after flips
@@ -192,44 +190,28 @@ def assemble(graph, flip_edges=()):
     n = nv + 2 * ne + nl
     columns = [[] for _ in range(n)]
     row_labels = []
-
-    def put(col, coef, delta=None):
-        # entries go to the row that is labelled next
-        columns[col].append((len(row_labels), coef, delta))
-
-    # continuity rows, grouped per vertex
-    for v in range(nv):
-        for e, (t, h) in enumerate(oriented):
-            if t == v:
+    for v, at in enumerate(incidence(graph)):
+        balance = 2 * ne + nl + v  # derivative balance at v, ik divided out
+        for e in at.ends:
+            r = len(row_labels)
+            if oriented[e][0] == v:
                 # value at the tail endpoint: a + b = z_v
-                put(tail + e, 1)
-                put(head + e, 1)
-                put(v, -1)
+                columns[tail + e] += [(r, 1, None), (balance, 1, None)]
+                columns[head + e] += [(r, 1, None), (balance, -1, None)]
                 row_labels.append(("continuity_tail", e, v))
-            if h == v:
+            else:
                 # value at the head endpoint: a e^{ik rho} + b e^{-ik rho} = z_v
-                put(tail + e, 1, _unit(ne, e, +1))
-                put(head + e, 1, _unit(ne, e, -1))
-                put(v, -1)
+                up, down = _unit(ne, e, +1), _unit(ne, e, -1)
+                columns[tail + e] += [(r, 1, up), (balance, -1, up)]
+                columns[head + e] += [(r, 1, down), (balance, 1, down)]
                 row_labels.append(("continuity_head", e, v))
-        for l, ld in enumerate(graph.leads):
-            if ld.vertex == v:
-                put(lead + l, 1)
-                put(v, -1)
-                row_labels.append(("continuity_lead", l, v))
-    # derivative balance rows (ik divided out), one per vertex
-    for v in range(nv):
-        for e, (t, h) in enumerate(oriented):
-            if t == v:
-                put(tail + e, 1)
-                put(head + e, -1)
-            if h == v:
-                put(tail + e, -1, _unit(ne, e, +1))
-                put(head + e, 1, _unit(ne, e, -1))
-        for l, ld in enumerate(graph.leads):
-            if ld.vertex == v:
-                put(lead + l, 1)
-        row_labels.append(("kirchhoff", v))
+            columns[v].append((r, -1, None))
+        for l in at.leads:
+            r = len(row_labels)
+            columns[lead + l] += [(r, 1, None), (balance, 1, None)]
+            columns[v].append((r, -1, None))
+            row_labels.append(("continuity_lead", l, v))
+    row_labels += [("kirchhoff", v) for v in range(nv)]
     assert len(row_labels) == n
 
     for col in columns:
@@ -248,14 +230,11 @@ def leading_block_determinant(graph, v):
     Closed form: (q - p) * e^{ik * sum of incident edge lengths}, which is why
     a balanced vertex (q = p) suppresses the top exponential order of det A.
     """
-    flips = [e for e, edge in enumerate(graph.edges) if edge.tail == v]
-    mat = assemble(graph, flip_edges=flips)
-    incident = [e for e, edge in enumerate(graph.edges)
-                if edge.tail == v or edge.head == v]
-    leads_at = [l for l, lead in enumerate(graph.leads) if lead.vertex == v]
-    rows = ([("continuity_lead", l, v) for l in leads_at]
-            + [("continuity_head", e, v) for e in incident] + [("kirchhoff", v)])
-    cols = ([("lead", l) for l in leads_at] + [("tail", e) for e in incident]
+    at = incidence(graph)[v]
+    mat = assemble(graph, flip_edges=[e for e in at.ends if graph.edges[e].tail == v])
+    rows = ([("continuity_lead", l, v) for l in at.leads]
+            + [("continuity_head", e, v) for e in at.ends] + [("kirchhoff", v)])
+    cols = ([("lead", l) for l in at.leads] + [("tail", e) for e in at.ends]
             + [("vertex", v)])
     return mat.submatrix_determinant(map(mat.row_labels.index, rows),
                                      map(mat.col_labels.index, cols))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraint import assemble
 from .errors import PoleError
-from .graph import vertex_profile
+from .graph import incidence, require_valid
 
 POLE_GUARD = 1e-12
 
@@ -31,29 +31,35 @@ def _sines(graph, k):
     return s
 
 
+def _lead_counts(graph):
+    """Leads per vertex; ValueError for a graph that fails validate."""
+    require_valid(graph)
+    return [len(at.leads) for at in incidence(graph)]
+
+
 def lambda_matrix(graph, k):
     """Dense DtN matrix L(k); raises PoleError within 1e-12 of an edge pole."""
     k = complex(k)
-    n = graph.n_vertices
+    q = _lead_counts(graph)
     s = _sines(graph, k)
-    L = np.zeros((n, n), dtype=complex)
+    L = np.zeros((len(q), len(q)), dtype=complex)
     for e, edge in enumerate(graph.edges):
         L[edge.tail, edge.head] += k / s[e]
         L[edge.head, edge.tail] += k / s[e]
         c = np.cos(k * edge.length) / s[e]
         L[edge.tail, edge.tail] -= k * c
         L[edge.head, edge.head] -= k * c
-    for v in range(n):
-        L[v, v] += 1j * k * vertex_profile(graph, v).q
+    for v, qv in enumerate(q):
+        L[v, v] += 1j * k * qv
     return L
 
 
 def sigma_matrix(graph, k):
     """Closed form of (1/(2k)) * dL/dk."""
     k = complex(k)
-    n = graph.n_vertices
+    q = _lead_counts(graph)
     s = _sines(graph, k)
-    S = np.zeros((n, n), dtype=complex)
+    S = np.zeros((len(q), len(q)), dtype=complex)
     for e, edge in enumerate(graph.edges):
         rho = edge.length
         c = np.cos(k * rho)
@@ -63,8 +69,8 @@ def sigma_matrix(graph, k):
         diag = c / s[e] - k * rho / s[e] ** 2
         S[edge.tail, edge.tail] -= diag
         S[edge.head, edge.head] -= diag
-    for v in range(n):
-        S[v, v] += 1j * vertex_profile(graph, v).q
+    for v, qv in enumerate(q):
+        S[v, v] += 1j * qv
     return S / (2.0 * k)
 
 

@@ -7,6 +7,10 @@ orientation-sensitive term by term (flipping an edge negates the determinant
 without moving its zeros).  Leads are listed one entry per half-line, attached
 at a vertex; their list order is the lead id.
 
+incidence(graph) lists, in one pass, the edge ends and the leads at each
+vertex in id order, skipping ends outside 0..n-1; validation, the Weyl
+classification, assembly and the DtN matrices all read it.
+
 The two-lead circle of the circle module is built here as well, so that a
 command that only looks at its graph does not load the numerics.
 """
@@ -17,6 +21,7 @@ from collections import namedtuple
 
 Edge = namedtuple("Edge", "tail head length")
 Lead = namedtuple("Lead", "vertex")
+Incidence = namedtuple("Incidence", "ends leads")
 VertexProfile = namedtuple("VertexProfile", "p q d")
 ValidationReport = namedtuple("ValidationReport", "ok violations")
 WeylClassification = namedtuple("WeylClassification", "is_weyl volume balanced_vertices")
@@ -49,6 +54,21 @@ class MetricGraph:
             self.n_vertices, self.edges, self.leads)
 
 
+def incidence(graph):
+    """Per vertex: the edges with an end there (once per end) and the leads
+    there, each by id; ends outside 0..n-1 are skipped."""
+    n = graph.n_vertices
+    table = [Incidence([], []) for _ in range(n)]
+    for e, edge in enumerate(graph.edges):
+        for end in (edge.tail, edge.head):
+            if 0 <= end < n:
+                table[end].ends.append(e)
+    for l, lead in enumerate(graph.leads):
+        if 0 <= lead.vertex < n:
+            table[lead.vertex].leads.append(l)
+    return table
+
+
 def validate(graph):
     """Structural checks, reported rather than raised.
 
@@ -59,15 +79,12 @@ def validate(graph):
     """
     bad = []
     n = graph.n_vertices
-    touched = set()
     for i, e in enumerate(graph.edges):
         if e.tail == e.head:
             bad.append("tadpole: edge %d has both endpoints at vertex %d" % (i, e.tail))
         for end in (e.tail, e.head):
             if not (0 <= end < n):
                 bad.append("dangling reference: edge %d endpoint %d" % (i, end))
-            else:
-                touched.add(end)
         if not math.isfinite(e.length):
             bad.append("non-finite length: edge %d has length %r" % (i, e.length))
         elif e.length <= 0:
@@ -75,18 +92,24 @@ def validate(graph):
     for i, l in enumerate(graph.leads):
         if not (0 <= l.vertex < n):
             bad.append("dangling reference: lead %d at vertex %d" % (i, l.vertex))
-        else:
-            touched.add(l.vertex)
-    for v in range(n):
-        if v not in touched:
+    for v, at in enumerate(incidence(graph)):
+        if not (at.ends or at.leads):
             bad.append("isolated vertex: %d (%s)" % (v, graph.vertex_name(v)))
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
+def require_valid(graph):
+    """Raise ValueError, naming every violation, for a graph validate flags."""
+    rep = validate(graph)
+    if not rep.ok:
+        raise ValueError("graph fails validation: " + "; ".join(rep.violations))
+
+
 def vertex_profile(graph, v):
     """(p, q, d) at vertex v: internal degree, lead count, total degree."""
-    p = sum(1 for e in graph.edges for end in (e.tail, e.head) if end == v)
-    q = sum(1 for l in graph.leads if l.vertex == v)
+    if not 0 <= v < graph.n_vertices:
+        raise ValueError("vertex %r is not in 0..%d" % (v, graph.n_vertices - 1))
+    p, q = map(len, incidence(graph)[v])
     return VertexProfile(p=p, q=q, d=p + q)
 
 
@@ -97,14 +120,10 @@ def classify_weyl(graph):
     leads meet it; any balanced vertex drops the counting coefficient below
     the total edge length, otherwise the graph counts at Weyl rate.
     """
-    balanced = []
-    for v in range(graph.n_vertices):
-        prof = vertex_profile(graph, v)
-        if prof.q >= 1 and prof.p == prof.q:
-            balanced.append(v)
-    vol = sum(e.length for e in graph.edges)
-    return WeylClassification(is_weyl=not balanced, volume=vol,
-                              balanced_vertices=tuple(balanced))
+    balanced = tuple(v for v, at in enumerate(incidence(graph))
+                     if at.leads and len(at.ends) == len(at.leads))
+    return WeylClassification(is_weyl=not balanced, balanced_vertices=balanced,
+                              volume=sum(e.length for e in graph.edges))
 
 
 # -- the two-lead circle ------------------------------------------------------
@@ -142,8 +161,8 @@ def build_circle_graph(c):
 # Vertex names map to dense ids in file order.  Stored edges are normalized to
 # tail = smaller id so that a file round-trips to one canonical orientation.
 # A graph carries at most _MAX_LEADS leads in all: each lead is stored on its
-# own and every vertex scans them, so a "count" of millions in a file of a
-# hundred bytes would take seconds and hundreds of MiB before any check ran.
+# own, so a "count" of millions in a file of a hundred bytes would take
+# seconds and hundreds of MiB before any check ran.
 
 _MAX_LEADS = 10000
 

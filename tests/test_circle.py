@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from qgraph import circle
-from qgraph.graph import classify_weyl, validate
+from qgraph.graph import circle_params, classify_weyl, validate
 from qgraph.rootfind import find_roots
 
 LOG3_OVER_PI = math.log(3.0) / math.pi
 
 
 def test_params_and_build():
-    p = circle.params(0.5)
+    p = circle_params(0.5)
     assert p.rho1 == 0.5 * math.pi and p.rho2 == 1.5 * math.pi
     g = circle.build_graph(0.5)
     assert validate(g).ok
@@ -40,9 +40,9 @@ def test_build_at_one_is_balanced():
 
 def test_params_rejects_outside_range():
     with pytest.raises(ValueError):
-        circle.params(-0.1)
+        circle_params(-0.1)
     with pytest.raises(ValueError):
-        circle.params(1.1)
+        circle_params(1.1)
 
 
 def _written_out(k, c):
@@ -119,6 +119,13 @@ def test_factorization_report():
         assert rep.samples == 50 and rep.seed == 0
     with pytest.raises(ValueError):
         circle.verify_factorization(1.0)
+
+
+def test_factorization_rejects_bad_sample_counts():
+    for n_samples in (0, -3, 2.5, "50", None):
+        with pytest.raises(ValueError, match="positive integer"):
+            circle.verify_factorization(0.25, n_samples=n_samples)
+    assert circle.verify_factorization(0.25, n_samples=np.int64(1)).samples == 1
 
 
 def test_full_collapse_zero_set_is_integer_lattice():

@@ -264,6 +264,29 @@ def test_capacity_error_exit_two(tmp_path, capsys):
     assert err == "error: matrix size 36 exceeds capacity 32\n"
 
 
+def _path_graph(tmp_path, n):
+    """A path of n vertices and n - 1 unit edges with one lead at its start."""
+    return write_graph(tmp_path, {
+        "vertices": list(range(n)),
+        "edges": [{"u": i, "v": i + 1, "length": 1.0} for i in range(n - 1)],
+        "leads": [{"at": 0}]}, name="path%d.json" % n)
+
+
+def test_large_graphs_are_classified_and_refused_quickly(tmp_path):
+    """Per-vertex work reads one incidence table: a 20,000-vertex path is
+    classified, and a 2,000-vertex path is assembled and refused at the
+    size bound, each well within the time limit; one scan of every edge
+    per vertex took over a minute on the first."""
+    argvs = (["classify", "--graph", _path_graph(tmp_path, 20000)],
+             ["det", "--graph", _path_graph(tmp_path, 2000)])
+    wants = ((0, "Weyl: false; volume: 19999; balanced vertices: 0\n", ""),
+             (2, "", "error: matrix size 5999 exceeds capacity 32\n"))
+    for argv, want in zip(argvs, wants):
+        done = subprocess.run([sys.executable, "-m", "qgraph", *argv], capture_output=True,
+                              text=True, env=package_env(), timeout=30)
+        assert (done.returncode, done.stdout, done.stderr) == want
+
+
 def test_edge_capacity_error_exit_two(tmp_path, capsys):
     # 11 parallel edges: a 24 x 24 matrix, inside the size bound, but more
     # edges than the interpolation grid takes

@@ -63,6 +63,17 @@ def test_det_identity_requires_upper_half():
         verify_det_identity(g, 2.0 + 0j)
 
 
+def test_matrices_reject_an_invalid_graph():
+    """Vertex -1 would wrap to the last row; validation refuses the graph
+    first, also where a precomputed determinant skips assembly."""
+    g = MetricGraph(2, [(-1, 1, 1.0), (0, 1, 2.0)], leads=[0])
+    poly = assemble(build_graph(0.3)).determinant()
+    for call in (lambda: lambda_matrix(g, 1j), lambda: sigma_matrix(g, 1j),
+                 lambda: verify_det_identity(g, 1j, poly)):
+        with pytest.raises(ValueError, match="dangling reference: edge 0 endpoint -1"):
+            call()
+
+
 def test_det_identity_on_family(graph_family):
     rng = np.random.default_rng(15)
     for g in graph_family:

@@ -19,6 +19,7 @@ import qgraph
 ARGUMENT_CHECKS = (
     "test_circle.py::test_params_rejects_outside_range",
     "test_circle.py::test_factorization_report",
+    "test_circle.py::test_factorization_rejects_bad_sample_counts",
     "test_circle.py::test_crossing_values_rejects_bad_args",
     "test_circle.py::test_trace_rejects_mismatched_parity",
     "test_exppoly.py::test_table_mismatch_rejected",
@@ -78,6 +79,8 @@ ARGUMENT_CHECKS = (
     "test_constraint.py::test_assemble_rejects_invalid",
     "test_constraint.py::test_edge_capacity_refused_before_grid",
     "test_constraint.py::test_submatrix_argument_errors",
+    "test_dtn.py::test_matrices_reject_an_invalid_graph",
+    "test_incidence.py::test_vertex_profile_rejects_a_vertex_outside_the_graph",
 )
 
 
