@@ -18,9 +18,9 @@ under an error certificate; it is refused above CAPACITY or EDGE_CAPACITY.
 
 Row and column orders are fixed once and for all, so det A has one
 well-defined sign.  Columns: vertex values, tail coefficients, head
-coefficients, lead amplitudes, each block by id.  Rows: per vertex its
-continuity rows, edge endpoints in edge order and then its leads; then all
-balance rows, the one of vertex v being row 2E + L + v.
+coefficients, lead amplitudes, each block by id.  Rows: first, vertex by
+vertex, the continuity rows, edge ends in edge order and then leads; last,
+all balance rows, the one of vertex v being row 2E + L + v.
 """
 
 import math
