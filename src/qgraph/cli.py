@@ -5,8 +5,11 @@ circle-verify.  Exit codes: 0 success, 1 usage error (including bad input
 files), 2 computation failure.  CSV output always carries a header row and
 prints floats with 17 significant digits, so identical invocations are
 byte-identical.  roots and count take --stats, which adds one JSON line of
-root-finder counters on stderr and leaves stdout as it is.  An empty -o, or
-an -o file that cannot be written, is refused before any work is done.
+root-finder counters on stderr and leaves stdout as it is; det --stats adds
+one JSON line of the expansion's sizes and rounding certificate.  An empty
+-o, or an -o file that cannot be written, is refused before any work is
+done, and a graph whose matrix exceeds the expansion's capacity before it
+is assembled.
 
 Each subcommand imports the modules it runs when it runs, so validate and
 classify never load numpy.
@@ -145,13 +148,23 @@ def _cmd_classify(parser, args):
     return 0
 
 
+def _assembled(parser, args):
+    """(graph, vertex-condition matrix), the size refused before assembly."""
+    from .constraint import assemble, check_capacity, matrix_size
+    graph = _checked_graph(parser, args)
+    check_capacity(matrix_size(graph))
+    return graph, assemble(graph)
+
+
 def _det_poly(parser, args):
-    from .constraint import assemble
-    return assemble(_checked_graph(parser, args)).determinant()
+    return _assembled(parser, args)[1].determinant()
 
 
 def _cmd_det(parser, args):
-    _emit(args, [_det_poly(parser, args).dump()])
+    mat = _assembled(parser, args)[1]
+    _emit(args, [mat.determinant().dump()])
+    if args.stats:
+        print(json.dumps(mat.certificate), file=sys.stderr)
     return 0
 
 
@@ -209,11 +222,10 @@ def _cmd_dtn_check(parser, args):
         parser.error("--samples must be positive")
     if args.seed < 0:
         parser.error("--seed must not be negative")
-    graph = _checked_graph(parser, args)
+    graph, mat = _assembled(parser, args)
     import numpy as np
-    from .constraint import assemble
     from .dtn import verify_det_identity, verify_derivative_identity
-    poly = assemble(graph).determinant()
+    poly = mat.determinant()
     rng = np.random.default_rng(args.seed)
     worst_det = worst_deriv = 0.0
     for _ in range(args.samples):
@@ -279,6 +291,9 @@ def main(argv=None):
                                    "exponent-vector term per line")
     _add_graph_source(p)
     p.add_argument("--output", "-o", metavar="FILE")
+    p.add_argument("--stats", action="store_true",
+                   help="write the matrix sizes before and after elimination, the "
+                        "grid and the rounding certificate to stderr as one JSON line")
     p.set_defaults(func=_cmd_det, sub=p)
 
     p = sub.add_parser("roots", help="resonances in a rectangle (CSV)")

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .errors import NonConvergenceError
+
 # relative threshold below which a complex coefficient is treated as a
 # cancellation artifact and dropped
 PRUNE_REL = 1e-14
@@ -29,9 +31,10 @@ PRUNE_REL = 1e-14
 _BLOCK_ENTRIES = 1 << 15
 
 # a block of at most this many lanes (rows x points) is summed lane by lane in
-# Python complex arithmetic: about 0.16 us per lane and term, against about
-# 1.7 us per term for the four ufunc calls of the stacked sum up to 16 lanes
-# (84 terms, 2-core x86_64 host), so the crossover is near 10 lanes
+# Python complex arithmetic: about 0.14-0.16 us per lane and term, against
+# about 1.8-1.9 us per term for the four ufunc calls of the stacked sum at 16
+# lanes (11 and 84 terms, thread time, 2-core x86_64 host), so the crossover
+# is near 12 lanes before the lane path's fixed list conversions
 _LANE_LIMIT = 8
 
 
@@ -56,11 +59,11 @@ def _block_sums(isig, coef, kb):
     total = np.zeros(shape, dtype=complex)
     comp = np.zeros(shape, dtype=complex)
     t = np.empty(shape, dtype=complex)
-    for term in terms:
-        np.subtract(term, comp, out=comp)
-        np.add(total, comp, out=t)
-        np.subtract(t, total, out=total)
-        np.subtract(total, comp, out=comp)
+    for term in terms:  # out goes positionally, which numpy parses faster
+        np.subtract(term, comp, comp)
+        np.add(total, comp, t)
+        np.subtract(t, total, total)
+        np.subtract(total, comp, comp)
         total, t = t, total
     return total
 
@@ -237,6 +240,62 @@ class ExpPolynomial:
             re = [a * s for a, s in zip(re, sig)]
             im = [a * s for a, s in zip(im, sig)]
         return 0, 0j
+
+    @functools.cached_property
+    def strip_bound(self):
+        """Height K of a horizontal strip |Im k| <= K certain to hold every
+        zero.
+
+        Terms are grouped by their (rounded) real frequency; outside the strip
+        the extreme-frequency group dominates the sum of all the others in
+        modulus, so p cannot vanish there.  The changeover height is found by
+        bisection on the dominance inequality, separately below and above the
+        real axis.  Cached like origin_order, so every radius counted on one
+        polynomial shares it; the zero polynomial raises ValueError.
+        """
+        if self.is_zero():
+            raise ValueError("zero polynomial")
+        groups = {}
+        for vec, a in self.terms.items():
+            groups.setdefault(round(self.sigma_of(vec), 12), []).append(a)
+        sums = {s: abs(sum(parts)) for s, parts in groups.items()}
+        top = max(sums.values())
+        sums = {s: m for s, m in sums.items() if m > 1e-14 * top}
+        if len(sums) == 1:
+            return 0.0
+        sigmas = sorted(sums)
+
+        def changeover(pairs):
+            # pairs: [(gap<0 ... ), ...] dominance margin as a function of t
+            ext_m = pairs[0][1]
+            gaps, sizes = np.array(pairs[1:]).T
+
+            def dominated(t):
+                # accumulate adds left to right, where np.sum would add
+                # pairwise: K keeps the bits of a plain loop over pairs
+                return ext_m > np.add.accumulate(sizes * np.exp(gaps * t))[-1]
+
+            hi = 1.0
+            while not dominated(hi):
+                hi *= 2.0
+                if hi > 1e6:
+                    raise NonConvergenceError("no dominance height below 1e6")
+            lo = 0.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if dominated(mid):
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo <= 1e-12 * max(1.0, hi):
+                    break
+            return hi
+
+        s_hi = sigmas[-1]
+        below = [(0.0, sums[s_hi])] + [(s - s_hi, sums[s]) for s in sigmas[:-1]]
+        s_lo = sigmas[0]
+        above = [(0.0, sums[s_lo])] + [(s_lo - s, sums[s]) for s in sigmas[1:]]
+        return max(changeover(below), changeover(above))
 
     def _sums(self, k, rows):
         """The first `rows` of [p, p'] at k, by the term-stacked kernel: each

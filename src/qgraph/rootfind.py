@@ -1189,56 +1189,9 @@ def find_roots(p, region, tol=1e-8, stats=None):
 
 
 def strip_bound(p):
-    """Height K of a horizontal strip |Im k| <= K certain to hold every zero.
-
-    Terms are grouped by their (rounded) real frequency; outside the strip the
-    extreme-frequency group dominates the sum of all the others in modulus, so
-    p cannot vanish there.  The changeover height is found by bisection on the
-    dominance inequality, separately below and above the real axis.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    groups = {}
-    for vec, a in p.terms.items():
-        groups.setdefault(round(p.sigma_of(vec), 12), []).append(a)
-    sums = {s: abs(sum(parts)) for s, parts in groups.items()}
-    top = max(sums.values())
-    sums = {s: m for s, m in sums.items() if m > 1e-14 * top}
-    if len(sums) == 1:
-        return 0.0
-    sigmas = sorted(sums)
-
-    def changeover(pairs):
-        # pairs: [(gap<0 ... ), ...] dominance margin as a function of t
-        ext_m = pairs[0][1]
-        gaps, sizes = np.array(pairs[1:]).T
-
-        def dominated(t):
-            # accumulate adds left to right, where np.sum would add
-            # pairwise: K keeps the bits of a plain loop over pairs
-            return ext_m > np.add.accumulate(sizes * np.exp(gaps * t))[-1]
-
-        hi = 1.0
-        while not dominated(hi):
-            hi *= 2.0
-            if hi > 1e6:
-                raise NonConvergenceError("no dominance height below 1e6")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if dominated(mid):
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        return hi
-
-    s_hi = sigmas[-1]
-    below = [(0.0, sums[s_hi])] + [(s - s_hi, sums[s]) for s in sigmas[:-1]]
-    s_lo = sigmas[0]
-    above = [(0.0, sums[s_lo])] + [(s_lo - s, sums[s]) for s in sigmas[1:]]
-    return max(changeover(below), changeover(above))
+    """Height K of a horizontal strip |Im k| <= K certain to hold every zero
+    of p: ExpPolynomial.strip_bound, computed once per polynomial."""
+    return p.strip_bound
 
 
 def count_in_disc(p, radius, stats=None):

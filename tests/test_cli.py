@@ -16,6 +16,8 @@ from qgraph.cli import main
 from qgraph.errors import NonConvergenceError
 from qgraph.rootfind import RootStats, count_in_disc
 
+CLI_GRAPH = Path(__file__).resolve().parents[1] / "bench" / "graphs" / "cli_e5.json"
+
 TWO_ARC = {"vertices": ["v1", "v2"],
            "edges": [{"u": "v1", "v": "v2", "length": 1.0},
                      {"u": "v1", "v": "v2", "length": 1.5}],
@@ -285,6 +287,37 @@ def test_large_graphs_are_classified_and_refused_quickly(tmp_path):
         done = subprocess.run([sys.executable, "-m", "qgraph", *argv], capture_output=True,
                               text=True, env=package_env(), timeout=30)
         assert (done.returncode, done.stdout, done.stderr) == want
+
+
+def test_det_stats_line_leaves_stdout_alone(capsys):
+    """det --stats adds one JSON line of the expansion's sizes and rounding
+    certificate on stderr; stdout and the exit code stay as they are."""
+    argv = ["det", "--graph", str(CLI_GRAPH)]
+    rc, plain, err = run_main(argv, capsys)
+    assert (rc, err) == (0, "")
+    rc, out, err = run_main(argv + ["--stats"], capsys)
+    assert (rc, out) == (0, plain)
+    stats = json.loads(err)
+    assert list(stats) == ["size", "reduced", "points", "lu_matrices", "bound", "error"]
+    assert stats["size"] == 17 and stats["reduced"] < 17
+    assert (stats["points"], stats["lu_matrices"]) == (243, 122)
+    assert 0 < stats["error"] <= stats["bound"] < 0.25
+
+
+def test_oversized_graphs_are_refused_before_assembly(tmp_path, capsys, monkeypatch):
+    """Every command that expands the determinant checks the matrix size
+    V + 2E + L first, with the expansion's own message and exit code."""
+    def assemble(*args, **kwargs):
+        raise AssertionError("an oversized graph was assembled")
+
+    monkeypatch.setattr("qgraph.constraint.assemble", assemble)
+    path = _path_graph(tmp_path, 2000)
+    for argv in (["det", "--graph", path], ["count", "--graph", path, "--radius", "2"],
+                 ["roots", "--graph", path, "--re-min", "0", "--re-max", "1",
+                  "--im-min", "-1", "--im-max", "1"],
+                 ["dtn-check", "--graph", path]):
+        rc, out, err = run_main(argv, capsys)
+        assert (rc, out, err) == (2, "", "error: matrix size 5999 exceeds capacity 32\n")
 
 
 def test_edge_capacity_error_exit_two(tmp_path, capsys):

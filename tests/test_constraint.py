@@ -232,12 +232,14 @@ def test_interpolation_evaluates_half_the_grid(graph_family, monkeypatch):
         return det(batch)
 
     monkeypatch.setattr(np.linalg, "det", counting_det)
-    for g in graph_family:
-        m = assemble(g)
-        seen.clear()
-        got = m.determinant()
-        assert sum(seen) == (3 ** len(g.edges) + 1) // 2
-        assert_same_expansion(got, dp_determinant(m))
+    for direct in (constraint._DIRECT_POINTS, -1):  # LU on the minor, then on S
+        monkeypatch.setattr(constraint, "_DIRECT_POINTS", direct)
+        for g in graph_family:
+            m = assemble(g)
+            seen.clear()
+            got = m.determinant()
+            assert sum(seen) == (3 ** len(g.edges) + 1) // 2
+            assert_same_expansion(got, dp_determinant(m))
 
 
 @st.composite
@@ -309,8 +311,10 @@ def test_certificate_a_priori_bound_refused(monkeypatch):
     m = assemble(two_arc_fixture())
     monkeypatch.setattr(constraint, "CERT_SLACK", 1e15)
     refuse_grid(monkeypatch)
-    with pytest.raises(CapacityError, match="rounding bound"):
-        m.determinant()
+    for direct in (constraint._DIRECT_POINTS, -1):  # with and without elimination
+        monkeypatch.setattr(constraint, "_DIRECT_POINTS", direct)
+        with pytest.raises(CapacityError, match="rounding bound"):
+            m.determinant()
 
 
 def test_certificate_observed_error_refused(monkeypatch):
@@ -318,8 +322,10 @@ def test_certificate_observed_error_refused(monkeypatch):
     # evaluation carries, so the kernel must refuse, not round
     m = assemble(two_arc_fixture())
     monkeypatch.setattr(constraint, "CERT_SLACK", 0.0)
-    with pytest.raises(CapacityError, match="rounding error"):
-        m.determinant()
+    for direct in (constraint._DIRECT_POINTS, -1):  # with and without elimination
+        monkeypatch.setattr(constraint, "_DIRECT_POINTS", direct)
+        with pytest.raises(CapacityError, match="rounding error"):
+            m.determinant()
 
 
 def test_submatrix_argument_errors():

@@ -128,6 +128,25 @@ def test_strip_bound_contains_roots(graph_family):
         assert all(abs(r.k.imag) <= K + 1e-9 for r in roots)
 
 
+def test_strip_bound_is_computed_once_per_polynomial(monkeypatch):
+    """count_in_disc looks strip_bound up by name at every radius, and the
+    bisection runs on the first call only: its K is kept on the polynomial,
+    with the bits of a fresh computation."""
+    seen = []
+
+    def spy(p):
+        seen.append("strip_bound" in p.__dict__)
+        return strip_bound(p)
+
+    monkeypatch.setattr(rootfind, "strip_bound", spy)
+    p = det_poly(0.37)
+    reps = [rootfind.count_in_disc(p, R) for R in (2.0, 3.0, 4.0)]
+    assert seen == [False, True, True]
+    assert {r.strip_bound for r in reps} == {strip_bound(det_poly(0.37))}
+    with pytest.raises(ValueError, match="zero polynomial"):
+        strip_bound(ExpPolynomial((1.0,), {}))
+
+
 def test_count_in_disc_origin_flag():
     rep = count_in_disc(det_poly(0.0), 5.5)
     assert rep.count == 21
