@@ -6,7 +6,7 @@ files), 2 computation failure.  CSV output always carries a header row and
 prints floats with 17 significant digits, so identical invocations are
 byte-identical.  roots and count take --stats, which adds one JSON line of
 root-finder counters on stderr and leaves stdout as it is; det --stats adds
-one JSON line of the expansion's sizes and rounding certificate.  An empty
+one JSON line of the matrix sizes before and after elimination.  An empty
 -o, or an -o file that cannot be written, is refused before any work is
 done, and a graph whose matrix exceeds the expansion's capacity before it
 is assembled.
@@ -164,7 +164,7 @@ def _cmd_det(parser, args):
     mat = _assembled(parser, args)[1]
     _emit(args, [mat.determinant().dump()])
     if args.stats:
-        print(json.dumps(mat.certificate), file=sys.stderr)
+        print(json.dumps(mat.sizes), file=sys.stderr)
     return 0
 
 
@@ -292,8 +292,8 @@ def main(argv=None):
     _add_graph_source(p)
     p.add_argument("--output", "-o", metavar="FILE")
     p.add_argument("--stats", action="store_true",
-                   help="write the matrix sizes before and after elimination, the "
-                        "grid and the rounding certificate to stderr as one JSON line")
+                   help="write the matrix sizes before and after elimination to "
+                        "stderr as one JSON line")
     p.set_defaults(func=_cmd_det, sub=p)
 
     p = sub.add_parser("roots", help="resonances in a rectangle (CSV)")

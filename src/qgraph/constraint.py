@@ -12,12 +12,12 @@ divided out of the balance rows), gives a square homogeneous system
 Nontrivial solutions exist exactly where det A(k) = 0, and det A expands as an
 exponential polynomial whose exponent vectors live in {-1, 0, 1}^edges over
 the edge-length table: every matrix entry is a single monomial e^{+-ik rho}
-or a constant.  The expansion first removes every constant +-1 entry by
-exact integer elimination, which leaves a Schur complement of about E rows
-whose entries are integer Laurent polynomials in the edge phases
-z_e = e^{ik rho_e}.  It interpolates that on the grid of cube roots of unity
-in the z_e and rounds the integer coefficients under an error certificate;
-it is refused above CAPACITY or EDGE_CAPACITY.
+or a constant.  The expansion is exact, in integer arithmetic throughout: it
+first removes every constant +-1 entry by elimination, which leaves a Schur
+complement of about E rows whose entries are integer polynomials in the edge
+phases z_e = e^{ik rho_e}, then sums that complement's permutations column
+by column over row bitmasks.  It is refused above CAPACITY or
+EDGE_CAPACITY.
 
 Row and column orders are fixed once and for all, so det A has one
 well-defined sign.  Columns: vertex values, tail coefficients, head
@@ -35,15 +35,12 @@ from .exppoly import ExpPolynomial
 from .graph import incidence, require_valid
 
 CAPACITY = 32  # matrix size bound of the expansion
-EDGE_CAPACITY = 10  # bound on the edges that vary in a minor: 3^10 grid points
-CERT_SLACK = 4.0  # tolerance constant of the rounding certificate
-_EPS = np.finfo(float).eps
-_CHUNK = 729  # matrices per batched determinant call, keeps memory flat
-# a grid keeping at most this many points takes LU on the whole minor, where
-# eliminating costs more than the LU it saves: thread time on a 2-core x86_64
-# host, with over without elimination, was 1.4-1.6 for E = 3 graphs (14 kept
-# points), 0.95-1.2 for E = 4 (41) and 0.64-0.68 for E = 5 (122)
-_DIRECT_POINTS = 64
+# bound on the edges that vary in a minor, a bound on the work of the
+# elimination and of the DP on the Schur complement it leaves (about E + 1
+# rows when assembled): of 260 seeded multigraphs with 10 edges and up to 32
+# rows, 100 with edges flipped, the slowest took 0.29 s of thread time and the
+# median 0.08-0.10 s on a 2-core x86_64 host
+EDGE_CAPACITY = 10
 
 
 class ConstraintMatrix:
@@ -93,37 +90,14 @@ class ConstraintMatrix:
         powers of z_e over the columns and N_e - 1 their spreads, the minor
         times prod z_e^-lo_e has degree < N_e in z_e (N_e <= 3 when assembled:
         z_e has power 0 or 1 in the tail column of e, 0 or -1 in its head
-        column).  Each column c is divided by the z^low_c of its lowest
-        powers, which takes that factor out.  When the grid keeps more than
-        _DIRECT_POINTS points, _eliminate then pivots out every constant +-1
-        entry in integer arithmetic, leaving sign times the determinant of a
-        Schur complement S of order n' (about E when assembled) whose entries
-        are sums of monomials; on a smaller grid S is the minor itself.  S is
-        evaluated by batched LU on the grid of N_e-th roots of unity, one
-        unit-table lookup per monomial; an N_e-point DFT per axis gives the
-        coefficients, rounded to the integers they are.  The coefficients are
-        real integers, so the value at the grid point -t mod N is the
-        conjugate of the value at t: LU runs on one point of each conjugate
-        pair and on the self-conjugate points, (points + 1) / 2 of them on a
-        3^E grid.  self.certificate then holds the sizes n and n', the grid
-        points, the LU matrices, the bound and the observed error below.
-
-        Certificate: on the grid |z_e| = 1, so an entry of S is at most the
-        sum of its coefficients' moduli; the product H of the column norms
-        of those sums bounds det S and its cofactors (Hadamard).  An entry
-        of t monomials costs t - 1 roundings more than a single lookup, and
-        LU with partial pivoting returns det(S + dS)(1 + n' eps), |dS_c| <=
-        (g n' + t_c) eps |S_c| for pivot growth g and t_c such roundings in
-        column c, so by multilinearity a value is off by <= H(prod_c (1 +
-        (g n' + t_c) eps) - 1) ~ (g n'^2 + T) eps H, T being the monomials
-        beyond the first of each entry, and so is its conjugate, which is
-        the value at the mirror point; the DFT averages these and adds
-        ~log2(points) eps H.  CapacityError is raised unless bound =
-        CERT_SLACK eps H (n'^2 + T + log2(points) + 1), CERT_SLACK covering g
-        and the constants, is < 1/4 before the evaluation and covers the
-        observed max(|Re c - round(Re c)|, |Im c|) after it; LU on the whole
-        minor has T = 0.  This error model trusts LAPACK's pivot growth; the
-        observed check catches a breach.
+        column).  Each column is divided by the z-monomial of its lowest
+        powers, which takes that factor out, and _eliminate pivots out every
+        constant +-1 entry in integer arithmetic, leaving sign times the
+        determinant of a Schur complement of order n' (about E when
+        assembled) whose entries are integer polynomials.  _expand sums its
+        permutations column by column over row bitmasks, all in integer
+        arithmetic, so the coefficients are exact.  self.sizes then holds the
+        orders n and n'.  The terms come out sorted by exponent vector.
         """
         rows, cols = list(rows), list(cols)
         if len(rows) != len(cols):
@@ -131,71 +105,35 @@ class ConstraintMatrix:
                              "columns" % (len(rows), len(cols)))
         n, m = len(rows), len(self.lengths)
         check_capacity(n)
-        self.certificate = {"size": n, "reduced": n, "points": 0, "lu_matrices": 0,
-                            "bound": 0.0, "error": 0.0}
-        if n == 0:
-            return ExpPolynomial.constant(self.lengths, 1)
+        self.sizes = {"size": n, "reduced": n}
         rowpos = {r: i for i, r in enumerate(rows)}
         zero = (0,) * m
-        entries = [(rowpos[r], j, coef, delta or zero) for j, c in enumerate(cols)
-                   for r, coef, delta in self.columns[c] if r in rowpos]
-        i, j, coef, power = zip(*entries) if entries else ((),) * 4
-        starts = [s for s in range(len(j)) if not s or j[s] != j[s - 1]]
-        if len(starts) < n:  # an empty column
+        minor = [[(rowpos[r], coef, delta or zero) for r, coef, delta in self.columns[c]
+                  if r in rowpos] for c in cols]
+        if not all(minor):  # an empty column
             return ExpPolynomial.zero(self.lengths)
-        coef = np.array(coef)
-        if not np.all(coef == np.rint(coef.real)):
+        if not all(math.isfinite(a.real) and a == round(a.real)
+                   for col in minor for _, a, _ in col):
             raise ValueError("entry coefficients must be integers")
-        power = np.array(power, dtype=int).reshape(len(entries), m)
-        low = np.minimum.reduceat(power, starts)
-        lo, size = low.sum(axis=0), np.maximum.reduceat(power, starts).sum(axis=0) + 1
-        size -= lo
-        if np.count_nonzero(size > 1) > EDGE_CAPACITY:
+        low = [list(map(min, zip(*(p for _, _, p in col)))) for col in minor]
+        high = [list(map(max, zip(*(p for _, _, p in col)))) for col in minor]
+        lo = [sum(c[e] for c in low) for e in range(m)]
+        size = [sum(c[e] for c in high) - lo[e] + 1 for e in range(m)]
+        if sum(s > 1 for s in size) > EDGE_CAPACITY:
             raise CapacityError("more than %d edges vary in the minor" % EDGE_CAPACITY)
-        shape = tuple(size.tolist()) or (1,)  # no edges: one grid point
-        points = math.prod(shape)
-        # mirror[t] is the flat index of -t mod N; LU runs on the points kept
-        mirror = np.arange(points).reshape(shape)[
-            np.ix_(*(-np.arange(s) % s for s in shape))].ravel()
-        kept = np.flatnonzero(np.arange(points) <= mirror)
-        power -= low[np.array(j)]
-        if len(kept) > _DIRECT_POINTS:
-            sign, order, (i, j, coef, power, starts) = _eliminate(
-                n, zip(i, j, coef.real.astype(int).tolist()), power, int(size.max(initial=1)))
-        else:  # LU on the minor: each entry is one monomial
-            sign, order, i, j, starts = 1, n, np.array(i), np.array(j), np.arange(len(j))
-        sums = np.add.reduceat(abs(coef), starts) if coef.size else coef
-        hadamard = math.prod(np.sqrt(np.bincount(j, sums ** 2)).tolist())
-        bound = CERT_SLACK * _EPS * hadamard * (order * order + coef.size - len(starts)
-                                                 + math.log2(points) + 1)
-        if not bound < 0.25:
-            raise CapacityError("rounding bound %.3g is not below 1/4" % bound)
-        # z_e^p at grid index t_e is unit[p t_e period / N_e mod period]
-        period = math.lcm(*shape)
-        unit = np.exp(2j * np.pi * np.arange(period) / period)
-        phase = power * (period // size)
-        values = np.empty(points, dtype=complex)
-        for start in range(0, kept.size, _CHUNK):
-            index = kept[start:start + _CHUNK]
-            grid = np.array(np.unravel_index(index, shape))[:m]
-            batch = np.zeros((len(index), order, order), dtype=complex)
-            if coef.size:
-                terms = coef[:, None] * unit[phase @ grid % period]
-                batch[:, i, j] = np.add.reduceat(terms, starts).T
-            values[index] = np.linalg.det(batch)
-        paired = kept[kept < mirror[kept]]
-        values[mirror[paired]] = np.conj(values[paired])
-        coefs = np.fft.fftn(values.reshape(shape)) / (sign * points)
-        rounded = np.rint(coefs.real)
-        error = max(np.abs(coefs.real - rounded).max(), np.abs(coefs.imag).max())
-        self.certificate.update(reduced=order, points=points, lu_matrices=kept.size,
-                                bound=float(bound), error=float(error))
-        if not error <= bound:
-            raise CapacityError("rounding error %.3g exceeds its bound %.3g"
-                                % (error, bound))
-        exponents = map(tuple, (lo + np.argwhere(rounded)[:, :m]).tolist())
-        found = rounded[rounded != 0].astype(int).tolist()
-        return ExpPolynomial(self.lengths, dict(zip(exponents, found)))
+        # key k stands for t^k under z_e -> t^(2^(bits e)), a ring map, so
+        # adding keys multiplies monomials; every minor has z_e-degree below
+        # N_e <= 2^bits, so its keys are distinct and decode digit by digit
+        bits = (max(size, default=1) - 1).bit_length()
+        shifts = [bits * e for e in range(m)]
+        entries = [(i, j, int(a.real), sum((p - b) << s for p, b, s in zip(power, low[j], shifts)))
+                   for j, col in enumerate(minor) for i, a, power in col if a]
+        sign, schur, order = _eliminate(n, entries)
+        self.sizes["reduced"] = len(order)
+        digit = (1 << bits) - 1
+        found = sorted((tuple(b + (key >> s & digit) for b, s in zip(lo, shifts)), sign * a)
+                       for key, a in _expand(schur, order).items())
+        return ExpPolynomial(self.lengths, dict(found))
 
 
 def check_capacity(n):
@@ -209,30 +147,24 @@ def matrix_size(graph):
     return graph.n_vertices + 2 * len(graph.edges) + len(graph.leads)
 
 
-def _eliminate(n, entries, power, size):
+def _eliminate(n, entries):
     """Remove every constant +-1 entry of an n-square minor by exact elimination.
 
-    entries gives (row, col, coef) of each nonzero entry coef z^power[q] of
-    the minor, with powers >= 0 and every minor of degree < size in each z_e.
-    A row is held as {col: polynomial}, a polynomial as {key: coef}, the
-    integer key packing the exponent vector in digits below 2 size, so that
-    adding keys multiplies monomials.  The pivot is the constant +-1 entry of
-    least fill, the Markowitz cost (r - 1)(c - 1) for r and c entries in its
-    row and column, ties going to the first row, then column.  Every entry of
-    the Schur complement on +-1 pivots is a minor, and an update adds the
-    product of two, all in integer arithmetic.  The minor's determinant is
-    sign times that of the Schur complement left, returned as its order and
-    the arrays (row, col, coef, power, starts) of its monomials, grouped by
-    entry in row-major order, starts[q] being the first monomial of entry q.
+    entries gives (row, col, coef, key) of each nonzero entry coef z^key of
+    the minor, the integer key packing an exponent vector as in
+    submatrix_determinant.  A row is held as {col: polynomial}, a polynomial
+    as {key: coef}.  The pivot is the constant +-1 entry of least fill, the
+    Markowitz cost (r - 1)(c - 1) for r and c entries in its row and column,
+    ties going to the first row, then column.  Every entry of the Schur
+    complement on +-1 pivots is a minor, and an update adds the product of
+    two, all in integer arithmetic.  Returns sign, the rows left and the
+    columns left, both in their order in the minor, whose determinant is
+    sign times that of the Schur complement they hold.
     """
-    m, bits = power.shape[1], (2 * size - 2).bit_length()
-    big = np.int64 if bits * m < 63 else object
-    shifts = np.array([bits * e for e in range(m)], dtype=big)
-    keys = (power.astype(big) << shifts).sum(axis=1).tolist()
     rows = [{} for _ in range(n)]
     held = [set() for _ in range(n)]  # the rows with an entry in each column
     units = set()  # (row, col) of the constant +-1 entries
-    for (r, c, a), key in zip(entries, keys):
+    for r, c, a, key in entries:
         rows[r][c] = {key: a}
         held[c].add(r)
         if not key and a * a == 1:
@@ -275,18 +207,39 @@ def _eliminate(n, entries, power, size):
                     units.add((i, j))
                 else:
                     units.discard((i, j))
-    spots = {c: b for b, c in enumerate(live_cols)}
-    places, keys, coefs, starts = [], [], [], []
-    for a, r in enumerate(live_rows):
-        for c, poly in sorted(rows[r].items()):
-            places.append((a, spots[c]))
-            starts.append(len(keys))
-            keys += poly
-            coefs += poly.values()
-    power = (np.array(keys, dtype=big).reshape(-1, 1) >> shifts) & ((1 << bits) - 1)
-    i, j = np.array(places, dtype=int).reshape(-1, 2).T
-    return sign, len(live_rows), (i, j, np.array(coefs, dtype=float),
-                                  power.astype(int).reshape(len(coefs), m), starts)
+    return sign, [rows[r] for r in live_rows], live_cols
+
+
+def _expand(rows, cols):
+    """Determinant of the matrix rows[a][cols[b]], as {key: coef}.
+
+    Column by column, a state maps the bitmask of the rows used so far to
+    the minor on them and the columns done, a polynomial; placing row a in
+    the next column multiplies its term by the entry and by (-1)^(the used
+    rows below a).
+    """
+    states = {0: {0: 1}}
+    for c in cols:
+        support = [(1 << a, -2 << a, row[c]) for a, row in enumerate(rows) if c in row]
+        new = {}
+        for mask, poly in states.items():
+            for bit, below, entry in support:
+                if mask & bit:
+                    continue
+                target = new.setdefault(mask | bit, {})
+                odd = (mask & below).bit_count() & 1
+                for k1, a1 in poly.items():
+                    if odd:
+                        a1 = -a1
+                    for k2, a2 in entry.items():
+                        k = k1 + k2
+                        target[k] = target.get(k, 0) + a1 * a2
+        states = {}
+        for mask, poly in new.items():
+            poly = {k: a for k, a in poly.items() if a}
+            if poly:
+                states[mask] = poly
+    return states.get((1 << len(rows)) - 1, {})
 
 
 def _unit(m, e, s):

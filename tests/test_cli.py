@@ -290,18 +290,16 @@ def test_large_graphs_are_classified_and_refused_quickly(tmp_path):
 
 
 def test_det_stats_line_leaves_stdout_alone(capsys):
-    """det --stats adds one JSON line of the expansion's sizes and rounding
-    certificate on stderr; stdout and the exit code stay as they are."""
+    """det --stats adds one JSON line of the matrix sizes before and after
+    elimination on stderr; stdout and the exit code stay as they are."""
     argv = ["det", "--graph", str(CLI_GRAPH)]
     rc, plain, err = run_main(argv, capsys)
     assert (rc, err) == (0, "")
     rc, out, err = run_main(argv + ["--stats"], capsys)
     assert (rc, out) == (0, plain)
     stats = json.loads(err)
-    assert list(stats) == ["size", "reduced", "points", "lu_matrices", "bound", "error"]
+    assert list(stats) == ["size", "reduced"]
     assert stats["size"] == 17 and stats["reduced"] < 17
-    assert (stats["points"], stats["lu_matrices"]) == (243, 122)
-    assert 0 < stats["error"] <= stats["bound"] < 0.25
 
 
 def test_oversized_graphs_are_refused_before_assembly(tmp_path, capsys, monkeypatch):
@@ -322,7 +320,7 @@ def test_oversized_graphs_are_refused_before_assembly(tmp_path, capsys, monkeypa
 
 def test_edge_capacity_error_exit_two(tmp_path, capsys):
     # 11 parallel edges: a 24 x 24 matrix, inside the size bound, but more
-    # edges than the interpolation grid takes
+    # edges than the expansion takes
     payload = {"vertices": ["a", "b"],
                "edges": [{"u": "a", "v": "b", "length": 1.0 + 0.01 * j}
                          for j in range(11)],

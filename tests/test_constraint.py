@@ -189,7 +189,7 @@ def test_leading_block_circle():
     assert blk.terms == {(1, 1): -1}      # one lead, two incident edges
 
 
-# -- interpolation kernel against the bitmask-DP oracle ------------------------
+# -- the expansion against the bitmask-DP oracle -----------------------------
 
 def assert_same_expansion(p, q):
     assert p == q
@@ -219,27 +219,6 @@ def test_interpolation_matches_dp_on_minors(graph_family):
         cols = [c for c in range(m.n) if c != drop_c]
         assert_same_expansion(m.submatrix_determinant(rows, cols),
                               dp_submatrix_determinant(m, rows, cols))
-
-
-def test_interpolation_evaluates_half_the_grid(graph_family, monkeypatch):
-    """The value at -t mod N is the conjugate of the value at t, so a 3^E
-    grid takes LU on (3^E + 1) / 2 matrices: one point of each conjugate
-    pair and t = 0."""
-    det, seen = np.linalg.det, []
-
-    def counting_det(batch):
-        seen.append(len(batch))
-        return det(batch)
-
-    monkeypatch.setattr(np.linalg, "det", counting_det)
-    for direct in (constraint._DIRECT_POINTS, -1):  # LU on the minor, then on S
-        monkeypatch.setattr(constraint, "_DIRECT_POINTS", direct)
-        for g in graph_family:
-            m = assemble(g)
-            seen.clear()
-            got = m.determinant()
-            assert sum(seen) == (3 ** len(g.edges) + 1) // 2
-            assert_same_expansion(got, dp_determinant(m))
 
 
 @st.composite
@@ -289,43 +268,21 @@ def test_graph_without_edges():
     assert m.determinant().terms == {(): 2}
 
 
-# -- capacity and rounding certificate ----------------------------------------
-
-def refuse_grid(monkeypatch):
-    def det(*args, **kwargs):
-        raise AssertionError("the interpolation grid was evaluated")
-    monkeypatch.setattr(np.linalg, "det", det)
-
+# -- capacity ----------------------------------------------------------------
 
 def test_edge_capacity_refused_before_grid(monkeypatch):
+    """The edge bound refuses the minor before any expansion work."""
     g = MetricGraph(2, [(0, 1, 1.0 + 0.01 * i)
                         for i in range(constraint.EDGE_CAPACITY + 1)])
     m = assemble(g)
     assert m.n <= CAPACITY
-    refuse_grid(monkeypatch)
+
+    def eliminate(*args, **kwargs):
+        raise AssertionError("the minor was expanded")
+
+    monkeypatch.setattr(constraint, "_eliminate", eliminate)
     with pytest.raises(CapacityError, match="edges vary"):
         m.determinant()
-
-
-def test_certificate_a_priori_bound_refused(monkeypatch):
-    m = assemble(two_arc_fixture())
-    monkeypatch.setattr(constraint, "CERT_SLACK", 1e15)
-    refuse_grid(monkeypatch)
-    for direct in (constraint._DIRECT_POINTS, -1):  # with and without elimination
-        monkeypatch.setattr(constraint, "_DIRECT_POINTS", direct)
-        with pytest.raises(CapacityError, match="rounding bound"):
-            m.determinant()
-
-
-def test_certificate_observed_error_refused(monkeypatch):
-    # a zero tolerance leaves no room for the rounding error every real
-    # evaluation carries, so the kernel must refuse, not round
-    m = assemble(two_arc_fixture())
-    monkeypatch.setattr(constraint, "CERT_SLACK", 0.0)
-    for direct in (constraint._DIRECT_POINTS, -1):  # with and without elimination
-        monkeypatch.setattr(constraint, "_DIRECT_POINTS", direct)
-        with pytest.raises(CapacityError, match="rounding error"):
-            m.determinant()
 
 
 def test_submatrix_argument_errors():

@@ -1,11 +1,11 @@
-"""The exact +-1 elimination in front of the determinant's grid LU.
+"""The determinant's exact route: +-1 elimination, then a DP on what is left.
 
 ConstraintMatrix.submatrix_determinant pivots out every constant +-1 entry
-of the minor in integer arithmetic when its grid keeps more than
-constraint._DIRECT_POINTS points, and runs LU on the Schur complement left.
-These checks compare that route with the bitmask DP oracle, with LU on the
-whole minor (the route of smaller grids), and with numpy's LU at sample
-points, and check the certificate it reports.
+of the minor in integer arithmetic and expands the Schur complement left by
+a column-by-column DP over row bitmasks.  These checks compare that route
+with the bitmask DP oracle on the whole minor, by dump and by term order,
+and with numpy's LU at sample points, on assembled graphs and on
+hand-built matrices whose Schur complements keep entries other than +-1.
 """
 
 import json
@@ -17,34 +17,29 @@ import pytest
 from dp_oracle import dp_determinant, dp_submatrix_determinant
 from qgraph import constraint
 from qgraph.circle import build_graph, det_poly
-from qgraph.constraint import CAPACITY, EDGE_CAPACITY, assemble
+from qgraph.constraint import CAPACITY, EDGE_CAPACITY, ConstraintMatrix, assemble
 from qgraph.graph import MetricGraph, parse_graph, validate
 
 CLI_GRAPH = Path(__file__).resolve().parents[1] / "bench" / "graphs" / "cli_e5.json"
 
 
 def same_expansion(p, q):
-    return p == q and p.dump() == q.dump()
-
-
-@pytest.fixture
-def eliminate_always(monkeypatch):
-    """Take the elimination route on every grid, however small."""
-    monkeypatch.setattr(constraint, "_DIRECT_POINTS", -1)
+    """Equal polynomials with equal dumps, p's terms sorted by exponent vector."""
+    return p == q and p.dump() == q.dump() and list(p.terms) == sorted(q.terms)
 
 
 @pytest.mark.parametrize("flips", [(), (0,)])
 def test_bench_graphs_match_dp(bench_graphs, flips):
-    """The pool and the known failures (5 to 7 edges) take the elimination
-    route on their own, and shrink to at most 7 rows."""
+    """The pool and the known failures (5 to 7 edges) shrink to at most 7
+    rows."""
     for gid, g in bench_graphs.items():
         m = assemble(g, flip_edges=flips)
         got = m.determinant()
-        assert 5 <= m.certificate["reduced"] <= 7 < m.n, gid
+        assert 5 <= m.sizes["reduced"] <= 7 < m.n, gid
         assert same_expansion(got, dp_determinant(m)), gid
 
 
-def test_shuffled_row_cofactors_match_dp(graph_family, eliminate_always):
+def test_shuffled_row_cofactors_match_dp(graph_family):
     """Cofactors with their rows in a shuffled order: the determinant's sign
     follows the row order, so a wrong permutation sign in the elimination
     shows here."""
@@ -59,14 +54,14 @@ def test_shuffled_row_cofactors_match_dp(graph_family, eliminate_always):
             assert same_expansion(m.submatrix_determinant(rows, cols), want)
 
 
-def test_family_matches_dp_and_shrinks(graph_family, eliminate_always):
+def test_family_matches_dp_and_shrinks(graph_family):
     """With and without a flip, each family graph's expansion matches the
     oracle from a Schur complement of at most one row per edge, plus one."""
     for g in graph_family:
         for flips in ((), (0,)):
             m = assemble(g, flip_edges=flips)
             assert same_expansion(m.determinant(), dp_determinant(m))
-            assert m.certificate["reduced"] <= len(g.edges) + 1
+            assert m.sizes["reduced"] <= len(g.edges) + 1
 
 
 def _random_graphs(seed, count):
@@ -92,8 +87,7 @@ def _random_graphs(seed, count):
 
 def test_random_multigraphs_agree_with_lu_at_sample_points():
     """Up to CAPACITY rows and EDGE_CAPACITY edges, with parallel edges: the
-    expansion agrees with numpy's LU of the dense matrix, and its
-    certificate covers its observed error."""
+    expansion agrees with numpy's LU of the dense matrix."""
     rng = np.random.default_rng(7)
     graphs = _random_graphs(2501, 14)
     assert max(len(g.edges) for g in graphs) == EDGE_CAPACITY
@@ -102,40 +96,62 @@ def test_random_multigraphs_agree_with_lu_at_sample_points():
         m = assemble(g, flip_edges=[len(g.edges) - 1])
         assert m.n <= CAPACITY
         p = m.determinant()
-        assert m.certificate["error"] <= m.certificate["bound"] < 0.25
         for k in rng.uniform(-3, 3, 2) + 1j * rng.uniform(-0.5, 0.5, 2):
             lu = np.linalg.det(m.eval_matrix(k))
             scale = sum(abs(a * np.exp(1j * p.sigma_of(v) * k)) for v, a in p.terms.items())
             assert abs(p.eval(k) - lu) <= 1e-10 * scale
 
 
-def test_random_multigraphs_match_lu_on_the_whole_minor(monkeypatch):
-    """The two routes give the same expansion, term order included."""
-    for g in _random_graphs(2502, 12):
-        if len(g.edges) > 7:
-            continue
-        m = assemble(g)
-        monkeypatch.setattr(constraint, "_DIRECT_POINTS", -1)
-        eliminated = m.determinant()
-        monkeypatch.setattr(constraint, "_DIRECT_POINTS", 3 ** EDGE_CAPACITY)
-        direct = m.determinant()
-        assert same_expansion(eliminated, direct)
-        assert list(eliminated.terms) == list(direct.terms)
-
-
-def test_bench_certificates_cover_their_errors(bench_graphs):
-    """Every benchmark determinant (pool, known failures, the cli graph, the
-    circle) reports an a-priori bound below 1/4 that covers the rounding
-    error it observed."""
+def test_bench_graphs_shrink_and_the_circle_matches_det_poly(bench_graphs):
+    """Every benchmark determinant (pool, known failures, the cli graph)
+    expands from a Schur complement smaller than its matrix, and the
+    circle's assembled determinant is det_poly's."""
     mats = [assemble(g) for g in bench_graphs.values()]
     mats.append(assemble(parse_graph(json.loads(CLI_GRAPH.read_text()))))
     for m in mats:
         m.determinant()
-        cert = m.certificate
-        assert cert["size"] == m.n and cert["reduced"] < m.n
-        assert cert["lu_matrices"] == (cert["points"] + 1) // 2
-        assert 0 < cert["error"] <= cert["bound"] < 0.25
+        assert m.sizes["size"] == m.n and m.sizes["reduced"] < m.n
     for c in (0.0, 0.37, 1.0):
         m = assemble(build_graph(c))
         assert same_expansion(m.determinant(), det_poly(c))
-        assert 0 < m.certificate["error"] <= m.certificate["bound"] < 0.25
+
+
+def _hand_built(rng):
+    """A ConstraintMatrix of order 1 to 7 over a table of 0 to 3 lengths:
+    coefficients in +-{1, 2, 3}, deltas in {-1, 0, 1}^m on several edges at
+    once, some columns empty."""
+    n, m = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+    fill = rng.uniform(0.3, 0.8)
+    columns = []
+    for _ in range(n):
+        rows = np.flatnonzero(rng.random(n) < fill)
+        columns.append([(int(r), int(rng.choice([-3, -2, -1, 1, 2, 3])),
+                         tuple(int(d) for d in rng.integers(-1, 2, m))
+                         if m and rng.random() < 0.6 else None) for r in rows])
+    return ConstraintMatrix(n, (1.0, 1.3, 1.7)[:m], columns, [("r", i) for i in range(n)],
+                            [("c", j) for j in range(n)])
+
+
+def test_hand_built_matrices_match_dp(monkeypatch):
+    """Matrices assemble never builds: coefficients other than +-1 stay in
+    the Schur complement and meet the DP.  Each matrix and one minor of it
+    with shuffled rows match the oracle by dump and by term order."""
+    expand, wide = constraint._expand, []
+
+    def spy(rows, cols):
+        wide.append(any(a * a > 1 for row in rows for q in row.values() for a in q.values()))
+        return expand(rows, cols)
+
+    monkeypatch.setattr(constraint, "_expand", spy)
+    rng = np.random.default_rng(26)
+    empty = 0
+    for _ in range(400):
+        m = _hand_built(rng)
+        empty += not all(m.columns)
+        assert same_expansion(m.determinant(), dp_determinant(m))
+        size = int(rng.integers(0, m.n + 1))
+        rows = [int(r) for r in rng.permutation(m.n)[:size]]
+        cols = sorted(int(c) for c in rng.permutation(m.n)[:size])
+        assert same_expansion(m.submatrix_determinant(rows, cols),
+                              dp_submatrix_determinant(m, rows, cols))
+    assert empty > 20 and sum(wide) > 200
