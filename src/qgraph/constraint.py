@@ -14,9 +14,9 @@ exponential polynomial whose exponent vectors live in {-1, 0, 1}^edges over
 the edge-length table: every matrix entry is a single monomial e^{+-ik rho}
 or a constant.  The expansion is exact, in integer arithmetic throughout: it
 first removes every constant +-1 entry by elimination, which leaves a Schur
-complement of about E rows whose entries are integer polynomials in the edge
-phases z_e = e^{ik rho_e}, then sums that complement's permutations column
-by column over row bitmasks.  It is refused above CAPACITY or
+complement of about E + 1 rows whose entries are integer polynomials in the
+edge phases z_e = e^{ik rho_e}, then sums that complement's permutations
+column by column over row bitmasks.  It is refused above CAPACITY or
 EDGE_CAPACITY.
 
 Row and column orders are fixed once and for all, so det A has one
@@ -38,8 +38,8 @@ CAPACITY = 32  # matrix size bound of the expansion
 # bound on the edges that vary in a minor, a bound on the work of the
 # elimination and of the DP on the Schur complement it leaves (about E + 1
 # rows when assembled): of 260 seeded multigraphs with 10 edges and up to 32
-# rows, 100 with edges flipped, the slowest took 0.29 s of thread time and the
-# median 0.08-0.10 s on a 2-core x86_64 host
+# rows, 100 with edges flipped, none took over 0.29 s of thread time on a
+# 2-core x86_64 host
 EDGE_CAPACITY = 10
 
 
@@ -93,7 +93,7 @@ class ConstraintMatrix:
         column).  Each column is divided by the z-monomial of its lowest
         powers, which takes that factor out, and _eliminate pivots out every
         constant +-1 entry in integer arithmetic, leaving sign times the
-        determinant of a Schur complement of order n' (about E when
+        determinant of a Schur complement of order n' (about E + 1 when
         assembled) whose entries are integer polynomials.  _expand sums its
         permutations column by column over row bitmasks, all in integer
         arithmetic, so the coefficients are exact.  self.sizes then holds the
