@@ -32,9 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constraint import assemble
 from .errors import NonConvergenceError
-from .exppoly import ExpPolynomial
 # the family's graph is built in graph, which loads without numpy
 from .graph import build_circle_graph as build_graph
 
@@ -50,6 +48,9 @@ MIN_REFINE_STEP = 1e-5
 
 def det_poly(c):
     """Exact determinant expansion of the vertex-condition matrix at c."""
+    # imported here, so that tracing a curve compiles neither constraint nor
+    # exppoly
+    from .constraint import assemble
     return assemble(build_graph(c)).determinant()
 
 
@@ -82,6 +83,7 @@ def _derivative(sign, k, c):
 
 
 def _poly(sign, c):
+    from .exppoly import ExpPolynomial
     terms = {(1, 0): 0.5j, (-1, 0): 0.5j,
              (0, 1): _signed(sign, -0.5j), (0, -1): _signed(sign, 1.5j)}
     return ExpPolynomial((float(c) * math.pi, math.pi), terms)

@@ -11,8 +11,10 @@ one JSON line of the matrix sizes before and after elimination.  An empty
 done, and a graph whose matrix exceeds the expansion's capacity before it
 is assembled.
 
-Each subcommand imports the modules it runs when it runs, so validate and
-classify never load numpy.
+Each subcommand imports the modules it runs when it runs, so validate,
+classify and det never load numpy: the determinant is expanded and printed
+in integer arithmetic, and numpy loads only when something is evaluated.
+dtn-check and circle-verify refuse more than MAX_SAMPLES sample points.
 """
 
 import argparse
@@ -25,6 +27,11 @@ import sys
 from .errors import ComputationError
 from .graph import (GraphFormatError, build_circle_graph, classify_weyl,
                     load_graph, validate)
+
+# bound on --samples of dtn-check and circle-verify: a million points take
+# circle-verify about 1.2 s and 127 MiB, dtn-check about 3 minutes (2-core
+# x86_64 host); numpy could not even allocate 1e11 of them
+MAX_SAMPLES = 10 ** 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,6 +100,22 @@ def _add_graph_source(sub):
     sub.add_argument("--circle", metavar="C", type=float,
                      help="two-lead circle at surgery parameter C in [0,1] "
                           "instead of a file")
+
+
+def _check_sampling(parser, args):
+    if args.samples < 1:
+        parser.error("--samples must be positive")
+    if args.samples > MAX_SAMPLES:
+        parser.error("--samples must be at most %d" % MAX_SAMPLES)
+    if args.seed < 0:
+        parser.error("--seed must not be negative")
+
+
+def _add_sampling(sub, samples):
+    sub.add_argument("--samples", type=int, default=samples,
+                     help="random sample points, at most %d (default %d)"
+                          % (MAX_SAMPLES, samples))
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_stats_flag(sub):
@@ -218,10 +241,7 @@ def _cmd_count(parser, args):
 
 
 def _cmd_dtn_check(parser, args):
-    if args.samples < 1:
-        parser.error("--samples must be positive")
-    if args.seed < 0:
-        parser.error("--seed must not be negative")
+    _check_sampling(parser, args)
     graph, mat = _assembled(parser, args)
     import numpy as np
     from .dtn import verify_det_identity, verify_derivative_identity
@@ -260,10 +280,7 @@ def _cmd_circle_curve(parser, args):
 def _cmd_circle_verify(parser, args):
     if not 0.0 <= args.c < 1.0:
         parser.error("--c must lie in [0, 1)")
-    if args.samples < 1:
-        parser.error("--samples must be positive")
-    if args.seed < 0:
-        parser.error("--seed must not be negative")
+    _check_sampling(parser, args)
     from . import circle
     rep = circle.verify_factorization(args.c, n_samples=args.samples,
                                       seed=args.seed)
@@ -318,8 +335,7 @@ def main(argv=None):
                        help="residuals of the two Dirichlet-to-Neumann "
                             "determinant identities at random sample points")
     _add_graph_source(p)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling(p, 10)
     p.set_defaults(func=_cmd_dtn_check, sub=p)
 
     p = sub.add_parser("circle-curve",
@@ -335,8 +351,7 @@ def main(argv=None):
                        help="factorization residual of the circle "
                             "determinant against the parity components")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sampling(p, 50)
     p.set_defaults(func=_cmd_circle_verify, sub=p)
 
     args = parser.parse_args(argv)

@@ -28,8 +28,6 @@ all balance rows, the one of vertex v being row 2E + L + v.
 
 import math
 
-import numpy as np
-
 from .errors import CapacityError
 from .exppoly import ExpPolynomial
 from .graph import incidence, require_valid
@@ -72,6 +70,7 @@ class ConstraintMatrix:
 
     def eval_matrix(self, k):
         """Dense complex matrix A(k)."""
+        import numpy as np
         m = np.zeros((self.n, self.n), dtype=complex)
         for c, col in enumerate(self.columns):
             for r, coef, delta in col:

@@ -12,13 +12,15 @@ never rounded: two terms collide exactly when their integer vectors are equal.
 Coefficients are kept as Python ints while they stay integral (the determinant
 expansion of a constraint matrix is integer in the half-length variables) and
 become complex as soon as any operand does.
+
+Building, multiplying and dumping a polynomial is plain Python; numpy loads
+on the first evaluation (eval, eval_pair, size_table, strip_bound), so a
+process that only expands and prints a determinant never imports it.
 """
 
 import cmath
 import functools
 import math
-
-import numpy as np
 
 from .errors import NonConvergenceError
 
@@ -38,8 +40,9 @@ _BLOCK_ENTRIES = 1 << 15
 _LANE_LIMIT = 8
 
 
-def _block_sums(isig, coef, kb):
-    """The (rows, points) Kahan sums of one block of ExpPolynomial._sums.
+def _block_sums(np, isig, coef, kb):
+    """The (rows, points) Kahan sums of one block of ExpPolynomial._sums,
+    which passes the numpy module it imported once per evaluation as np.
 
     The terms coef * exp(isig k) are formed in numpy.  Each step
     y = term - comp, t = total + y, comp = (t - total) - y, total = t then
@@ -189,6 +192,7 @@ class ExpPolynomial:
         """The array kernel's operands, in dump order: the factors i*sigma,
         shape (terms,), and the coefficients [a, a * (i sigma)] of the value
         and derivative terms, shape (terms, 2, 1)."""
+        import numpy as np
         isig = [1j * s for _, s in self._table]
         coef = np.array([[a, a * w] for (a, _), w in zip(self._table, isig)], dtype=complex)
         return np.array(isig, dtype=complex), coef.reshape(-1, 2, 1)
@@ -198,6 +202,7 @@ class ExpPolynomial:
         """(sigma_r, |a_r|) as float arrays in ``terms`` order, so that
         a sum over them runs in the order of a loop over ``terms``; the size
         of term r at k is |a_r| e^{-sigma_r Im k}."""
+        import numpy as np
         sigmas = [self.sigma_of(vec) for vec in self.terms]
         return (np.array(sigmas, dtype=float),
                 np.array([abs(a) for a in self.terms.values()], dtype=float))
@@ -255,6 +260,7 @@ class ExpPolynomial:
         """
         if self.is_zero():
             raise ValueError("zero polynomial")
+        import numpy as np
         groups = {}
         for vec, a in self.terms.items():
             groups.setdefault(round(self.sigma_of(vec), 12), []).append(a)
@@ -309,12 +315,13 @@ class ExpPolynomial:
         else in one (rows, points) accumulator.  A single point is a block
         of one point, so it gets the bits of the same point in an array.
         """
+        import numpy as np
         karr = np.asarray(k, dtype=complex)
         flat = karr.ravel()
         isig, coef = self._stack
         coef = coef[:, :rows]
         step = max(1, _BLOCK_ENTRIES // max(1, isig.size))
-        blocks = [_block_sums(isig, coef, flat[lo:lo + step])
+        blocks = [_block_sums(np, isig, coef, flat[lo:lo + step])
                   for lo in range(0, max(1, flat.size), step)]
         vals = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         if karr.shape == ():

@@ -1,10 +1,13 @@
 """Small-graph oracle for the determinant expansion: the column-by-column
-dynamic program over row bitmasks that qgraph used before it switched to
-interpolation on the edge-phase torus.
+dynamic program over row bitmasks, run on the whole assembled matrix.
 
-Its cost grows with the number of row subsets, so it is only fit for the
-small graphs of the test suite.  All coefficient arithmetic is integer, so
-its result is exact and independent of the floating-point kernel it checks.
+qgraph's expansion first pivots out every constant +-1 entry (_eliminate)
+and then runs a DP of this kind on the Schur complement left, on packed
+integer keys.  This oracle skips the elimination and keeps exponent vectors
+as tuples, so it shares neither the pivoting, the sign it carries, nor the
+key packing with the route it checks.  Its cost grows with the number of row
+subsets of the full matrix, so it is only fit for the small graphs of the
+test suite.  All coefficient arithmetic is integer, so its result is exact.
 """
 
 from qgraph.exppoly import ExpPolynomial

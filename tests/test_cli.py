@@ -12,7 +12,7 @@ import pytest
 
 import qgraph
 from qgraph.circle import det_poly
-from qgraph.cli import main
+from qgraph.cli import MAX_SAMPLES, main
 from qgraph.errors import NonConvergenceError
 from qgraph.rootfind import RootStats, count_in_disc
 
@@ -445,6 +445,25 @@ def test_failed_computation_leaves_output_alone(tmp_path, monkeypatch, capsys):
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize("command", [["dtn-check", "--circle", "0.5"],
+                                     ["circle-verify", "--c", "0.5"]])
+def test_too_many_samples_refused_before_sampling(command, monkeypatch, capsys):
+    """--samples above MAX_SAMPLES is a usage error, refused before any
+    matrix is assembled or point drawn (1e11 points ended in a traceback
+    from numpy's allocator).  The work itself is stubbed out, so only the
+    refusal runs here; MAX_SAMPLES itself gets past the check."""
+    def called(*args, **kwargs):
+        raise AssertionError("sampled before the --samples check")
+    monkeypatch.setattr(qgraph.constraint, "assemble", called)
+    monkeypatch.setattr(qgraph.circle, "verify_factorization", called)
+    for samples in (MAX_SAMPLES + 1, 10 ** 11):
+        err = usage_error(command + ["--samples", str(samples)], capsys)
+        assert err.splitlines()[-1] == "qgraph %s: error: --samples must be at most %d" % (
+            command[0], MAX_SAMPLES)
+    with pytest.raises(AssertionError, match="before the --samples check"):
+        main(command + ["--samples", str(MAX_SAMPLES)])
+
+
 def test_huge_disc_is_a_computation_error(capsys):
     """A disc too large to sample fails as a computation, exit code 2 and
     one error line, in process and from python -m qgraph alike: its outer
@@ -622,20 +641,28 @@ SUBMODULES = sorted("qgraph." + path.stem
                     if path.stem != "__init__")
 # numpy.ma is not needed either, and its import takes about 16 ms
 NOT_FOR_DET = ["qgraph.dtn", "qgraph.circle", "numpy.ma"]
+# det expands and prints in integer arithmetic
+NOT_FOR_DUMP = NOT_FOR_DET + ["numpy"]
 
 
 @pytest.mark.parametrize("argv, banned", [
     (None, ["numpy"] + SUBMODULES),
     (["validate", "--graph", "GRAPH"], ["numpy"]),
     (["classify", "--circle", "1"], ["numpy"]),
-    (["det", "--graph", "GRAPH"], NOT_FOR_DET),
+    (["det", "--graph", "GRAPH"], NOT_FOR_DUMP),
+    (["det", "--graph", "GRAPH", "--stats"], NOT_FOR_DUMP),
     (ROOTS_BOX, NOT_FOR_DET),
     (["count", "--circle", "0", "--radius", "5"], NOT_FOR_DET),
+    (["circle-curve", "--parity", "even", "--n", "4", "--c-steps", "40"],
+     ["qgraph.constraint", "qgraph.exppoly", "qgraph.rootfind", "qgraph.dtn"]),
 ])
 def test_each_command_loads_only_what_it_runs(argv, banned, tmp_path):
     """import qgraph loads no submodule; validate and classify look only at
-    the graph and start without numpy; the determinant commands leave the
-    DtN and circle modules and numpy.ma alone."""
+    the graph, and det, with or without --stats, only expands and prints
+    the determinant, so all three start without numpy; roots and count
+    leave the DtN and circle modules and numpy.ma alone; circle-curve
+    traces its closed-form components without the determinant, root
+    finding or DtN modules."""
     graph = write_graph(tmp_path, TWO_ARC)
     if argv is not None:
         argv = [graph if a == "GRAPH" else a for a in argv]
@@ -644,6 +671,46 @@ def test_each_command_loads_only_what_it_runs(argv, banned, tmp_path):
     assert "qgraph" in names
     assert [m for m in names
             if any(m == b or m.startswith(b + ".") for b in banned)] == []
+
+
+# Run in a fresh interpreter with argv [graph file, "lazy" or "eager"]: the
+# expansion and dump, then each evaluation, every float in hex; "eager"
+# imports numpy before anything else.
+FIRST_USE = """
+import json, sys
+if sys.argv[2] == "eager":
+    import numpy
+from qgraph.constraint import assemble
+from qgraph.graph import load_graph
+mat = assemble(load_graph(sys.argv[1]))
+poly = mat.determinant()
+report = {"dump": poly.dump(), "numpy_after_dump": "numpy" in sys.modules}
+ks = [0.7 + 0.9j, -2.3 + 0.4j, 3.1 - 1.7j]
+hexes = lambda zs: [[z.real.hex(), z.imag.hex()] for z in map(complex, zs)]
+report["eval"] = hexes(poly.eval(k) for k in ks)
+report["eval_array"] = hexes(poly.eval(ks))
+report["eval_pair"] = [hexes(poly.eval_pair(k)) for k in ks]
+report["strip_bound"] = poly.strip_bound.hex()
+report["size_table"] = [[float(x).hex() for x in col] for col in poly.size_table]
+report["eval_matrix"] = [hexes(mat.eval_matrix(k).ravel()) for k in ks]
+print(json.dumps(report))
+"""
+
+
+def test_first_evaluation_loads_numpy_and_keeps_the_bits():
+    """Expanding and dumping a determinant loads no numpy; the first
+    evaluation loads it, and every result has the bits it has in a process
+    that imported numpy first."""
+    def run(mode):
+        done = subprocess.run([sys.executable, "-c", FIRST_USE, str(CLI_GRAPH), mode],
+                              capture_output=True, text=True, env=package_env())
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    lazy, eager = run("lazy"), run("eager")
+    assert not lazy.pop("numpy_after_dump")
+    assert eager.pop("numpy_after_dump")
+    assert lazy == eager
 
 
 # Run in a fresh interpreter, so that every export is resolved by the package

@@ -198,12 +198,17 @@ def assert_same_expansion(p, q):
 
 @pytest.mark.parametrize("flips", [(), (0,)])
 def test_interpolation_matches_dp(graph_family, flips):
+    """The exact route (elimination of the +-1 entries, then the DP on the
+    Schur complement) gives the oracle's terms, with or without a flipped
+    edge.  The name is older than the route."""
     for g in graph_family:
         m = assemble(g, flip_edges=flips)
         assert_same_expansion(m.determinant(), dp_determinant(m))
 
 
 def test_interpolation_matches_dp_on_minors(graph_family):
+    """The exact route on minors (the empty one, hand-picked ones and one
+    cofactor per family graph) gives the oracle's terms."""
     m = assemble(two_arc_fixture())
     assert_same_expansion(m.determinant(), dp_determinant(m))
     for rows, cols in (([0, 3], [2, 4]), ([], []), ([5, 6, 3], [2, 5, 1])):
@@ -243,6 +248,8 @@ def small_graphs(draw):
 # the DP oracle give 0 there, and numpy's LU returned NaN
 @example(case=(MetricGraph(2, [(0, 1, 1.0)] * 4, leads=[]), [2]), k=2.2250738585e-313 + 0j)
 def test_interpolation_matches_dp_and_lu_random(case, k):
+    """On random small multigraphs the exact route gives the oracle's
+    terms, and its value at k matches the oracle's and numpy's LU of A(k)."""
     g, flips = case
     m = assemble(g, flip_edges=flips)
     p = m.determinant()
@@ -271,7 +278,9 @@ def test_graph_without_edges():
 # -- capacity ----------------------------------------------------------------
 
 def test_edge_capacity_refused_before_grid(monkeypatch):
-    """The edge bound refuses the minor before any expansion work."""
+    """The edge bound refuses the minor before any expansion work: the
+    elimination, the exact route's first step, is never reached.  (The name
+    is older than the route: no grid is left.)"""
     g = MetricGraph(2, [(0, 1, 1.0 + 0.01 * i)
                         for i in range(constraint.EDGE_CAPACITY + 1)])
     m = assemble(g)

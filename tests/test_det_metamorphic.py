@@ -18,7 +18,31 @@ column order of the assembly predicts:
   number of edges after i with an endpoint at h.  The factor 2 is the
   determinant of the new vertex's three rows on its three new unknowns;
   the sign counts the columns and the row of (w, h) at h moved past others
-  to bring the matrix back to the old order.
+  to bring the matrix back to the old order;
+* hanging a pendant edge: moving lead j from vertex u to a new last vertex
+  w, joined to u by a new last edge (u, w) with phase z = e^{ik rho},
+  multiplies it by 2 (-1)^(E + N + m) z^-1, with E edges and N leads before
+  the change and m the leads at u listed before j.  This one is checked
+  term by term, exactly: every old term, with exponent -1 appended for the
+  new edge, times that integer.
+
+The pendant's factor.  Write a, b for the new edge's tail and head
+coefficients, g for lead j's amplitude and x for the value at w.  Three of
+the new rows hold only new unknowns: the head row of the new edge at w,
+z a + z^-1 b - x, the lead row of j at w, g - x, and the balance row of w,
+-z a + z^-1 b + g.  The fourth, the new edge's tail row at u, a + b - z_u,
+stands where j's old lead row g - z_u stood, and a enters the balance row
+of u with +1 as g did; b enters only these two rows of u.  So with a in the
+place of g, and the tail row in the place of the old lead row, the rows and
+columns that are not new give A itself, and the block of the three rows
+above on (x, b, g) has determinant 2 z^-1.  Its Schur complement is A,
+since solving that block against a's column (z, 0, -z) gives b = 0, and b
+is the only one of x, b, g in the old rows.  The sign is that of the moves
+into this block order.  Columns: x past 2E + N + 2 columns to the end, b
+past N + 1, g past N - j + 1, then a back past the E head columns and the
+j leads before it: 3E + 3N + 4, of parity E + N.  Rows: the two rows of w
+pass the V balance rows together (even), and the new tail row, which
+follows the edge rows at u, passes the m lead rows at u before j.
 """
 
 import numpy as np
@@ -113,3 +137,26 @@ def test_splitting_an_edge_doubles_the_determinant_up_to_sign(graph_family):
         assert abs(r - 2 * (-1) ** (len(edges) + len(g.leads) + later)) <= 1e-9
         signs.add(round(r.real))
     assert signs == {-2, 2}
+
+
+def test_hanging_a_pendant_edge_doubles_each_term_up_to_sign(graph_family):
+    rng = np.random.default_rng(65)
+    signs = set()
+    hung = 0
+    for g in graph_family:
+        leads = _leads(g)
+        if not leads:
+            continue
+        j = int(rng.integers(len(leads)))
+        u, w = leads[j], g.n_vertices
+        pendant = MetricGraph(w + 1, _edges(g) + [(u, w, float(rng.uniform(0.5, 2.0)))],
+                              leads=leads[:j] + [w] + leads[j + 1:])
+        before = sum(v == u for v in leads[:j])
+        factor = 2 * (-1) ** (len(g.edges) + len(leads) + before)
+        old = assemble(g).determinant().terms
+        new = assemble(pendant).determinant().terms
+        assert all(type(a) is int for a in new.values())
+        assert list(new.items()) == [(vec + (-1,), factor * a) for vec, a in old.items()]
+        signs.add(factor)
+        hung += 1
+    assert hung >= 30 and signs == {-2, 2}
