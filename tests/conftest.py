@@ -34,8 +34,7 @@ def _random_graph(rng):
     return MetricGraph(len(used), edges, leads=leads)
 
 
-@pytest.fixture(scope="session")
-def graph_family():
+def make_graph_family():
     """50 random small graphs (at most 4 edges, 3 leads, lengths in [0.5, 2]),
     all validation-clean, with a fair share of balanced vertices."""
     rng = np.random.default_rng(20260822)
@@ -47,12 +46,23 @@ def graph_family():
     return family
 
 
-@pytest.fixture(scope="session")
-def bench_graphs():
+def load_bench_graphs():
     """The benchmark's graph pool and known failures, by id, in file order."""
     doc = json.loads(BENCH_POOL.read_text())
     return {item["id"]: parse_graph(item["graph"]) for key in ("pool", "known_failures")
             for item in doc[key]}
+
+
+@pytest.fixture(scope="session")
+def graph_family():
+    """make_graph_family, built once per session."""
+    return make_graph_family()
+
+
+@pytest.fixture(scope="session")
+def bench_graphs():
+    """load_bench_graphs, read once per session."""
+    return load_bench_graphs()
 
 
 @pytest.fixture(scope="session")
