@@ -71,9 +71,14 @@ split for real are split together: their child boundaries are refined
 together, with one value-and-derivative pass (ExpPolynomial.eval_pair)
 per refinement round, and the Newton iterations, the zero polishes and
 the noise-floor probes of a level share one pass per step.  Every
-decision is still taken per boundary and per cell with the arithmetic of
-a one-at-a-time search, so the zeros found do not depend on which cells
-are evaluated together.
+decision is still taken per boundary and per cell.  Only the last bits of
+the phase prefix sums that _gather lays over the sides of the cells it
+gathers together depend on the batch, and with them the phase totals of
+inherited halves and the located zeros' estimates.  A winding reads its
+phase total only through round(total / 2 pi) within a 1-radian margin,
+and a located zero only decides which children a split keeps, with
+margins of 1e-6 of the cell (see _pick), so the windings and the zeros
+found do not depend on which cells are evaluated together.
 
 Boundary refinement works on a worklist of bad segments (see
 winding_numbers): each round bisects, evaluates and tests only the segments
@@ -222,12 +227,6 @@ def _samples(p, z):
     return out
 
 
-def _ranges(starts, stops):
-    """The indices starts[i]:stops[i] for every i, concatenated."""
-    lens = stops - starts
-    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
-
-
 # Straight lines, sides of rectangle boundaries, as polylines in flat
 # arrays.  Line s holds samples off[s]:off[s + 1], both its ends included,
 # which are the columns of data: t, arg p, |p'/p| and |p|.  Every sample,
@@ -280,7 +279,7 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
 
     Returns (windings, refined): an int or a BoundaryZeroSuspected per
     boundary, as winding_numbers, and (off, data, inserted), the sides of
-    lines and the midpoints that refinement inserted, which _Sides turns
+    lines and the midpoints that refinement inserted, which _sides turns
     into the refined sides.  evaluated and reused are the samples of lines
     that the caller evaluated and inherited, for stats.
     """
@@ -381,82 +380,64 @@ def _wind(p, lines, bside, bsign, rects, max_rounds, max_points, stats, evaluate
     return out, (off, data, inserted)
 
 
-class _Sides:
-    """Refined sides of cells, kept for their children to inherit.
+def _sides(refined, bside, bsign):
+    """The refined sides bside, bsign of some boundaries of _wind (see
+    there), kept for their cells' children to inherit, from the (off, data,
+    inserted) that it returns: the lines off, data with the midpoints
+    inserted, in order along each line.  inserted holds (root, mids) per
+    round, mids the columns of the midpoints and root the sample that
+    starts the segment of off, data that each midpoint subdivides.
 
-    Four sides per cell, bottom, right, top and left, each a polyline that
-    runs counterclockwise from corner to corner, both included; side s
-    holds samples off[s]:off[s + 1], the columns of data.  The rows of data
-    are t, the coordinate along the side signed to grow counterclockwise
-    (x, y, -x, -y on the four sides), arg p, |p'/p| and |p|.
+    Returns one (lens, data) per boundary: its four sides, bottom, right,
+    top and left, each a polyline that runs counterclockwise from corner to
+    corner, both included, lens[s] samples long, one after another in the
+    columns of data.  The rows of data are t, the coordinate along the side
+    signed to grow counterclockwise (x, y, -x, -y on the four sides), arg p,
+    |p'/p| and |p|.
     """
-    __slots__ = ("off", "data")
-
-    def __init__(self, refined, bside, bsign):
-        """The sides bside, bsign of some boundaries of _wind (see there),
-        from the (off, data, inserted) that it returns: the lines off, data
-        with the midpoints inserted, in order along each line.  inserted
-        holds (root, mids) per round, mids the columns of the midpoints and
-        root the sample that starts the segment of off, data that each
-        midpoint subdivides."""
-        off, data, inserted = refined
-        if inserted:
-            root = np.concatenate([r for r, _ in inserted])
-            mids = np.concatenate([m for _, m in inserted], axis=1)
-            order = np.lexsort((mids[0], root))
-            n = data.shape[1]
-            # shift[i]: the midpoints that go before sample i
-            shift = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(root, minlength=n), out=shift[1:])
-            # the columns of data, then of the midpoints in order, in merged order
-            src = np.empty(n + root.size, dtype=np.intp)
-            at = root[order] + 1 + np.arange(root.size)
-            src[at] = np.arange(n, n + root.size)
-            old = np.ones(src.size, dtype=bool)
-            old[at] = False
-            src[old] = np.arange(n)
-            data = np.take(np.concatenate([data, np.take(mids, order, axis=1)], axis=1), src,
-                           axis=1)
-            off = off + shift[off]
-        es = bside.ravel()
-        lens = (off[1:] - off[:-1])[es]
-        self.off = np.concatenate([[0], np.cumsum(lens)])
-        # a side that the boundary runs backwards is stored reversed
-        back = bsign.ravel() < 0
-        step = np.where(back, -1, 1)
-        src = np.repeat(np.where(back, off[es + 1] - 1, off[es]) - self.off[:-1] * step, lens)
-        step = np.repeat(step, lens)
-        src += np.arange(src.size) * step
-        self.data = np.take(data, src, axis=1)
-        self.data[0] *= step
-
-
-def _take(off, data, cells):
-    """The sides of the given cells of (off, data) in flat arrays:
-    (side lengths, data)."""
-    bounds = off[4 * np.asarray(cells)[:, None] + np.arange(5)]
-    cols = np.take(data, _ranges(bounds[:, 0], bounds[:, 4]), axis=1)
-    return np.diff(bounds, axis=1).ravel(), cols
+    off, data, inserted = refined
+    if inserted:
+        root = np.concatenate([r for r, _ in inserted])
+        mids = np.concatenate([m for _, m in inserted], axis=1)
+        order = np.lexsort((mids[0], root))
+        n = data.shape[1]
+        # shift[i]: the midpoints that go before sample i
+        shift = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(root, minlength=n), out=shift[1:])
+        # the columns of data, then of the midpoints in order, in merged order
+        src = np.empty(n + root.size, dtype=np.intp)
+        at = root[order] + 1 + np.arange(root.size)
+        src[at] = np.arange(n, n + root.size)
+        old = np.ones(src.size, dtype=bool)
+        old[at] = False
+        src[old] = np.arange(n)
+        data = np.take(np.concatenate([data, np.take(mids, order, axis=1)], axis=1), src, axis=1)
+        off = off + shift[off]
+    es = bside.ravel()
+    lens = (off[1:] - off[:-1])[es]
+    start = np.concatenate([[0], np.cumsum(lens)])
+    # a side that the boundary runs backwards is laid out reversed
+    back = bsign.ravel() < 0
+    step = np.where(back, -1, 1)
+    src = np.repeat(np.where(back, off[es + 1] - 1, off[es]) - start[:-1] * step, lens)
+    step = np.repeat(step, lens)
+    src += np.arange(src.size) * step
+    out = np.take(data, src, axis=1)
+    out[0] *= step
+    return [(n, out[:, a:b]) for n, a, b in zip(lens.reshape(-1, 4), start[:-1:4], start[4::4])]
 
 
 def _gather(sides):
-    """The sides of cells, one (_Sides, slot) per cell, as one (off, data).
-    data has the rows of _Sides.data and cum, the phase steps summed along
-    each side from its first sample, so that the step of a stretch of side
-    is one subtraction."""
-    lens, cols = [], []
-    start = 0
-    for k in range(1, len(sides) + 1):
-        if k == len(sides) or sides[k][0] is not sides[start][0]:
-            store = sides[start][0]
-            n, d = _take(store.off, store.data, [slot for _, slot in sides[start:k]])
-            lens.append(n)
-            cols.append(d)
-            start = k
-    lens = np.concatenate(lens)
+    """The sides of cells, one (lens, data) of _sides per cell, in the
+    order given, as one (off, data).  data has the rows of theirs and cum,
+    the phase steps summed along each side from its first sample, so that
+    the step of a stretch of side is one subtraction.  cum is summed over
+    the whole batch and offset by each side's start, so its bits depend on
+    the cells gathered with it."""
+    lens = np.concatenate([n for n, _ in sides])
     off = np.concatenate([[0], np.cumsum(lens)])
     data = np.empty((5, off[-1]))
-    np.concatenate(cols, axis=1, out=data[:4])
+    np.concatenate([d for _, d in sides], axis=1, out=data[:4])
     d = (np.diff(data[1]) + np.pi) % (2 * np.pi) - np.pi
     d[off[1:-1] - 1] = 0.0
     cum = data[4]
@@ -467,7 +448,7 @@ def _gather(sides):
 
 
 def _windings(p, rects, max_rounds, max_points, stats):
-    """winding_numbers on fresh sides, and the arguments of _Sides for the
+    """winding_numbers on fresh sides, and the arguments of _sides for the
     sides of rects (None when no rectangle is sampled).
 
     Side k (bottom, right, top, left) of a rectangle gets the initial grid
@@ -575,7 +556,7 @@ def _inside(rect, k):
 
 def _outer_winding(p, rect, stats):
     """Winding of the search rectangle, growing it by up to 1e-3 when a zero
-    sits on the boundary.  Returns (rect_used, winding, (its _Sides, 0)).
+    sits on the boundary.  Returns (rect_used, winding, its sides).
     When every attempt is refused, the error names the last one's cause."""
     x0, x1, y0, y1 = rect
     for attempt in range(_MAX_OUTER_ATTEMPTS):
@@ -585,7 +566,7 @@ def _outer_winding(p, rect, stats):
             stats.add(outer_growths=1)
         (w,), sides = _windings(p, [grown], _MAX_ROUNDS, _MAX_POINTS, stats)
         if not isinstance(w, BoundaryZeroSuspected):
-            return grown, w, (_Sides(*sides), 0)
+            return grown, w, _sides(*sides)[0]
     raise NonConvergenceError("could not find a zero-free boundary near %r: %s" % (rect, w))
 
 
@@ -632,8 +613,8 @@ def _newton(p, cells, k0s):
 
 
 def _quadrisect(p, quads, parents, stats):
-    """Winding numbers of the children (BL, BR, TL, TR) = quads[i] of cells
-    whose sides are parents, an (off, data) of _Sides rows.
+    """Winding numbers of the children (BL, BR, TL, TR) = quads[i] of the
+    cells whose sides are parents[i], a (lens, data) of _sides.
 
     A child runs along two halves of its parent's sides and along two of
     the four cross half-lines from the centre (xc, yc) to the sides.  A half
@@ -643,7 +624,7 @@ def _quadrisect(p, quads, parents, stats):
     it backwards.  The new samples are the centre, the cuts on the sides
     that are not parent samples and the crosses' inner samples; only new
     segments are tested.  Returns (windings, (refined, bside, bsign)), the
-    last the arguments of _Sides for every child.
+    last the arguments of _sides for every child.
     """
     n = len(quads)
     kids = [kid for kids in quads for kid in kids]
@@ -654,7 +635,7 @@ def _quadrisect(p, quads, parents, stats):
         for kid in kids:
             if not (kid[1] > kid[0] and kid[3] > kid[2]):
                 raise ValueError("empty rectangle %r" % (kid,))
-    off, data = parents
+    off, data = _gather(parents)
     t, cum = data[0], data[4]
     size = t.size
     lo, hi = off[:-1], off[1:] - 1
@@ -730,8 +711,8 @@ def _quadrisect(p, quads, parents, stats):
 # A cell of the subdivision frontier: its rectangle, its winding w, its
 # sides and its known zeros.  A cell split off by known zeros without
 # winding has sides None and zeros the tuple of those it holds, 1 to
-# _LOCATE_MAX located zeros or (0j,) for k = 0; any other cell has sides
-# (_Sides, slot) and zeros () (see _guide).
+# _LOCATE_MAX located zeros or (0j,) for k = 0; any other cell has sides,
+# its own (lens, data) of _sides, and zeros () (see _guide).
 _Cell = namedtuple("_Cell", "rect w sides zeros")
 
 
@@ -756,7 +737,6 @@ def _split(p, cells, stats):
     which suspects all four children.  p(0) is evaluated only when a
     cell's midpoint is k = 0, in a pass of its own.
     """
-    full = _gather([cell.sides for cell in cells])
     packs = [None] * len(cells)
     pending = list(range(len(cells)))
     late = [i for i, cell in enumerate(cells) if _quad(cell.rect, 0.0, 0.0)[3][::2] == (0.0, 0.0)]
@@ -774,11 +754,7 @@ def _split(p, cells, stats):
         if attempt == 0:
             ux = uy = 0.0
         quads = [_quad(cells[i].rect, ux, uy) for i in run]
-        parents = full
-        if len(run) < len(cells):
-            lens, data = _take(*full, run)
-            parents = np.concatenate([[0], np.cumsum(lens)]), data
-        ws, (refined, bside, bsign) = _quadrisect(p, quads, parents, stats)
+        ws, (refined, bside, bsign) = _quadrisect(p, quads, [cells[i].sides for i in run], stats)
         stats.split_attempts[attempt] += len(run)
         kept = []
         for j, (i, kids) in enumerate(zip(run, quads)):
@@ -790,9 +766,8 @@ def _split(p, cells, stats):
                             if wi > 0)
         if kept:
             rows = [b for _, _, _, b in kept]
-            store = _Sides(refined, bside[rows], bsign[rows])
-            for slot, (i, kid, wi, _) in enumerate(kept):
-                packs[i].append(_Cell(kid, wi, (store, slot), ()))
+            for (i, kid, wi, _), sides in zip(kept, _sides(refined, bside[rows], bsign[rows])):
+                packs[i].append(_Cell(kid, wi, sides, ()))
         pending = [i for i in pending if packs[i] is None]
     if pending:
         raise NonConvergenceError("zero count not conserved when splitting %r"
@@ -1009,9 +984,8 @@ def _guide(p, to_split, origin, tol, stats):
             if not (isinstance(w, int) and w == cells[i].w):
                 raise NonConvergenceError("cell %r winds %s when sampled afresh, not %d"
                                           % (cells[i].rect, w, cells[i].w))
-        store = _Sides(*sides)
-        for slot, i in enumerate(bare):
-            cells[i] = cells[i]._replace(sides=(store, slot))
+        for i, s in zip(bare, _sides(*sides)):
+            cells[i] = cells[i]._replace(sides=s)
     stats.add(resampled=len(bare), **counts)
     return cells
 

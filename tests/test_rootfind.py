@@ -944,8 +944,7 @@ def test_level_mixing_a_cut_through_zero(monkeypatch):
     ws, sides = rootfind._windings(p, rects, rootfind._MAX_ROUNDS, rootfind._MAX_POINTS,
                                    RootStats())
     assert ws == [4, 4]
-    store = rootfind._Sides(*sides)
-    cells = [rootfind._Cell(rect, w, (store, i), ()) for i, (rect, w) in enumerate(zip(rects, ws))]
+    cells = [rootfind._Cell(rect, w, s, ()) for rect, w, s in zip(rects, ws, rootfind._sides(*sides))]
     cuts = _recorded_cuts(monkeypatch)
     stats = RootStats()
     both = rootfind._split(p, cells, stats)
