@@ -14,7 +14,8 @@ is assembled.
 Each subcommand imports the modules it runs when it runs, so validate,
 classify and det never load numpy: the determinant is expanded and printed
 in integer arithmetic, and numpy loads only when something is evaluated.
-dtn-check and circle-verify refuse more than MAX_SAMPLES sample points.
+dtn-check and circle-verify refuse more than MAX_SAMPLES sample points,
+and circle-curve more than MAX_C_STEPS steps of c.
 """
 
 import argparse
@@ -32,6 +33,10 @@ from .graph import (GraphFormatError, build_circle_graph, classify_weyl,
 # circle-verify about 1.2 s and 127 MiB, dtn-check about 3 minutes (2-core
 # x86_64 host); numpy could not even allocate 1e11 of them
 MAX_SAMPLES = 10 ** 6
+# bound on --c-steps of circle-curve, whose whole grid is traced before any
+# output: 1e5 steps take about 1.8 s and 68 MiB, 1e6 steps 15.4 s and
+# 428 MiB (2-core x86_64 host)
+MAX_C_STEPS = 10 ** 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,6 +267,8 @@ def _cmd_circle_curve(parser, args):
         parser.error("--n must be a positive integer of %s parity" % args.parity)
     if args.c_steps < 1:
         parser.error("--c-steps must be positive")
+    if args.c_steps > MAX_C_STEPS:
+        parser.error("--c-steps must be at most %d" % MAX_C_STEPS)
     from . import circle
     grid = [j / args.c_steps for j in range(args.c_steps)]
     curve = circle.trace_curve(args.parity, args.n, grid)
@@ -343,7 +350,8 @@ def main(argv=None):
                             "circle over the surgery parameter (CSV)")
     p.add_argument("--parity", choices=("even", "odd"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c-steps", type=int, default=400)
+    p.add_argument("--c-steps", type=int, default=400,
+                   help="steps of c over [0, 1), at most %d (default 400)" % MAX_C_STEPS)
     p.add_argument("--output", "-o", metavar="FILE")
     p.set_defaults(func=_cmd_circle_curve, sub=p)
 

@@ -192,7 +192,11 @@ def parse_graph(obj):
     edges = []
     for i, rec in enumerate(obj.get("edges", [])):
         try:
-            u, v, L = rec["u"], rec["v"], float(rec["length"])
+            u, v, L = rec["u"], rec["v"], rec["length"]
+            # float(True) would read as 1.0
+            if isinstance(L, bool):
+                raise TypeError("boolean length")
+            L = float(L)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed edge record %d" % i)
         u, v = lookup(u, "edge %d" % i), lookup(v, "edge %d" % i)
@@ -200,7 +204,11 @@ def parse_graph(obj):
     leads = []
     for i, rec in enumerate(obj.get("leads", [])):
         try:
-            at, count = rec["at"], int(rec.get("count", 1))
+            at, count = rec["at"], rec.get("count", 1)
+            # int() would truncate 0.5 to no lead and read true as one
+            if isinstance(count, bool) or (isinstance(count, float) and not count.is_integer()):
+                raise ValueError("lead count %r is not a whole number" % (count,))
+            count = int(count)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed lead record %d" % i)
         at = lookup(at, "lead record %d" % i)

@@ -12,7 +12,7 @@ import pytest
 
 import qgraph
 from qgraph.circle import det_poly
-from qgraph.cli import MAX_SAMPLES, main
+from qgraph.cli import MAX_C_STEPS, MAX_SAMPLES, main
 from qgraph.errors import NonConvergenceError
 from qgraph.rootfind import RootStats, count_in_disc
 
@@ -68,6 +68,10 @@ def test_validate_reports_violations(tmp_path, capsys):
 @pytest.mark.parametrize("payload, message", [
     ({"vertices": [["a"], "b"]}, "missing or malformed 'vertices' list"),
     ({"vertices": ["a"], "leads": [{"at": "a", "count": 1e400}]}, "malformed lead record 0"),
+    ({"vertices": ["a"], "leads": [{"at": "a", "count": 0.5}]}, "malformed lead record 0"),
+    ({"vertices": ["a"], "leads": [{"at": "a", "count": True}]}, "malformed lead record 0"),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "length": True}]},
+     "malformed edge record 0"),
     ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "zz", "length": 1.0}]},
      "unknown vertex 'zz' in edge 0"),
     ({"vertices": ["a"], "leads": [{"at": "zz"}]}, "unknown vertex 'zz' in lead record 0"),
@@ -462,6 +466,23 @@ def test_too_many_samples_refused_before_sampling(command, monkeypatch, capsys):
             command[0], MAX_SAMPLES)
     with pytest.raises(AssertionError, match="before the --samples check"):
         main(command + ["--samples", str(MAX_SAMPLES)])
+
+
+def test_too_many_c_steps_refused_before_tracing(monkeypatch, capsys):
+    """--c-steps above MAX_C_STEPS is a usage error, refused before the
+    curve is traced (the whole grid is traced before any output, and 1e8
+    steps would take tens of GB).  The tracing is stubbed out, so only the
+    refusal runs here; MAX_C_STEPS itself gets past the check."""
+    def called(*args, **kwargs):
+        raise AssertionError("traced before the --c-steps check")
+    monkeypatch.setattr(qgraph.circle, "trace_curve", called)
+    command = ["circle-curve", "--parity", "even", "--n", "4"]
+    for steps in (MAX_C_STEPS + 1, 10 ** 8):
+        err = usage_error(command + ["--c-steps", str(steps)], capsys)
+        assert err.splitlines()[-1] == "qgraph circle-curve: error: --c-steps must be at most %d" % (
+            MAX_C_STEPS)
+    with pytest.raises(AssertionError, match="before the --c-steps check"):
+        main(command + ["--c-steps", str(MAX_C_STEPS)])
 
 
 def test_huge_disc_is_a_computation_error(capsys):

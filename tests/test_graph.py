@@ -187,6 +187,30 @@ def test_parse_errors():
         parse_graph({"vertices": ["a"], "edges": 5})
 
 
+@pytest.mark.parametrize("count", [0.5, 1.7, -0.5, True, False, "1.5"])
+def test_lead_count_must_be_a_whole_number(count):
+    """A lead count that is not a whole number, or is a JSON boolean, is
+    refused: truncating it would drop or add leads, and with them change a
+    vertex's balance and so the Weyl class."""
+    with pytest.raises(GraphFormatError, match="malformed lead record 0"):
+        parse_graph({"vertices": ["a"], "leads": [{"at": "a", "count": count}]})
+
+
+@pytest.mark.parametrize("count", [2, 2.0, "2"])
+def test_whole_lead_counts_parse(count):
+    g = parse_graph({"vertices": ["a"], "leads": [{"at": "a", "count": count}]})
+    assert [lead.vertex for lead in g.leads] == [0, 0]
+
+
+def test_boolean_length_refused():
+    """A JSON boolean is not an edge length (float(true) would read 1.0);
+    a number written as a string still is."""
+    with pytest.raises(GraphFormatError, match="malformed edge record 0"):
+        parse_graph({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "length": True}]})
+    g = parse_graph({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "length": "1.5"}]})
+    assert g.edges[0].length == 1.5
+
+
 def test_family_stays_in_contract(graph_family):
     assert len(graph_family) == 50
     balanced = 0
