@@ -195,7 +195,7 @@ def parse_graph(obj):
             u, v, L = rec["u"], rec["v"], rec["length"]
             # float(True) would read as 1.0
             if isinstance(L, bool):
-                raise TypeError("boolean length")
+                raise TypeError
             L = float(L)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed edge record %d" % i)
@@ -207,7 +207,7 @@ def parse_graph(obj):
             at, count = rec["at"], rec.get("count", 1)
             # int() would truncate 0.5 to no lead and read true as one
             if isinstance(count, bool) or (isinstance(count, float) and not count.is_integer()):
-                raise ValueError("lead count %r is not a whole number" % (count,))
+                raise ValueError
             count = int(count)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise GraphFormatError("malformed lead record %d" % i)
