@@ -458,6 +458,118 @@ def test_fresh_sides_keep_the_written_out_samples():
     assert zeros[False] > 0 and zeros[True] > 0
 
 
+class _StoreSides:
+    """Reference for _sides: the store of refined sides that cells once
+    pointed into by (store, slot), as rootfind kept it.  Four sides per
+    boundary, slot by slot; side s holds samples off[s]:off[s + 1], the
+    columns of data."""
+
+    def __init__(self, refined, bside, bsign):
+        off, data, inserted = refined
+        if inserted:
+            root = np.concatenate([r for r, _ in inserted])
+            mids = np.concatenate([m for _, m in inserted], axis=1)
+            order = np.lexsort((mids[0], root))
+            n = data.shape[1]
+            shift = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(root, minlength=n), out=shift[1:])
+            src = np.empty(n + root.size, dtype=np.intp)
+            at = root[order] + 1 + np.arange(root.size)
+            src[at] = np.arange(n, n + root.size)
+            old = np.ones(src.size, dtype=bool)
+            old[at] = False
+            src[old] = np.arange(n)
+            data = np.take(np.concatenate([data, np.take(mids, order, axis=1)], axis=1), src,
+                           axis=1)
+            off = off + shift[off]
+        es = bside.ravel()
+        lens = (off[1:] - off[:-1])[es]
+        self.off = np.concatenate([[0], np.cumsum(lens)])
+        back = bsign.ravel() < 0
+        step = np.where(back, -1, 1)
+        src = np.repeat(np.where(back, off[es + 1] - 1, off[es]) - self.off[:-1] * step, lens)
+        step = np.repeat(step, lens)
+        src += np.arange(src.size) * step
+        self.data = np.take(data, src, axis=1)
+        self.data[0] *= step
+
+
+def _store_take(off, data, cells):
+    """The sides of the given slots of a _StoreSides: (side lengths, data)."""
+    bounds = off[4 * np.asarray(cells)[:, None] + np.arange(5)]
+    starts, stops = bounds[:, 0], bounds[:, 4]
+    lens = stops - starts
+    cols = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return np.diff(bounds, axis=1).ravel(), np.take(data, cols, axis=1)
+
+
+def _store_gather(sides):
+    """Reference for _gather on (store, slot) pairs: runs of one store are
+    taken together, and cum is summed over the whole batch."""
+    lens, cols = [], []
+    start = 0
+    for k in range(1, len(sides) + 1):
+        if k == len(sides) or sides[k][0] is not sides[start][0]:
+            store = sides[start][0]
+            n, d = _store_take(store.off, store.data, [slot for _, slot in sides[start:k]])
+            lens.append(n)
+            cols.append(d)
+            start = k
+    lens = np.concatenate(lens)
+    off = np.concatenate([[0], np.cumsum(lens)])
+    data = np.empty((5, off[-1]))
+    np.concatenate(cols, axis=1, out=data[:4])
+    d = (np.diff(data[1]) + np.pi) % (2 * np.pi) - np.pi
+    d[off[1:-1] - 1] = 0.0
+    cum = data[4]
+    cum[0] = 0.0
+    np.cumsum(d, out=cum[1:])
+    cum -= np.repeat(cum[off[:-1]], lens)
+    return off, data
+
+
+def test_own_sides_match_the_store_and_slot_reference(monkeypatch):
+    """_sides gives every boundary exactly the lengths and columns of its
+    slot in the (store, slot) reference, for the fresh sides of one
+    _windings call and the children of one _quadrisect call, both with
+    midpoints inserted.  _gather gives the reference's (off, data), cum
+    included, bit for bit, on the whole fresh batch, on a reordered subset
+    of the children and on a list that mixes cells of both."""
+    p = det_poly(0.37)
+    rects = [(x, x + 2.0, -1.0, 0.5) for x in range(-10, 10, 2)]
+    _, fresh = rootfind._windings(p, rects, rootfind._MAX_ROUNDS, rootfind._MAX_POINTS,
+                                  RootStats())
+    quadrisect = rootfind._quadrisect
+    calls = []
+
+    def recorded(p, quads, parents, stats):
+        ws, children = quadrisect(p, quads, parents, stats)
+        calls.append(children)
+        return ws, children
+    monkeypatch.setattr(rootfind, "_quadrisect", recorded)
+    count_in_disc(p, 10.0)
+    split = max(calls, key=lambda children: len(children[1]))
+    stores, owns = [], []
+    for args in (fresh, split):
+        assert args[0][2], "no midpoint inserted"
+        store, own = _StoreSides(*args), rootfind._sides(*args)
+        assert len(own) == len(args[1]) >= 8
+        for slot, (lens, data) in enumerate(own):
+            want_lens, want = _store_take(store.off, store.data, [slot])
+            assert lens.tolist() == want_lens.tolist(), slot
+            assert data.dtype == want.dtype and data.tobytes() == want.tobytes(), slot
+        stores.append(store)
+        owns.append(own)
+    selections = [[(0, i) for i in range(len(owns[0]))],
+                  [(1, 5), (1, 0), (1, 3), (1, 2)],
+                  [(0, 3), (1, 1), (1, 6), (0, 0), (1, 0), (0, 7)]]
+    for chosen in selections:
+        off, data = rootfind._gather([owns[b][i] for b, i in chosen])
+        want_off, want = _store_gather([(stores[b], i) for b, i in chosen])
+        assert off.tolist() == want_off.tolist()
+        assert data.tobytes() == want.tobytes()
+
+
 # -- work counters ------------------------------------------------------------
 
 def test_root_stats_deterministic_and_inert():
