@@ -34,7 +34,7 @@ from .graph import (GraphFormatError, build_circle_graph, classify_weyl,
 # x86_64 host); numpy could not even allocate 1e11 of them
 MAX_SAMPLES = 10 ** 6
 # bound on --c-steps of circle-curve, whose whole grid is traced before any
-# output: 1e5 steps take about 1.8 s and 68 MiB, 1e6 steps 15.4 s and
+# output: 1e5 steps take 1.8 to 2.7 s and 68 MiB, 1e6 steps 15.4 s and
 # 428 MiB (2-core x86_64 host)
 MAX_C_STEPS = 10 ** 5
 
