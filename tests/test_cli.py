@@ -68,13 +68,13 @@ def test_validate_reports_violations(tmp_path, capsys):
 @pytest.mark.parametrize("payload, message", [
     ({"vertices": [["a"], "b"]}, "missing or malformed 'vertices' list"),
     ({"vertices": ["a"], "leads": [{"at": "a", "count": 1e400}]}, "malformed lead record 0"),
+    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "zz", "length": 1.0}]},
+     "unknown vertex 'zz' in edge 0"),
+    ({"vertices": ["a"], "leads": [{"at": "zz"}]}, "unknown vertex 'zz' in lead record 0"),
     ({"vertices": ["a"], "leads": [{"at": "a", "count": 0.5}]}, "malformed lead record 0"),
     ({"vertices": ["a"], "leads": [{"at": "a", "count": True}]}, "malformed lead record 0"),
     ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "length": True}]},
      "malformed edge record 0"),
-    ({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "zz", "length": 1.0}]},
-     "unknown vertex 'zz' in edge 0"),
-    ({"vertices": ["a"], "leads": [{"at": "zz"}]}, "unknown vertex 'zz' in lead record 0"),
 ])
 def test_malformed_graph_file_is_a_usage_error(payload, message, tmp_path, capsys):
     path = write_graph(tmp_path, payload)
